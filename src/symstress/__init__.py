@@ -41,7 +41,9 @@ from .symmetry import (
     SYM_TOL,
     ConjugacyClass,
     GroupSpec,
+    OperationAction,
     PointGroup,
+    SymmetryAction,
     SymmetryCensus,
     SymmetryOperation,
     census,
@@ -56,6 +58,7 @@ from .symmetry import (
     parse_group_arg,
     resolve_group,
     rotation_op,
+    symmetry_action,
     vertex_permutation,
 )
 from .reptheory import (
@@ -112,7 +115,8 @@ __all__ = [
     "SymmetryOperation", "ConjugacyClass", "PointGroup", "SymmetryCensus",
     "GroupSpec", "identity_op", "rotation_op", "mirror_op", "group_elements",
     "census", "make_census", "detect_groups", "vertex_permutation",
-    "edge_permutation", "parse_group_arg", "group_spec_from_json",
+    "edge_permutation", "SymmetryAction", "OperationAction", "symmetry_action",
+    "parse_group_arg", "group_spec_from_json",
     "group_spec_to_json", "resolve_group", "SYM_TOL",
     # representation theory
     "Irrep", "CharacterTable", "IrrepDecomposition", "character_table",

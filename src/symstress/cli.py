@@ -8,10 +8,11 @@ Subcommands:
 * ``render``  — draw a framework (optionally with a self-stress or
   mechanism) as deterministic SVG.
 
-Exit codes: 0 success; 2 invalid input (parse errors, unknown names, bad
-arguments, planarity violations under ``--strict-planar``); 3 the declared
-symmetry does not hold; 4 the symbolic cross-check failed; 5 numeric
-verification failed.  With multiple inputs the worst (highest) code wins.
+Exit codes: 0 success; 2 invalid input (parse errors, two joints at one
+point, unknown names, bad arguments, planarity violations under
+``--strict-planar``); 3 the declared symmetry does not hold; 4 the symbolic
+cross-check failed; 5 numeric verification failed.  With multiple inputs
+the worst (highest) code wins.
 """
 
 from __future__ import annotations

@@ -453,7 +453,8 @@ def analyze(
     ``group`` defaults to auto-detection (maximal group about the joint
     centroid).  ``tol`` is the relative symmetry-matching tolerance.  With
     ``planarity`` the report also counts planar-drawing violations
-    (advisory; they do not affect the counts).
+    (advisory; they do not affect the counts) at the geometric tolerance
+    GEOM_TOL, as ``verify --strict-planar`` does.
     """
     from .framework import check_planarity  # local import, cheap call site
 
@@ -468,6 +469,6 @@ def analyze(
         center=(float(center[0]), float(center[1])),
     )
     if planarity:
-        violations = len(check_planarity(fw, tol))
+        violations = len(check_planarity(fw))
         report = replace(report, planarity_violations=violations)
     return report

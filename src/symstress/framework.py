@@ -38,6 +38,7 @@ __all__ = [
     "affine_map",
     "check_planarity",
     "bbox_diagonal",
+    "require_distinct_joints",
     "parse_framework_json",
     "framework_to_json",
     "load_framework",
@@ -103,6 +104,13 @@ class Framework:
     @property
     def is_pinned(self) -> bool:
         return len(self.pinned) > 0
+
+    @property
+    def pinned_mask(self) -> np.ndarray:
+        """Boolean array over the joints, True at pinned ones."""
+        mask = np.zeros(self.num_vertices, dtype=bool)
+        mask[list(self.pinned)] = True
+        return mask
 
     @property
     def internal_vertices(self) -> tuple[int, ...]:
@@ -177,6 +185,23 @@ def bbox_diagonal(positions: np.ndarray) -> float:
         return 0.0
     span = pos.max(axis=0) - pos.min(axis=0)
     return float(np.hypot(span[0], span[1]))
+
+
+def require_distinct_joints(positions: np.ndarray) -> None:
+    """Raise ValueError naming two joints at exactly the same point.
+
+    The counting theory allows such joints, but no symmetry matching can
+    tell them apart, so input files and the symmetry layer reject them.
+    """
+    pos = np.asarray(positions, dtype=float)
+    order = np.lexsort((pos[:, 1], pos[:, 0]))
+    same = np.flatnonzero((pos[order[1:]] == pos[order[:-1]]).all(axis=1))
+    if same.size:
+        k = int(same[0])
+        i, j = sorted((int(order[k]), int(order[k + 1])))
+        raise ValueError(
+            f"joints {i} and {j} coincide at ({pos[i, 0]:g}, {pos[i, 1]:g})"
+        )
 
 
 def affine_span_dim(positions: np.ndarray, tol: float = GEOM_TOL) -> int:
@@ -376,6 +401,7 @@ def parse_framework_json(text: str) -> tuple[Framework, Any]:
         raise ValueError('"group" must be an object or the string "auto"')
     try:
         fw = Framework(positions, tuple(edge_list), frozenset(pinned))
+        require_distinct_joints(fw.positions)
     except (DimensionMismatch, ValueError) as exc:
         raise ValueError(str(exc)) from None
     return fw, group

@@ -15,6 +15,11 @@ Conventions
 * A symmetry operation g acts on velocities by (g.u)_{perm(i)} = T u_i and on
   bar scalars by (g.w)_{eperm(b)} = w_b; the rigidity matrix R intertwines
   the two actions, which is checked explicitly as part of verification.
+* ``verify`` computes the group's :class:`~symstress.symmetry.SymmetryAction`
+  (every operation's joint and bar permutation) once and hands it to the
+  census, the intertwining and projector checks and the classification.
+  Called alone, each of those builds its own.  Every per-operation check
+  works on the bar list or on sparse entries, so it costs O(|G| * e).
 """
 
 from __future__ import annotations
@@ -36,12 +41,12 @@ from .reptheory import CharacterTable, IrrepDecomposition, character_table
 from .symmetry import (
     GroupSpec,
     PointGroup,
-    SymmetryCensus,
+    SymmetryAction,
     census,
-    edge_permutation,
     resolve_group,
-    vertex_permutation,
+    symmetry_action,
 )
+from .symmetry import vertex_permutation  # noqa: F401  unused; perfbench's tracer looks it up here
 
 __all__ = [
     "numeric_rank",
@@ -130,30 +135,15 @@ def mechanism_basis(fw: Framework, rel_tol: float = RANK_TOL) -> np.ndarray:
     return motions
 
 
-def _internal_perm(fw: Framework, vperm: np.ndarray) -> np.ndarray:
-    """Restrict a joint permutation to internal joints, reindexed 0..n-1."""
-    internal = fw.internal_vertices
-    index_of = {vi: a for a, vi in enumerate(internal)}
-    return np.array([index_of[int(vperm[vi])] for vi in internal], dtype=int)
-
-
-def _velocity_transform(
-    basis: np.ndarray, perm: np.ndarray, matrix: np.ndarray
-) -> np.ndarray:
-    """Apply (g.u)_{perm(i)} = T u_i to each row of ``basis`` (rows, 2n)."""
-    rows, width = basis.shape
-    n = width // 2
-    reshaped = basis.reshape(rows, n, 2)
-    out = np.empty_like(reshaped)
-    out[:, perm, :] = reshaped @ matrix.T
-    return out.reshape(rows, width)
-
-
-def _edge_transform(basis: np.ndarray, eperm: np.ndarray) -> np.ndarray:
-    """Apply (g.w)_{eperm(b)} = w_b to each row of ``basis`` (rows, e)."""
-    out = np.empty_like(basis)
-    out[:, eperm] = basis
-    return out
+def _moving_perm(fw: Framework, vperm: np.ndarray) -> np.ndarray:
+    """A joint permutation on the joints with velocity columns: all joints
+    when unpinned, else the internal ones reindexed 0..n-1."""
+    if not fw.is_pinned:
+        return vperm
+    internal = np.array(fw.internal_vertices, dtype=int)
+    column = np.full(fw.num_vertices, -1)
+    column[internal] = np.arange(internal.size)
+    return column[vperm[internal]]
 
 
 def _orthonormal_rows(basis: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -178,6 +168,8 @@ def classify_by_irrep(
     space: str = "velocity",
     tol: float = 1e-9,
     rel_tol: float = RANK_TOL,
+    *,
+    action: SymmetryAction | None = None,
 ) -> dict[str, int]:
     """Split the span of ``basis`` into irrep dimensions.
 
@@ -186,14 +178,14 @@ def classify_by_irrep(
     orthonormalised first; projecting an orthonormal invariant span yields
     singular values 0/1, so dimensions are counted against a 0.5 threshold.
     The dimensions sum to the basis size, else ClassMismatch is raised (the
-    span was not invariant under the group).
+    span was not invariant under the group).  A precomputed ``action`` of
+    ``group`` on ``fw`` replaces ``center`` and ``tol``.
     """
     table = character_table(group)
     n_rows = basis.shape[0]
     counts: dict[str, int] = {ir.label: 0 for ir in table.irreps}
     if n_rows == 0:
         return counts
-    ctr = fw.centroid() if center is None else np.asarray(center, dtype=float)
 
     expected = 2 * len(fw.internal_vertices) if fw.is_pinned else 2 * fw.num_vertices
     if space == "velocity":
@@ -208,28 +200,31 @@ def classify_by_irrep(
             )
     else:
         raise ValueError(f"space must be 'velocity' or 'edge', got {space!r}")
+    if action is None:
+        action = symmetry_action(fw, group, center, tol)
 
     B = _orthonormal_rows(np.asarray(basis, dtype=float), rel_tol)
 
-    transformed: list[np.ndarray] = []
-    chars: list[list[complex]] = [[] for _ in table.irreps]
-    for cls_idx, cls in enumerate(group.classes):
-        for op in cls.operations:
-            vperm = vertex_permutation(fw, op, ctr, tol)
-            if space == "velocity":
-                perm = _internal_perm(fw, vperm) if fw.is_pinned else vperm
-                transformed.append(_velocity_transform(B, perm, op.matrix))
-            else:
-                eperm = edge_permutation(fw, vperm)
-                transformed.append(_edge_transform(B, eperm))
-            for t, ir in enumerate(table.irreps):
-                chars[t].append(ir.characters[cls_idx])
+    # Characters are constant on a class, so sum the transformed bases per
+    # class and project each irrep from the class sums.
+    # (g.u)_{perm(i)} = T u_i on velocities, (g.w)_{eperm(b)} = w_b on bars.
+    class_sums = np.zeros((len(group.classes),) + B.shape)
+    rows = B.shape[0]
+    for act in action.ops:
+        target = class_sums[act.class_index]
+        if space == "velocity":
+            perm = _moving_perm(fw, act.vperm)
+            moved = B.reshape(rows, -1, 2) @ act.op.matrix.T
+            target.reshape(rows, -1, 2)[:, perm, :] += moved
+        else:
+            target[:, act.eperm] += B
 
-    order = group.order
-    stack = np.stack(transformed)  # (|G|, rows, dim)
+    dims = np.array([ir.dim for ir in table.irreps], dtype=float)
+    coeff = np.conj(table.as_matrix()) * (dims / group.order)[:, None]
+    if not any(ir.is_complex for ir in table.irreps):
+        coeff = coeff.real
     for t, ir in enumerate(table.irreps):
-        coeff = np.conj(np.array(chars[t], dtype=complex)) * (ir.dim / order)
-        projected = np.tensordot(coeff, stack, axes=(0, 0))
+        projected = np.tensordot(coeff[t], class_sums, axes=(0, 0))
         sv = np.linalg.svd(projected, compute_uv=False)
         counts[ir.label] = int(np.sum(sv > CLASSIFY_THRESHOLD))
 
@@ -246,40 +241,54 @@ def intertwining_residual(
     group: PointGroup,
     center: np.ndarray | Sequence[float] | None = None,
     tol: float = 1e-9,
+    *,
+    action: SymmetryAction | None = None,
 ) -> float:
     """Max-norm residual of the rigidity-matrix intertwining identity.
 
     For every group operation, permuting rows by the bar permutation and
     columns by the joint permutation (with the 2x2 block rotated) must
     reproduce the rigidity matrix exactly; the residual is the largest
-    absolute deviation over all operations.
+    absolute deviation over all operations.  A precomputed ``action`` of
+    ``group`` on ``fw`` replaces ``center`` and ``tol``.
+
+    Row b of R holds d_b = p_i - p_j in the columns of its first joint i
+    and -d_b in those of j, so the identity reads ±d_{eperm(b)} T = d_b per
+    bar, the sign telling whether g maps i to the first joint of
+    eperm(b).  Both columns give the same deviation, and bars with no
+    velocity columns (both joints pinned) give none.
     """
-    ctr = fw.centroid() if center is None else np.asarray(center, dtype=float)
-    R = _matrix_for(fw)
-    e = R.shape[0]
-    n = R.shape[1] // 2
-    R3 = R.reshape(e, n, 2)
+    if action is None:
+        action = symmetry_action(fw, group, center, tol)
+    ends = np.array(fw.edges, dtype=int).reshape(-1, 2)
+    moving = ~fw.pinned_mask[ends].all(axis=1)
+    if not moving.any():
+        return 0.0
+    d = fw.positions[ends[:, 0]] - fw.positions[ends[:, 1]]
     worst = 0.0
-    for cls in group.classes:
-        for op in cls.operations:
-            vperm = vertex_permutation(fw, op, ctr, tol)
-            eperm = edge_permutation(fw, vperm)
-            perm = _internal_perm(fw, vperm) if fw.is_pinned else vperm
-            transformed = np.einsum("evd,dc->evc", R3[:, perm, :], op.matrix)
-            residual = float(np.max(np.abs(transformed[eperm] - R3)))
-            worst = max(worst, residual)
+    for act in action.ops:
+        T = act.op.matrix
+        image = act.eperm
+        sign = np.where(ends[image, 0] == act.vperm[ends[:, 0]], 1.0, -1.0)
+        x = sign[:, None] * d[image]
+        # x @ T as two products and a sum, so every BLAS gives the same floats
+        x_t = x[:, :1] * T[0] + x[:, 1:] * T[1]
+        worst = max(worst, float(np.max(np.abs(x_t - d)[moving])))
     return worst
 
 
 def _resolution_residual(
     fw: Framework,
-    group: PointGroup,
+    action: SymmetryAction,
     table: CharacterTable,
-    center: np.ndarray,
     space: str,
-    tol: float,
 ) -> float:
-    """Max-norm of (sum of irrep projectors) - identity on the given space."""
+    """Max-norm of (sum of irrep projectors) - identity on the given space.
+
+    The sum is sum_g w_g rho(g) / |G| with w_g = sum_i dim_i conj(chi_i(g)).
+    rho(g) has one nonzero 2x2 block per joint (velocity) or one 1 per bar
+    (edge), so only those entries are summed, operation by operation.
+    """
     if space == "velocity":
         n = len(fw.internal_vertices) if fw.is_pinned else fw.num_vertices
         dim = 2 * n
@@ -287,27 +296,33 @@ def _resolution_residual(
         dim = fw.num_edges
     if dim == 0:
         return 0.0
-    total = np.zeros((dim, dim), dtype=complex)
-    order = group.order
-    for cls_idx, cls in enumerate(group.classes):
-        weight = sum(
-            ir.dim * np.conj(ir.characters[cls_idx]) for ir in table.irreps
-        )
+    order = action.group.order
+    weights = [
+        sum(ir.dim * np.conj(ir.characters[cls_idx]) for ir in table.irreps)
+        for cls_idx in range(len(action.group.classes))
+    ]
+    keys: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    for act in action.ops:
+        weight = weights[act.class_index]
         if weight == 0:
             continue
-        for op in cls.operations:
-            vperm = vertex_permutation(fw, op, center, tol)
-            if space == "velocity":
-                perm = _internal_perm(fw, vperm) if fw.is_pinned else vperm
-                M = np.zeros((dim, dim))
-                M4 = M.reshape(dim // 2, 2, dim // 2, 2)
-                M4[perm, :, np.arange(dim // 2), :] = op.matrix
-            else:
-                eperm = edge_permutation(fw, vperm)
-                M = np.zeros((dim, dim))
-                M[eperm, np.arange(dim)] = 1.0
-            total += (weight / order) * M
-    return float(np.max(np.abs(total - np.eye(dim))))
+        if space == "velocity":
+            perm = _moving_perm(fw, act.vperm)
+            # entry (2 perm[i] + a, 2 i + c) = T[a, c]
+            rows = 2 * perm[:, None, None] + np.arange(2)[None, :, None]
+            cols = 2 * np.arange(n)[:, None, None] + np.arange(2)[None, None, :]
+            entries = np.broadcast_to(act.op.matrix, (n, 2, 2))
+        else:
+            rows, cols, entries = act.eperm, np.arange(dim), np.ones(dim)
+        keys.append((rows * dim + cols).ravel())
+        values.append(((weight / order) * entries).ravel())
+    where, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    total = np.zeros(where.size, dtype=complex)
+    np.add.at(total, slot, np.concatenate(values))
+    # The identity (weight |G|) puts an entry on every diagonal position.
+    total[where // dim == where % dim] -= 1.0
+    return float(np.max(np.abs(total)))
 
 
 @dataclass(frozen=True)
@@ -433,7 +448,8 @@ def verify(
     """
     spec = group if group is not None else GroupSpec("auto")
     pg, center = resolve_group(spec, fw, tol)
-    cen = census(fw, pg, center, tol)
+    action = symmetry_action(fw, pg, center, tol)
+    cen = census(fw, pg, center, tol, action=action)
     analysis = analyze_census(
         cen,
         detected=spec.is_auto,
@@ -456,7 +472,7 @@ def verify(
     checks: list[CheckResult] = []
 
     r_norm = float(np.max(np.abs(R))) if R.size else 1.0
-    res = intertwining_residual(fw, pg, center, tol)
+    res = intertwining_residual(fw, pg, center, tol, action=action)
     thr = RESIDUAL_TOL * r_norm
     checks.append(
         CheckResult(
@@ -468,8 +484,8 @@ def verify(
         )
     )
 
-    res_v = _resolution_residual(fw, pg, table, center, "velocity", tol)
-    res_e = _resolution_residual(fw, pg, table, center, "edge", tol)
+    res_v = _resolution_residual(fw, action, table, "velocity")
+    res_e = _resolution_residual(fw, action, table, "edge")
     res_p = max(res_v, res_e)
     checks.append(
         CheckResult(
@@ -494,10 +510,10 @@ def verify(
     classify_err = ""
     try:
         s_by = classify_by_irrep(
-            fw, pg, stresses, center, space="edge", tol=tol, rel_tol=rel_tol
+            fw, pg, stresses, space="edge", rel_tol=rel_tol, action=action
         )
         m_by = classify_by_irrep(
-            fw, pg, mechanisms, center, space="velocity", tol=tol, rel_tol=rel_tol
+            fw, pg, mechanisms, space="velocity", rel_tol=rel_tol, action=action
         )
     except (ClassMismatch, DegenerateSpan) as exc:
         classify_err = str(exc)

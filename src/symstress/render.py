@@ -23,12 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .framework import Framework, bbox_diagonal
-from .symmetry import (
-    SYM_TOL,
-    PointGroup,
-    edge_permutation,
-    vertex_permutation,
-)
+from .symmetry import SYM_TOL, PointGroup, symmetry_action
 
 __all__ = ["render_svg"]
 
@@ -74,12 +69,9 @@ class _Canvas:
 def _fixed_edges(fw: Framework, group: PointGroup, center: np.ndarray, tol: float) -> set[int]:
     """Indices of bars left unshifted by at least one non-identity operation."""
     fixed: set[int] = set()
-    for op in group.operations():
-        if op.kind == "identity":
-            continue
-        vperm = vertex_permutation(fw, op, center=center, tol=tol)
-        eperm = edge_permutation(fw, vperm)
-        fixed.update(int(j) for j in np.flatnonzero(eperm == np.arange(fw.num_edges)))
+    for act in symmetry_action(fw, group, center, tol).ops:
+        if act.op.kind != "identity":
+            fixed.update(np.flatnonzero(act.eperm == np.arange(fw.num_edges)).tolist())
     return fixed
 
 

@@ -19,19 +19,21 @@ Conventions
   are fixed (mapped to themselves) by the operations of that class.  A bar
   fixed by a mirror either lies in the mirror line or is perpendicular to and
   centred on it; a bar fixed by the half-turn is centred on the centre point.
+* A :class:`SymmetryAction` holds every operation's joint and bar
+  permutation for one framework, group, centre and tolerance.  It is built
+  once and shared by the census, the numeric checks and the renderer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ClassMismatch, DimensionMismatch, NotSymmetric
-from .framework import Framework, bbox_diagonal
+from .framework import Framework, bbox_diagonal, require_distinct_joints
 
 __all__ = [
     "SymmetryOperation",
@@ -46,6 +48,9 @@ __all__ = [
     "apply_op",
     "vertex_permutation",
     "edge_permutation",
+    "OperationAction",
+    "SymmetryAction",
+    "symmetry_action",
     "census",
     "make_census",
     "detect_groups",
@@ -59,6 +64,12 @@ __all__ = [
 SYM_TOL = 1e-9
 
 _SNAP_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+
+# Joints are matched to images along this direction first.  Its slope is
+# irrational, so joints in one lattice row or column project apart.
+_MATCH_DIRECTION = np.array([math.cos(0.5377), math.sin(0.5377)])
+# Most candidate (image, joint) pairs compared at once when matching.
+_MATCH_BLOCK = 1 << 20
 
 
 def _snap(x: float) -> float:
@@ -240,6 +251,47 @@ def apply_op(
     return (pos - ctr) @ op.matrix.T + ctr
 
 
+def _nearest_joints(
+    positions: np.ndarray, images: np.ndarray, tol_abs: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each image, the nearest joint closer than ``tol_abs`` and its
+    distance; distance inf where no joint is that close.
+
+    Joints are sorted by their projection onto a fixed direction, and each
+    image is compared only with the joints whose projection lies within the
+    tolerance of its own.
+    """
+    proj = positions @ _MATCH_DIRECTION
+    order = np.argsort(proj, kind="stable")
+    proj = proj[order]
+    target = images @ _MATCH_DIRECTION
+    magnitude = float(np.abs(positions).max(initial=0.0) + np.abs(images).max(initial=0.0))
+    slack = tol_abs + 8 * np.finfo(float).eps * magnitude
+    lo = np.searchsorted(proj, target - slack, "left")
+    counts = np.searchsorted(proj, target + slack, "right") - lo
+    ends = np.cumsum(counts)
+
+    nearest = np.zeros(len(images), dtype=int)
+    dist = np.full(len(images), np.inf)
+    start = 0
+    while start < len(images):
+        done = ends[start] - counts[start]  # candidates of earlier blocks
+        stop = max(start + 1, int(np.searchsorted(ends, done + _MATCH_BLOCK, "right")))
+        block = counts[start:stop]
+        owner = np.repeat(np.arange(start, stop), block)
+        within = np.arange(owner.size) - np.repeat(ends[start:stop] - block - done, block)
+        cand = order[lo[owner] + within]
+        d = np.sqrt(((images[owner] - positions[cand]) ** 2).sum(axis=1))
+        pick = np.lexsort((d, owner))
+        owner, cand, d = owner[pick], cand[pick], d[pick]
+        keep = np.ones(owner.size, dtype=bool)
+        keep[1:] = owner[1:] != owner[:-1]
+        nearest[owner[keep]] = cand[keep]
+        dist[owner[keep]] = d[keep]
+        start = stop
+    return nearest, dist
+
+
 def vertex_permutation(
     fw: Framework,
     op: SymmetryOperation,
@@ -251,32 +303,64 @@ def vertex_permutation(
     Matching is nearest-neighbour with an absolute tolerance of ``tol`` times
     the bounding-box diagonal.  Raises NotSymmetric when an image has no
     matching joint, when two joints collide onto one, or when a pinned joint
-    maps to an unpinned one (or vice versa).
+    maps to an unpinned one (or vice versa), and ValueError when two joints
+    sit at the same point.
     """
     ctr = fw.centroid() if center is None else np.asarray(center, dtype=float)
-    scale = bbox_diagonal(fw.positions)
+    pos = fw.positions
+    scale = bbox_diagonal(pos)
     tol_abs = tol * (scale if scale > 0 else 1.0)
-    images = apply_op(op, fw.positions, ctr)
-    tree = cKDTree(fw.positions)
-    dist, perm = tree.query(images, k=1)
-    bad = np.where(dist > tol_abs)[0]
+    images = apply_op(op, pos, ctr)
+    perm, dist = _nearest_joints(pos, images, tol_abs)
+    bad = np.flatnonzero(dist > tol_abs)
     if bad.size:
         i = int(bad[0])
+        nearest = np.sqrt(((pos - images[i]) ** 2).sum(axis=1)).min()
         raise NotSymmetric(
             f"joint {i} has no image match under {op.kind} "
-            f"(nearest joint is {dist[i]:.3g} away, tolerance {tol_abs:.3g})"
+            f"(nearest joint is {nearest:.3g} away, tolerance {tol_abs:.3g})"
         )
-    if len(set(perm.tolist())) != fw.num_vertices:
+    if np.unique(perm).size != fw.num_vertices:
+        require_distinct_joints(pos)
         raise NotSymmetric(
             f"operation {op.kind} maps two joints onto the same joint"
         )
-    for i in range(fw.num_vertices):
-        if (i in fw.pinned) != (int(perm[i]) in fw.pinned):
+    pinned = fw.pinned_mask
+    crossed = np.flatnonzero(pinned != pinned[perm])
+    if crossed.size:
+        raise NotSymmetric(
+            f"operation {op.kind} maps joint {int(crossed[0])} across the "
+            "pinned/unpinned boundary"
+        )
+    return perm
+
+
+class _BarLookup:
+    """Finds bars by their endpoints in one sorted array of bar keys."""
+
+    def __init__(self, fw: Framework) -> None:
+        self.v = fw.num_vertices
+        self.ends = np.array(fw.edges, dtype=np.int64).reshape(-1, 2)
+        keys = self._keys(self.ends)
+        self.rows = np.argsort(keys, kind="stable")
+        self.keys = keys[self.rows]
+
+    def _keys(self, ends: np.ndarray) -> np.ndarray:
+        return ends.min(axis=1) * self.v + ends.max(axis=1)
+
+    def permutation(self, vperm: np.ndarray) -> np.ndarray:
+        """The bar permutation induced by a joint permutation."""
+        images = vperm[self.ends]
+        wanted = self._keys(images)
+        at = np.minimum(np.searchsorted(self.keys, wanted), max(len(self.keys) - 1, 0))
+        missing = np.flatnonzero(self.keys[at] != wanted)
+        if missing.size:
+            row = int(missing[0])
+            (i, j), (a, b) = self.ends[row], images[row]
             raise NotSymmetric(
-                f"operation {op.kind} maps joint {i} across the pinned/unpinned "
-                "boundary"
+                f"bar ({i}, {j}) maps to ({a}, {b}), which is not a bar"
             )
-    return perm.astype(int)
+        return self.rows[at]
 
 
 def edge_permutation(fw: Framework, vperm: np.ndarray) -> np.ndarray:
@@ -284,19 +368,52 @@ def edge_permutation(fw: Framework, vperm: np.ndarray) -> np.ndarray:
 
     Raises NotSymmetric if some bar's image is not a bar.
     """
-    index = {
-        (min(i, j), max(i, j)): row for row, (i, j) in enumerate(fw.edges)
-    }
-    perm = np.empty(fw.num_edges, dtype=int)
-    for row, (i, j) in enumerate(fw.edges):
-        a, b = int(vperm[i]), int(vperm[j])
-        key = (min(a, b), max(a, b))
-        if key not in index:
-            raise NotSymmetric(
-                f"bar ({i}, {j}) maps to ({a}, {b}), which is not a bar"
-            )
-        perm[row] = index[key]
-    return perm
+    return _BarLookup(fw).permutation(np.asarray(vperm))
+
+
+@dataclass(frozen=True)
+class OperationAction:
+    """One group operation acting on a framework: joint i goes to joint
+    ``vperm[i]`` and bar b to bar ``eperm[b]``."""
+
+    class_index: int
+    op: SymmetryOperation
+    vperm: np.ndarray
+    eperm: np.ndarray
+
+
+@dataclass(frozen=True)
+class SymmetryAction:
+    """A point group acting on one framework about ``center``.
+
+    ``ops`` holds every operation of the group in canonical class order,
+    with its class index and its joint and bar permutations.
+    """
+
+    group: PointGroup
+    center: np.ndarray
+    ops: tuple[OperationAction, ...]
+
+
+def symmetry_action(
+    fw: Framework,
+    group: PointGroup,
+    center: np.ndarray | Sequence[float] | None = None,
+    tol: float = SYM_TOL,
+) -> SymmetryAction:
+    """Compute every operation's joint and bar permutation once.
+
+    Raises NotSymmetric at the first operation that is not a symmetry of the
+    framework.
+    """
+    ctr = fw.centroid() if center is None else np.asarray(center, dtype=float)
+    bars = _BarLookup(fw)
+    ops = []
+    for idx, cls in enumerate(group.classes):
+        for op in cls.operations:
+            vperm = vertex_permutation(fw, op, ctr, tol)
+            ops.append(OperationAction(idx, op, vperm, bars.permutation(vperm)))
+    return SymmetryAction(group, ctr, tuple(ops))
 
 
 @dataclass(frozen=True)
@@ -406,48 +523,41 @@ def census(
     group: PointGroup,
     center: np.ndarray | Sequence[float] | None = None,
     tol: float = SYM_TOL,
+    *,
+    action: SymmetryAction | None = None,
 ) -> SymmetryCensus:
     """Count fixed joints and bars per conjugacy class.
 
     Every operation of a class must fix the same number of joints and bars;
     otherwise ClassMismatch is raised.  NotSymmetric propagates from the
     underlying permutation checks.  For pinned frameworks, joint counts cover
-    internal joints only (bars are always counted in full).
+    internal joints only (bars are always counted in full).  A precomputed
+    ``action`` of ``group`` on ``fw`` replaces ``center`` and ``tol``.
     """
-    ctr = fw.centroid() if center is None else np.asarray(center, dtype=float)
-    internal = None
-    if fw.is_pinned:
-        internal = np.array([i not in fw.pinned for i in range(fw.num_vertices)])
-
-    fixed_v: list[int] = []
-    fixed_e: list[int] = []
-    for cls in group.classes:
-        per_op: list[tuple[int, int]] = []
-        for op in cls.operations:
-            vperm = vertex_permutation(fw, op, ctr, tol)
-            eperm = edge_permutation(fw, vperm)
-            vfixed = vperm == np.arange(fw.num_vertices)
-            if internal is not None:
-                vfixed = vfixed & internal
-            per_op.append(
-                (int(np.sum(vfixed)), int(np.sum(eperm == np.arange(fw.num_edges))))
-            )
+    if action is None:
+        action = symmetry_action(fw, group, center, tol)
+    counted = ~fw.pinned_mask
+    per_class: list[list[tuple[int, int]]] = [[] for _ in group.classes]
+    for act in action.ops:
+        vfixed = (act.vperm == np.arange(fw.num_vertices)) & counted
+        efixed = act.eperm == np.arange(fw.num_edges)
+        per_class[act.class_index].append((int(np.sum(vfixed)), int(np.sum(efixed))))
+    for cls, per_op in zip(group.classes, per_class):
         if len(set(per_op)) > 1:
             raise ClassMismatch(
                 f"operations in class {cls.label} fix differing counts "
                 f"(joints, bars): {sorted(set(per_op))}"
             )
-        fixed_v.append(per_op[0][0])
-        fixed_e.append(per_op[0][1])
 
+    ctr = action.center
     v = len(fw.internal_vertices) if fw.is_pinned else fw.num_vertices
     return SymmetryCensus(
         group=group,
         v=v,
         e=fw.num_edges,
         pinned=fw.is_pinned,
-        fixed_vertices=tuple(fixed_v),
-        fixed_edges=tuple(fixed_e),
+        fixed_vertices=tuple(per_op[0][0] for per_op in per_class),
+        fixed_edges=tuple(per_op[0][1] for per_op in per_class),
         center=(float(ctr[0]), float(ctr[1])),
     )
 

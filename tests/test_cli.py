@@ -140,6 +140,23 @@ class TestAnalyze:
         assert res_v.returncode == 2
 
 
+    def test_planarity_count_ignores_symmetry_tolerance(self, tmp_path):
+        # Joint 2 sits 1e-5 above the interior of bar (0, 1): a violation at
+        # a loose tolerance, none at the geometric one.
+        fw = Framework(
+            [(0.0, 0.0), (2.0, 0.0), (1.0, 1e-5), (1.0, 1.0)],
+            [(0, 1), (2, 3), (0, 3), (1, 3)],
+        )
+        path = tmp_path / "near.json"
+        path.write_text(framework_to_json(fw))
+        counts = []
+        for tol in ("1e-9", "1e-3"):
+            res = run_cli("analyze", str(path), "--group", "C1", "--tol-sym", tol, "--format", "json")
+            assert res.returncode == 0
+            counts.append(json.loads(res.stdout)["planarity_violations"])
+        assert counts == [0, 0]
+
+
 class TestVerifyCommand:
     def test_text_output(self, entry_file):
         res = run_cli("verify", str(entry_file("fig3")))
@@ -216,6 +233,15 @@ class TestExitCodes:
         )
         assert res.returncode == 5
         assert "verification FAILED" in res.stdout
+
+    def test_coincident_joints_are_invalid_input(self, tmp_path):
+        fw = Framework([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.0)], [(0, 1), (1, 2), (2, 3)])
+        path = tmp_path / "twice.json"
+        path.write_text(framework_to_json(fw))
+        for command in ("analyze", "verify", "render"):
+            res = run_cli(command, str(path), "--group", "C1")
+            assert res.returncode == 2, command
+            assert "joints 1 and 3 coincide at (1, 0)" in res.stderr
 
     def test_error_payload_in_json_mode(self, tmp_path):
         bad = tmp_path / "bad.json"

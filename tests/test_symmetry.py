@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 
 from symstress import (
+    SYM_TOL,
     Framework,
     GroupSpec,
     NotSymmetric,
+    analyze,
     census,
     detect_groups,
     edge_permutation,
     group_elements,
     make_census,
+    mirror_op,
     parse_group_arg,
     resolve_group,
     vertex_permutation,
 )
+from symstress.symmetry import apply_op
 
 SQUARE = Framework(
     [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)],
@@ -92,6 +96,52 @@ class TestPermutations:
         mirror = g.classes[1].operations[0]
         with pytest.raises(NotSymmetric):
             vertex_permutation(fw, mirror, np.array([0.0, 0.5]))
+
+
+def _brute_force_permutation(fw, op, center):
+    """Nearest joint of every image by a full distance table."""
+    images = apply_op(op, fw.positions, center)
+    dist = np.sqrt(((images[:, None, :] - fw.positions[None, :, :]) ** 2).sum(axis=2))
+    return dist.argmin(axis=1), dist.min(axis=1)
+
+
+class TestMatching:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force_nearest_joint(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        group = group_elements("Cnv", n, mirror_angle=float(rng.uniform(0, np.pi)))
+        base = rng.normal(size=(int(rng.integers(1, 6)), 2)) * 10.0 ** rng.integers(-3, 4)
+        if seed % 2:  # lattice points: many joints share a coordinate
+            base = np.round(base)
+        points = np.unique(
+            np.vstack([apply_op(op, base, (0.0, 0.0)) for op in group.operations()]).round(9),
+            axis=0,
+        )
+        fw = Framework(points, [])
+        for op in group.operations():
+            perm = vertex_permutation(fw, op, (0.0, 0.0), tol=1e-6)
+            reference, _ = _brute_force_permutation(fw, op, (0.0, 0.0))
+            assert np.array_equal(perm, reference)
+
+    def test_reports_nearest_joint_distance(self):
+        fw = Framework([(0.0, 0.0), (3.0, 0.0), (1.0, 2.0), (2.0, 2.1)], [])
+        mirror = mirror_op(np.pi / 2)
+        center = np.array([1.5, 0.0])
+        _, dist = _brute_force_permutation(fw, mirror, center)
+        with pytest.raises(NotSymmetric) as err:
+            vertex_permutation(fw, mirror, center)
+        assert str(err.value) == (
+            f"joint 2 has no image match under mirror (nearest joint is "
+            f"{dist[2]:.3g} away, tolerance {SYM_TOL * np.hypot(3.0, 2.1):.3g})"
+        )
+        assert "nearest joint is 0.1 away" in str(err.value)
+
+    def test_coincident_joints_are_invalid_input(self):
+        fw = Framework([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)], [(0, 1), (1, 2)])
+        for group in (GroupSpec("C1"), None):
+            with pytest.raises(ValueError, match="joints 0 and 2 coincide"):
+                analyze(fw, group)
 
 
 class TestCensus:
