@@ -338,16 +338,21 @@ def _cmd_render(args: argparse.Namespace) -> int:
         print(f"render: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    svg = render_svg(
-        fw,
-        group=group if group.order > 1 else None,
-        center=center,
-        stress=stress,
-        mechanism=mechanism,
-        highlight_fixed=not args.no_highlight,
-        title=args.title,
-        tol=args.tol_sym,
-    )
+    try:
+        # highlighting unshifted bars maps every bar, which can still fail
+        svg = render_svg(
+            fw,
+            group=group if group.order > 1 else None,
+            center=center,
+            stress=stress,
+            mechanism=mechanism,
+            highlight_fixed=not args.no_highlight,
+            title=args.title,
+            tol=args.tol_sym,
+        )
+    except NotSymmetric as exc:
+        print(f"render: not symmetric: {exc}", file=sys.stderr)
+        return EXIT_NOT_SYMMETRIC
     _emit(svg, args.output)
     return EXIT_OK
 

@@ -461,7 +461,12 @@ def analyze(
     spec = group if group is not None else GroupSpec("auto")
     pg, center = resolve_group(spec, fw, tol)
     cen = census(fw, pg, center, tol)
-    assert cen.freedom_number == maxwell_count(fw)
+    k = maxwell_count(fw)
+    if cen.freedom_number != k:
+        raise CrossCheckFailure(
+            f"census freedom number {cen.freedom_number} differs from the "
+            f"Maxwell count {k}"
+        )
     report = analyze_census(
         cen,
         detected=spec.is_auto,

@@ -1,14 +1,25 @@
 """Numerical rigidity analysis and symmetry verification.
 
 This module is the independent numerical side of the counting rule: it
-computes actual self-stress and mechanism spaces from the rigidity matrix by
-SVD, classifies them by irreducible representation with projection
-operators, and checks the numerics against the symbolic decomposition.
+counts self-stresses and mechanisms from the rigidity matrix, irrep by
+irrep, and checks the numerics against the symbolic decomposition.
+
+``verify`` counts from symmetry-adapted blocks.  Orthonormal bases of each
+irrep's isotypic component of the velocity space (V_i) and of the bar space
+(E_i) come from small per-orbit projectors, and R maps V_i into E_i, so the
+rank splits into the ranks of the blocks E_i^H R V_i (Kangwai & Guest 2000;
+Schulze 2010).  Only singular values are taken, block by block.  The blocks
+are exact only when R commutes with the group action, so ``verify`` checks
+that first; when it fails, or when its residual could move a block singular
+value across the rank cutoff, ``verify`` falls back to one SVD of the whole
+matrix with all singular vectors, and classifies the self-stress and
+mechanism bases by irrep with projection operators.
 
 Conventions
 -----------
 * Numerical rank counts singular values above rel_tol * sigma_max * max(rows,
-  cols); the default rel_tol is 1e-10.
+  cols); the default rel_tol is 1e-10.  On the block route sigma_max is the
+  largest singular value of any block, which is R's largest.
 * Self-stresses are left-kernel vectors of the rigidity matrix (one scalar
   per bar); mechanisms are kernel vectors orthogonal to the rigid-body
   motions (for pinned frameworks the kernel itself).
@@ -17,9 +28,15 @@ Conventions
   the two actions, which is checked explicitly as part of verification.
 * ``verify`` computes the group's :class:`~symstress.symmetry.SymmetryAction`
   (every operation's joint and bar permutation) once and hands it to the
-  census, the intertwining and projector checks and the classification.
-  Called alone, each of those builds its own.  Every per-operation check
-  works on the bar list or on sparse entries, so it costs O(|G| * e).
+  census, the intertwining and projector checks and the adapted bases (or,
+  on the fallback route, the classification).  Called alone, each of those
+  builds its own.  Every per-operation check works on the bar list or on
+  sparse entries, so it costs O(|G| * e).
+* The isotypic bases are built orbit by orbit: each joint or bar orbit's
+  coordinates are invariant, so an irrep's projector splits into one small
+  block per orbit.  Orbits of one size are batched, and no projector on the
+  whole space is formed.  Tables with complex irreps (Cn, n >= 3) give
+  complex Hermitian projectors and complex blocks.
 """
 
 from __future__ import annotations
@@ -135,15 +152,24 @@ def mechanism_basis(fw: Framework, rel_tol: float = RANK_TOL) -> np.ndarray:
     return motions
 
 
+def _velocity_blocks(fw: Framework) -> np.ndarray:
+    """Each joint's velocity-column block: the joint itself when unpinned,
+    else the internal joints numbered 0..n-1 and -1 at pinned joints."""
+    if not fw.is_pinned:
+        return np.arange(fw.num_vertices)
+    block = np.full(fw.num_vertices, -1)
+    internal = np.array(fw.internal_vertices, dtype=int)
+    block[internal] = np.arange(internal.size)
+    return block
+
+
 def _moving_perm(fw: Framework, vperm: np.ndarray) -> np.ndarray:
     """A joint permutation on the joints with velocity columns: all joints
     when unpinned, else the internal ones reindexed 0..n-1."""
     if not fw.is_pinned:
         return vperm
-    internal = np.array(fw.internal_vertices, dtype=int)
-    column = np.full(fw.num_vertices, -1)
-    column[internal] = np.arange(internal.size)
-    return column[vperm[internal]]
+    block = _velocity_blocks(fw)
+    return block[vperm[block >= 0]]
 
 
 def _orthonormal_rows(basis: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -325,6 +351,209 @@ def _resolution_residual(
     return float(np.max(np.abs(total)))
 
 
+def _isotypic_bases(
+    perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray
+) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Orthonormal bases of the isotypic components of a permutation action.
+
+    The group permutes n points, each carrying an f-dimensional fibre:
+    operation g (row g of ``perms``, shape (|G|, n)) sends coordinate (j, c)
+    to sum_a mats[g, a, c] (perms[g, j], a).  Row i of ``coeff`` holds
+    (d_i/|G|) conj(chi_i(g)) per operation, so sum_g coeff[i, g] rho(g) is
+    irrep i's projector.  It maps each orbit's coordinates to themselves, so
+    it is computed one orbit at a time, orbits of one size in one batch, and
+    each orbit's eigenvectors with eigenvalue above 1/2 are kept.
+
+    Returns, per irrep, one (coords, values) pair per orbit size: row r of
+    both is one basis vector, values[r] at global coordinates coords[r]
+    (coordinate (j, a) is j * f + a).
+    """
+    n = perms.shape[1]
+    f = mats.shape[-1]
+    bases: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in coeff]
+    if n == 0:
+        return bases
+    # Each orbit is {g(j)}: its smallest point names it and its size is the
+    # number of distinct images.  Sorting by (name, point) lines orbits up.
+    name = perms.min(axis=0)
+    size = 1 + np.count_nonzero(np.diff(np.sort(perms, axis=0), axis=0), axis=0)
+    order = np.lexsort((np.arange(n), name))
+    local = np.empty(n, dtype=np.intp)
+    fibre = np.arange(f)
+    irreps = coeff.shape[0]
+    for k in np.unique(size):
+        members = order[size[order] == k].reshape(-1, k)
+        local[members] = np.arange(k)
+        orbits, width = members.shape[0], k * f
+        coords = (members[:, :, None] * f + fibre).reshape(orbits, width)
+        # One width x width block per irrep and orbit.  rho(g) puts
+        # mats[g, a, c] at row (local image of l, a), column (l, c).
+        block = (np.arange(irreps)[:, None] * orbits + np.arange(orbits))
+        block = block[:, None, :, None, None, None]
+        row = local[perms[:, members]][..., None, None] * f + fibre[:, None]
+        col = np.arange(k)[:, None, None] * f + fibre
+        at = ((block * width + row) * width + col).ravel()
+        entries = (coeff[:, :, None, None] * mats)[:, :, None, None]
+        entries = np.broadcast_to(entries, (irreps,) + row.shape[:3] + (f, f)).ravel()
+        total = irreps * orbits * width * width
+        if np.iscomplexobj(entries):
+            projector = np.bincount(at, entries.real, total) + 1j * np.bincount(
+                at, entries.imag, total
+            )
+        else:
+            projector = np.bincount(at, entries, total)
+        values, vectors = np.linalg.eigh(projector.reshape(-1, width, width))
+        hit, j = np.nonzero(values > CLASSIFY_THRESHOLD)
+        irrep, orbit = np.divmod(hit, orbits)
+        kept_coords, kept = coords[orbit], vectors[hit, :, j]
+        for t in range(irreps):
+            mine = irrep == t
+            bases[t].append((kept_coords[mine], kept[mine]))
+    return bases
+
+
+def _bar_rows(fw: Framework) -> tuple[np.ndarray, np.ndarray, int]:
+    """R in sparse form: each bar's two endpoint velocity blocks (-1 at a
+    pinned joint), its entries d = p_i - p_j (-d at the second joint), and
+    the number of velocity blocks."""
+    ends = np.array(fw.edges, dtype=int).reshape(-1, 2)
+    d = fw.positions[ends[:, 0]] - fw.positions[ends[:, 1]]
+    blocks = _velocity_blocks(fw)
+    return blocks[ends], d, int(np.count_nonzero(blocks >= 0))
+
+
+def _max_entry(fw: Framework) -> float:
+    """max |R| without forming R; 1.0 when R has no entries."""
+    blocks, d, n = _bar_rows(fw)
+    if not blocks.size or not n:
+        return 1.0
+    return float(np.max(np.abs(d[(blocks >= 0).any(axis=1)]), initial=0.0))
+
+
+@dataclass(frozen=True)
+class _Counts:
+    """The numeric side of a verification: rank, totals, per-irrep counts
+    (None when classification failed, with the reason in ``error``)."""
+
+    rank: int
+    s: int
+    m: int
+    s_by_irrep: dict[str, int] | None
+    m_by_irrep: dict[str, int] | None
+    error: str = ""
+
+
+def _block_counts(
+    fw: Framework,
+    action: SymmetryAction,
+    table: CharacterTable,
+    rel_tol: float,
+    residual: float,
+) -> _Counts | None:
+    """Counts from the blocks E_i^H R V_i of R in symmetry-adapted bases.
+
+    V_i and E_i are orthonormal bases of irrep i's isotypic components of
+    the velocity and bar spaces.  When R intertwines the action it maps V_i
+    into E_i and nothing else, so rank_i = rank of the block, s_i =
+    dim E_i - rank_i and m_i = dim V_i - rank_i - t_i, where t_i counts the
+    rigid-body motions in V_i (0 when pinned).  Only singular values are
+    computed; the rank cutoff is the full matrix's, rel_tol * sigma_max *
+    max(e, cols) with sigma_max the largest block singular value.
+
+    ``residual`` is the intertwining residual.  Returns None when it is
+    large enough that some rank decision could differ in R itself.
+    """
+    ops = action.ops
+    dims = np.array([ir.dim for ir in table.irreps], dtype=float)
+    chars = table.as_matrix()[:, [act.class_index for act in ops]]
+    coeff = np.conj(chars) * (dims / action.group.order)[:, None]
+    if not any(ir.is_complex for ir in table.irreps):
+        coeff = coeff.real
+    blocks, d, n = _bar_rows(fw)
+    vperms = np.array([_moving_perm(fw, act.vperm) for act in ops]).reshape(len(ops), n)
+    eperms = np.array([act.eperm for act in ops]).reshape(len(ops), fw.num_edges)
+    velocity = _isotypic_bases(vperms, np.array([act.op.matrix for act in ops]), coeff)
+    bar = _isotypic_bases(eperms, np.ones((len(ops), 1, 1)), coeff)
+    trivial = trivial_motion_basis(fw)
+    # Pinned ends read the zero block n appended to each velocity basis.
+    first, second = np.where(blocks < 0, n, blocks).T
+
+    sigmas, dim_e, dim_v, rigid = [], [], [], []
+    for v_parts, e_parts in zip(velocity, bar):
+        cols = sum(values.shape[0] for _, values in v_parts)
+        basis = np.zeros((n + 1, 2, cols), dtype=coeff.dtype)
+        flat = basis.reshape(2 * n + 2, cols)
+        start = 0
+        for coords, values in v_parts:
+            stop = start + values.shape[0]
+            flat[coords, np.arange(start, stop)[:, None]] = values
+            start = stop
+        # R V_i, row b = d_b . (V_i at the first joint - V_i at the second)
+        rv = d[:, :1] * (basis[first, 0] - basis[second, 0])
+        rv += d[:, 1:] * (basis[first, 1] - basis[second, 1])
+        rows = [
+            np.einsum("rs,rsc->rc", values.conj(), rv[coords]) for coords, values in e_parts
+        ]
+        block = np.concatenate(rows) if rows else np.zeros((0, cols))
+        sigmas.append(
+            np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0)
+        )
+        dim_e.append(block.shape[0])
+        dim_v.append(cols)
+        projected = trivial @ flat[: 2 * n]
+        rigid.append(
+            int(np.sum(np.linalg.svd(projected, compute_uv=False) > CLASSIFY_THRESHOLD))
+            if projected.size
+            else 0
+        )
+
+    top = max((float(sv[0]) for sv in sigmas if sv.size), default=0.0)
+    size = max(fw.num_edges, 2 * n)
+    cutoff = rel_tol * top * size if top > 0 else 0.0
+    # Each operation moves an entry of R by at most the residual, and R's rows
+    # have 4 entries and its columns one per bar at the joint, so R is within
+    # 4 * residual * sqrt(max degree) of its diagonal blocks in 2-norm.  Its
+    # singular values, and with them the cutoff, move by no more than that.
+    moving_ends = blocks[blocks >= 0]
+    degree = np.bincount(moving_ends).max() if moving_ends.size else 0
+    slack = 4.0 * residual * np.sqrt(degree) * (1.0 + rel_tol * size)
+    if any(np.any(np.abs(sv - cutoff) < slack) for sv in sigmas):
+        return None
+    ranks = [int(np.sum(sv > cutoff)) for sv in sigmas]
+    labels = [ir.label for ir in table.irreps]
+    s_by = {lab: de - r for lab, de, r in zip(labels, dim_e, ranks)}
+    m_by = {lab: dv - r - t for lab, dv, r, t in zip(labels, dim_v, ranks, rigid)}
+    return _Counts(sum(ranks), sum(s_by.values()), sum(m_by.values()), s_by, m_by)
+
+
+def _full_counts(
+    fw: Framework, group: PointGroup, action: SymmetryAction, rel_tol: float
+) -> _Counts:
+    """Counts from one SVD of the whole rigidity matrix, with the self-stress
+    and mechanism bases classified by projection.  Valid whether or not R
+    intertwines the action; ``verify`` uses it when intertwining fails."""
+    R = _matrix_for(fw)
+    rank, stresses, motions_all = _svd_spaces(R, rel_tol)
+    if not fw.is_pinned:
+        stacked = np.vstack([R, trivial_motion_basis(fw)])
+        _, _, mechanisms = _svd_spaces(stacked, rel_tol)
+    else:
+        mechanisms = motions_all
+    s_by: dict[str, int] | None = None
+    m_by: dict[str, int] | None = None
+    error = ""
+    try:
+        s_by = classify_by_irrep(
+            fw, group, stresses, space="edge", rel_tol=rel_tol, action=action
+        )
+        m_by = classify_by_irrep(
+            fw, group, mechanisms, space="velocity", rel_tol=rel_tol, action=action
+        )
+    except (ClassMismatch, DegenerateSpan) as exc:
+        error = str(exc)
+    return _Counts(rank, stresses.shape[0], mechanisms.shape[0], s_by, m_by, error)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -443,6 +672,12 @@ def verify(
     5. detected_lower_bound: the numerics find at least the detected counts
        in every irrep.
 
+    The counts come from the symmetry-adapted blocks of the rigidity matrix
+    (see ``_block_counts``) when it passes the intertwining check, and from
+    one SVD of the whole matrix with projection-classified bases otherwise,
+    or when the residual is large enough to move a block singular value
+    across the rank cutoff.
+
     Raises NotSymmetric / ClassMismatch when the framework fails the census
     under the requested group.
     """
@@ -460,20 +695,15 @@ def verify(
     gamma = analysis.decomposition
     k = maxwell_count(fw)
 
-    R = _matrix_for(fw)
-    rank, stresses, motions_all = _svd_spaces(R, rel_tol)
-    if not fw.is_pinned:
-        stacked = np.vstack([R, trivial_motion_basis(fw)])
-        _, _, mechanisms = _svd_spaces(stacked, rel_tol)
-    else:
-        mechanisms = motions_all
-    s_count, m_count = stresses.shape[0], mechanisms.shape[0]
-
     checks: list[CheckResult] = []
 
-    r_norm = float(np.max(np.abs(R))) if R.size else 1.0
     res = intertwining_residual(fw, pg, center, tol, action=action)
-    thr = RESIDUAL_TOL * r_norm
+    thr = RESIDUAL_TOL * _max_entry(fw)
+    counts = _block_counts(fw, action, table, rel_tol, res) if res <= thr else None
+    if counts is None:
+        counts = _full_counts(fw, pg, action, rel_tol)
+    s_count, m_count = counts.s, counts.m
+    s_by, m_by = counts.s_by_irrep, counts.m_by_irrep
     checks.append(
         CheckResult(
             "intertwining",
@@ -505,22 +735,9 @@ def verify(
         )
     )
 
-    s_by: dict[str, int] | None = None
-    m_by: dict[str, int] | None = None
-    classify_err = ""
-    try:
-        s_by = classify_by_irrep(
-            fw, pg, stresses, space="edge", rel_tol=rel_tol, action=action
-        )
-        m_by = classify_by_irrep(
-            fw, pg, mechanisms, space="velocity", rel_tol=rel_tol, action=action
-        )
-    except (ClassMismatch, DegenerateSpan) as exc:
-        classify_err = str(exc)
-
     if s_by is None or m_by is None:
         checks.append(
-            CheckResult("per_irrep_identity", False, f"classification failed: {classify_err}")
+            CheckResult("per_irrep_identity", False, f"classification failed: {counts.error}")
         )
         checks.append(
             CheckResult("detected_lower_bound", False, "classification failed")
@@ -561,7 +778,7 @@ def verify(
         v=cen.v,
         e=cen.e,
         k=k,
-        rank=rank,
+        rank=counts.rank,
         s=s_count,
         m=m_count,
         decomposition=gamma,

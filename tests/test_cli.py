@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
 
 import symstress.counting as counting
+import symstress.numeric as numeric
 from symstress import Framework, catalog, framework_to_json
 from symstress.cli import main
 
@@ -233,6 +235,41 @@ class TestExitCodes:
         )
         assert res.returncode == 5
         assert "verification FAILED" in res.stdout
+
+    def test_verification_failure_json_comes_from_full_route(self, entry_file, tmp_path, capsys):
+        # Intertwining fails, so the counts come from the full SVD: the
+        # report is the one that route has always given.
+        doc = json.loads(entry_file("fig3").read_text())
+        doc["vertices"][0]["x"] += 1e-6
+        pert = tmp_path / "pert.json"
+        pert.write_text(json.dumps(doc))
+        args = ["verify", str(pert), "--group", "Cs:90", "--tol-sym", "1e-4", "--format", "json"]
+        with mock.patch.object(numeric, "_full_counts", wraps=numeric._full_counts) as full:
+            assert main(args) == 5
+        assert full.call_count == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["counts"] == {
+            "v": 6, "e": 9, "freedom_number": 0, "rank": 9, "self_stresses": 0, "mechanisms": 0,
+        }
+        assert report["s_by_irrep"] == report["m_by_irrep"] == {"A'": 0, "A''": 0}
+        assert [c["passed"] for c in report["checks"]] == [False, True, True, False, False]
+        assert report["checks"][0]["residual"] == 1.000000000139778e-06
+
+    def test_render_under_a_group_that_is_not_a_symmetry(self, entry_file, tmp_path):
+        # An explicit group is taken as given; mapping the bars for the
+        # highlight finds that joint 0 has no image.
+        doc = json.loads(entry_file("fig9a").read_text())
+        doc["vertices"][0]["x"] += 1e-6
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(doc))
+        res = run_cli("render", str(moved), "--group", "Cnv:4")
+        assert res.returncode == 3
+        assert res.stderr.startswith("render: not symmetric: ")
+        assert "Traceback" not in res.stderr
+
+    def test_census_disagreeing_with_maxwell_count(self, entry_file, monkeypatch):
+        monkeypatch.setattr(counting, "maxwell_count", lambda fw: -99)
+        assert main(["analyze", str(entry_file("fig3"))]) == 4
 
     def test_coincident_joints_are_invalid_input(self, tmp_path):
         fw = Framework([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.0)], [(0, 1), (1, 2), (2, 3)])

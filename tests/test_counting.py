@@ -203,6 +203,14 @@ class TestAnalyze:
         text = rep.to_text()
         assert "Gamma(m) - Gamma(s)" in text
 
+    def test_census_disagreeing_with_maxwell_count_raises(self, monkeypatch):
+        # A real check, not an assert: it also runs under python -O.
+        entry = catalog.generate("fig3")
+        k = counting.maxwell_count(entry.framework)
+        monkeypatch.setattr(counting, "maxwell_count", lambda fw: k + 1)
+        with pytest.raises(CrossCheckFailure, match="Maxwell count"):
+            analyze(entry.framework, entry.group)
+
     def test_wrong_explicit_group_raises(self):
         entry = catalog.generate("fig3")
         from symstress import NotSymmetric

@@ -1,7 +1,12 @@
 """Numeric rank engine: bases, symmetry classification, verification."""
 
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import symstress.numeric as numeric
 import symstress.symmetry as symmetry
@@ -349,8 +354,8 @@ def _wheel(n):
 class TestUncataloguedGroups:
     @pytest.mark.parametrize(
         "fw, name",
-        [(_chiral_ring(n), f"C{n}") for n in (3, 5, 6, 7)]
-        + [(_wheel(n), f"C{n}v") for n in (3, 5, 6, 7)],
+        [(_chiral_ring(n), f"C{n}") for n in (3, 4, 5, 6, 7, 8)]
+        + [(_wheel(n), f"C{n}v") for n in (3, 4, 5, 6, 7, 8)],
         ids=lambda x: x if isinstance(x, str) else "",
     )
     def test_detect_and_verify(self, fw, name):
@@ -364,3 +369,178 @@ class TestUncataloguedGroups:
         # Cn (n >= 3) takes the complex classification path, Cnv the real one.
         complex_table = any(ir.is_complex for ir in character_table(group).irreps)
         assert complex_table == (not name.endswith("v"))
+
+
+# ---------------------------------------------------------------------------
+# Block route: verify counts from the symmetry-adapted blocks of R.  The full
+# SVD with projection classification is kept for frameworks that fail the
+# intertwining check, and is the reference here.
+# ---------------------------------------------------------------------------
+
+
+def _both_routes(fw, group, tol=1e-9, rel_tol=numeric.RANK_TOL):
+    """(verify's report, the report with the full route forced, whether
+    verify took the full route by itself)."""
+    with mock.patch.object(numeric, "_full_counts", wraps=numeric._full_counts) as full:
+        rep = verify(fw, group, tol=tol, rel_tol=rel_tol)
+    with mock.patch.object(numeric, "_block_counts", return_value=None):
+        ref = verify(fw, group, tol=tol, rel_tol=rel_tol)
+    return rep, ref, full.called
+
+
+def _assert_same_report(rep, ref):
+    assert (rep.rank, rep.s, rep.m) == (ref.rank, ref.s, ref.m)
+    assert rep.s_by_irrep == ref.s_by_irrep
+    assert rep.m_by_irrep == ref.m_by_irrep
+    assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
+
+
+def _agreement_cases():
+    """(id, framework, group spec or None for detection)."""
+    for name in GEOMETRIC:
+        entry = catalog.generate(name)
+        yield name, entry.framework, entry.group
+        yield f"{name}-detected", entry.framework, None
+    for name, spec in (("fig9a", GroupSpec("Cn", 4)), ("fig12b", GroupSpec("Cnv", 2))):
+        yield f"{name}-{spec.family}{spec.n}", catalog.generate(name).framework, spec
+    for n in range(3, 9):
+        yield f"ring-C{n}", _chiral_ring(n), None
+        yield f"wheel-C{n}v", _wheel(n), None
+    for cols, rows in ((6, 5), (10, 9), (7, 7)):
+        yield f"grid-{cols}x{rows}", catalog._pinned_quad_grid(cols, rows), None
+
+
+class TestBlockRoute:
+    @pytest.mark.parametrize("case", list(_agreement_cases()), ids=lambda c: c[0])
+    def test_matches_full_route(self, case):
+        _, fw, group = case
+        rep, ref, fell_back = _both_routes(fw, group)
+        assert not fell_back
+        assert rep.passed, [c.detail for c in rep.checks if not c.passed]
+        _assert_same_report(rep, ref)
+
+    @pytest.mark.parametrize("fw", [_chiral_ring(5), _wheel(6)], ids=["C5", "C6v"])
+    def test_isotypic_bases_are_orthonormal_and_complete(self, fw):
+        group, center = detect_groups(fw)[0]
+        action = symmetry_action(fw, group, center)
+        table = character_table(group)
+        chars = table.as_matrix()[:, [act.class_index for act in action.ops]]
+        dims = np.array([ir.dim for ir in table.irreps])
+        coeff = np.conj(chars) * (dims / group.order)[:, None]
+        perms = np.array([act.vperm for act in action.ops])
+        mats = np.array([act.op.matrix for act in action.ops])
+        vectors = []
+        for parts in numeric._isotypic_bases(perms, mats, coeff):
+            for coords, values in parts:
+                dense = np.zeros((values.shape[0], 2 * fw.num_vertices), complex)
+                np.put_along_axis(dense, coords, values, axis=1)
+                vectors.append(dense)
+        basis = np.vstack(vectors)
+        assert basis.shape == (2 * fw.num_vertices, 2 * fw.num_vertices)
+        np.testing.assert_allclose(basis @ basis.conj().T, np.eye(basis.shape[0]), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "case",
+        [c for c in _reference_cases() if c[0].startswith("sloppy")],
+        ids=lambda c: c[0],
+    )
+    def test_failed_intertwining_takes_full_route(self, case):
+        _, fw, group, center, tol = case
+        spec = GroupSpec(group.family, group.n, center=tuple(center))
+        with mock.patch.object(
+            numeric, "_block_counts", wraps=numeric._block_counts
+        ) as block, mock.patch.object(
+            numeric, "_full_counts", wraps=numeric._full_counts
+        ) as full:
+            rep = verify(fw, spec, tol=tol)
+        assert not block.called and full.call_count == 1
+        # The report is the one the full route has always given.
+        assert [c.name for c in rep.checks if not c.passed] == ["intertwining"]
+        assert (rep.rank, rep.s, rep.m) == (5, 1, 0)
+        assert _nz(rep.s_by_irrep) == {"A1" if group.family == "Cnv" else "A0": 1}
+        assert _nz(rep.m_by_irrep) == {}
+
+    @pytest.mark.parametrize("shift, fell_back", [(1e-12, False), (1e-9, True)])
+    def test_rank_decision_within_residual_takes_full_route(self, shift, fell_back):
+        # With a fine rank cutoff a residual that passes the intertwining
+        # check can still move a singular value across the cutoff.
+        entry = catalog.generate("fig3")
+        pos = entry.framework.positions.copy()
+        pos[0, 0] += shift
+        fw = Framework(pos, entry.framework.edges)
+        rep, ref, took_full = _both_routes(fw, entry.group, tol=1e-4, rel_tol=1e-13)
+        assert rep.checks[0].passed
+        assert took_full == fell_back
+        _assert_same_report(rep, ref)
+
+
+# ---------------------------------------------------------------------------
+# Generated C_n / C_nv frameworks (n <= 8), pinned and unpinned.
+# ---------------------------------------------------------------------------
+
+GENERATED = settings(
+    derandomize=True,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def _symmetric_frameworks(draw):
+    """(framework, group spec): joint orbits of random representatives at
+    distinct radii about the origin (on a mirror or not), perhaps a centre
+    joint, the orbits of random representative bars, and perhaps one joint
+    orbit pinned."""
+    family = draw(st.sampled_from(["Cn", "Cnv"]))
+    n = draw(st.integers(2 if family == "Cn" else 1, 8))
+    group = group_elements(family, n)
+    step = (np.pi if family == "Cnv" else 2 * np.pi) / n
+    points = [np.zeros(2)] if draw(st.booleans()) else []
+    orbit = [0] * len(points)
+    radii = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
+    for k, r in enumerate(radii, start=1):
+        on_mirror = family == "Cnv" and draw(st.booleans())
+        angle = 0.0 if on_mirror else draw(st.floats(0.1, 0.9)) * step
+        rep = 0.6 * r * np.array([np.cos(angle), np.sin(angle)])
+        for op in group.operations():
+            p = op.matrix @ rep
+            if all(np.linalg.norm(p - q) > 1e-9 for q in points):
+                points.append(p)
+                orbit.append(k)
+    v = len(points)
+    assume(v >= 2)  # a single joint on the mirror of Cs carries no bar
+    pos = np.array(points)
+    perms = [
+        [int(np.argmin(np.linalg.norm(pos - op.matrix @ p, axis=1))) for p in pos]
+        for op in group.operations()
+    ]
+    bars = set()
+    for _ in range(draw(st.integers(1, 8))):
+        a = draw(st.integers(0, v - 1))
+        b = draw(st.integers(0, v - 2))
+        b += b >= a
+        bars.update(tuple(sorted((perm[a], perm[b]))) for perm in perms)
+    pinned = ()
+    if draw(st.booleans()):
+        chosen = draw(st.sampled_from(sorted(set(orbit))))
+        pinned = [i for i in range(v) if orbit[i] == chosen]
+    return Framework(pos, sorted(bars), pinned), GroupSpec(family, n, center=(0.0, 0.0))
+
+
+class TestGeneratedFrameworks:
+    @GENERATED
+    @given(_symmetric_frameworks())
+    def test_block_route_matches_full_route(self, case):
+        fw, spec = case
+        rep, ref, fell_back = _both_routes(fw, spec)
+        assert not fell_back
+        assert rep.passed, [c.detail for c in rep.checks if not c.passed]
+        _assert_same_report(rep, ref)
+
+    @GENERATED
+    @given(_symmetric_frameworks())
+    def test_detected_group_contains_generating_group(self, case):
+        fw, spec = case
+        order = (2 if spec.family == "Cnv" else 1) * spec.n
+        assert detect_groups(fw)[0][0].order % order == 0
