@@ -454,14 +454,15 @@ def analyze(
     centroid).  ``tol`` is the relative symmetry-matching tolerance.  With
     ``planarity`` the report also counts planar-drawing violations
     (advisory; they do not affect the counts) at the geometric tolerance
-    GEOM_TOL, as ``verify --strict-planar`` does.
+    GEOM_TOL, as ``verify --strict-planar`` does.  A single unpinned joint
+    raises ValueError (see ``maxwell_count``).
     """
     from .framework import check_planarity  # local import, cheap call site
 
+    k = maxwell_count(fw)
     spec = group if group is not None else GroupSpec("auto")
     pg, center = resolve_group(spec, fw, tol)
     cen = census(fw, pg, center, tol)
-    k = maxwell_count(fw)
     if cen.freedom_number != k:
         raise CrossCheckFailure(
             f"census freedom number {cen.freedom_number} differs from the "

@@ -113,6 +113,13 @@ class Framework:
         return mask
 
     @property
+    def velocity_blocks(self) -> np.ndarray:
+        """Each joint's velocity-column block: internal joints numbered
+        0..n-1 in ascending order, -1 at pinned joints."""
+        moving = ~self.pinned_mask
+        return np.where(moving, np.cumsum(moving) - 1, -1)
+
+    @property
     def internal_vertices(self) -> tuple[int, ...]:
         """Indices of non-pinned joints, ascending."""
         return tuple(i for i in range(self.num_vertices) if i not in self.pinned)
@@ -131,11 +138,40 @@ def maxwell_count(fw: Framework) -> int:
     """The freedom number k = (#mechanisms) - (#self-stresses).
 
     Unpinned frameworks: k = 2v - e - 3 (mechanisms counted beyond the three
-    rigid-body motions).  Pinned frameworks: k = 2·v_internal - e.
+    rigid-body motions).  Pinned frameworks: k = 2·v_internal - e.  A single
+    unpinned joint has only two rigid-body motions, so the count needs at
+    least two joints there and raises ValueError otherwise.
     """
     if fw.is_pinned:
         return 2 * len(fw.internal_vertices) - fw.num_edges
+    if fw.num_vertices < 2:
+        raise ValueError(
+            "an unpinned framework needs at least two joints for the Maxwell "
+            f"count, got {fw.num_vertices}"
+        )
     return 2 * fw.num_vertices - fw.num_edges - 3
+
+
+def rigidity_rows(
+    fw: Framework, blocks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The rigidity matrix in sparse form, with joint i's two velocity columns
+    in block blocks[i] (-1: no columns): each bar's two endpoint blocks, its
+    entries d = p_i - p_j (-d at the second joint), and the number of blocks."""
+    ends = np.array(fw.edges, dtype=int).reshape(-1, 2)
+    d = fw.positions[ends[:, 0]] - fw.positions[ends[:, 1]]
+    return blocks[ends], d, int(np.count_nonzero(blocks >= 0))
+
+
+def _rigidity(fw: Framework, blocks: np.ndarray) -> np.ndarray:
+    """The dense e x 2n form of ``rigidity_rows``."""
+    ends, d, n = rigidity_rows(fw, blocks)
+    R = np.zeros((fw.num_edges, n, 2))
+    bars = np.arange(fw.num_edges)
+    first, second = ends.T
+    R[bars[first >= 0], first[first >= 0]] = d[first >= 0]
+    R[bars[second >= 0], second[second >= 0]] = -d[second >= 0]
+    return R.reshape(fw.num_edges, 2 * n)
 
 
 def rigidity_matrix(fw: Framework) -> np.ndarray:
@@ -146,14 +182,7 @@ def rigidity_matrix(fw: Framework) -> np.ndarray:
     the stored endpoint order.  Kernel vectors are infinitesimal motions,
     left-kernel vectors are self-stresses.
     """
-    v = fw.num_vertices
-    R = np.zeros((fw.num_edges, 2 * v))
-    p = fw.positions
-    for row, (i, j) in enumerate(fw.edges):
-        d = p[i] - p[j]
-        R[row, 2 * i : 2 * i + 2] = d
-        R[row, 2 * j : 2 * j + 2] = -d
-    return R
+    return _rigidity(fw, np.arange(fw.num_vertices))
 
 
 def rigidity_matrix_pinned(fw: Framework) -> np.ndarray:
@@ -163,19 +192,7 @@ def rigidity_matrix_pinned(fw: Framework) -> np.ndarray:
     velocity columns; coefficients on pinned joints are dropped.  Column
     blocks follow ascending internal vertex index.
     """
-    internal = fw.internal_vertices
-    col_of = {vi: c for c, vi in enumerate(internal)}
-    R = np.zeros((fw.num_edges, 2 * len(internal)))
-    p = fw.positions
-    for row, (i, j) in enumerate(fw.edges):
-        d = p[i] - p[j]
-        if i in col_of:
-            c = col_of[i]
-            R[row, 2 * c : 2 * c + 2] = d
-        if j in col_of:
-            c = col_of[j]
-            R[row, 2 * c : 2 * c + 2] = -d
-    return R
+    return _rigidity(fw, fw.velocity_blocks)
 
 
 def bbox_diagonal(positions: np.ndarray) -> float:

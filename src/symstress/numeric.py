@@ -28,10 +28,13 @@ Conventions
   the two actions, which is checked explicitly as part of verification.
 * ``verify`` computes the group's :class:`~symstress.symmetry.SymmetryAction`
   (every operation's joint and bar permutation) once and hands it to the
-  census, the intertwining and projector checks and the adapted bases (or,
-  on the fallback route, the classification).  Called alone, each of those
-  builds its own.  Every per-operation check works on the bar list or on
-  sparse entries, so it costs O(|G| * e).
+  census, the intertwining check and the adapted bases (or, on the fallback
+  route, the classification).  Called alone, each of those builds its own.
+  The intertwining check works on the bar list, so it costs O(|G| * e).
+* The irrep projectors sum to the identity on any representation exactly
+  when the character table's columns satisfy sum_i d_i conj(chi_i(g)) =
+  |G| delta_{g,E}, so the projector check tests that identity on the table
+  and never touches the framework.
 * The isotypic bases are built orbit by orbit: each joint or bar orbit's
   coordinates are invariant, so an irrep's projector splits into one small
   block per orbit.  Orbits of one size are batched, and no projector on the
@@ -42,7 +45,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -52,6 +55,7 @@ from .framework import (
     maxwell_count,
     rigidity_matrix,
     rigidity_matrix_pinned,
+    rigidity_rows,
 )
 from .counting import AnalysisReport, analyze_census
 from .reptheory import CharacterTable, IrrepDecomposition, character_table
@@ -152,23 +156,12 @@ def mechanism_basis(fw: Framework, rel_tol: float = RANK_TOL) -> np.ndarray:
     return motions
 
 
-def _velocity_blocks(fw: Framework) -> np.ndarray:
-    """Each joint's velocity-column block: the joint itself when unpinned,
-    else the internal joints numbered 0..n-1 and -1 at pinned joints."""
-    if not fw.is_pinned:
-        return np.arange(fw.num_vertices)
-    block = np.full(fw.num_vertices, -1)
-    internal = np.array(fw.internal_vertices, dtype=int)
-    block[internal] = np.arange(internal.size)
-    return block
-
-
 def _moving_perm(fw: Framework, vperm: np.ndarray) -> np.ndarray:
     """A joint permutation on the joints with velocity columns: all joints
     when unpinned, else the internal ones reindexed 0..n-1."""
     if not fw.is_pinned:
         return vperm
-    block = _velocity_blocks(fw)
+    block = fw.velocity_blocks
     return block[vperm[block >= 0]]
 
 
@@ -303,54 +296,6 @@ def intertwining_residual(
     return worst
 
 
-def _resolution_residual(
-    fw: Framework,
-    action: SymmetryAction,
-    table: CharacterTable,
-    space: str,
-) -> float:
-    """Max-norm of (sum of irrep projectors) - identity on the given space.
-
-    The sum is sum_g w_g rho(g) / |G| with w_g = sum_i dim_i conj(chi_i(g)).
-    rho(g) has one nonzero 2x2 block per joint (velocity) or one 1 per bar
-    (edge), so only those entries are summed, operation by operation.
-    """
-    if space == "velocity":
-        n = len(fw.internal_vertices) if fw.is_pinned else fw.num_vertices
-        dim = 2 * n
-    else:
-        dim = fw.num_edges
-    if dim == 0:
-        return 0.0
-    order = action.group.order
-    weights = [
-        sum(ir.dim * np.conj(ir.characters[cls_idx]) for ir in table.irreps)
-        for cls_idx in range(len(action.group.classes))
-    ]
-    keys: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    for act in action.ops:
-        weight = weights[act.class_index]
-        if weight == 0:
-            continue
-        if space == "velocity":
-            perm = _moving_perm(fw, act.vperm)
-            # entry (2 perm[i] + a, 2 i + c) = T[a, c]
-            rows = 2 * perm[:, None, None] + np.arange(2)[None, :, None]
-            cols = 2 * np.arange(n)[:, None, None] + np.arange(2)[None, None, :]
-            entries = np.broadcast_to(act.op.matrix, (n, 2, 2))
-        else:
-            rows, cols, entries = act.eperm, np.arange(dim), np.ones(dim)
-        keys.append((rows * dim + cols).ravel())
-        values.append(((weight / order) * entries).ravel())
-    where, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    total = np.zeros(where.size, dtype=complex)
-    np.add.at(total, slot, np.concatenate(values))
-    # The identity (weight |G|) puts an entry on every diagonal position.
-    total[where // dim == where % dim] -= 1.0
-    return float(np.max(np.abs(total)))
-
-
 def _isotypic_bases(
     perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray
 ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
@@ -412,19 +357,9 @@ def _isotypic_bases(
     return bases
 
 
-def _bar_rows(fw: Framework) -> tuple[np.ndarray, np.ndarray, int]:
-    """R in sparse form: each bar's two endpoint velocity blocks (-1 at a
-    pinned joint), its entries d = p_i - p_j (-d at the second joint), and
-    the number of velocity blocks."""
-    ends = np.array(fw.edges, dtype=int).reshape(-1, 2)
-    d = fw.positions[ends[:, 0]] - fw.positions[ends[:, 1]]
-    blocks = _velocity_blocks(fw)
-    return blocks[ends], d, int(np.count_nonzero(blocks >= 0))
-
-
 def _max_entry(fw: Framework) -> float:
     """max |R| without forming R; 1.0 when R has no entries."""
-    blocks, d, n = _bar_rows(fw)
+    blocks, d, n = rigidity_rows(fw, fw.velocity_blocks)
     if not blocks.size or not n:
         return 1.0
     return float(np.max(np.abs(d[(blocks >= 0).any(axis=1)]), initial=0.0))
@@ -469,7 +404,7 @@ def _block_counts(
     coeff = np.conj(chars) * (dims / action.group.order)[:, None]
     if not any(ir.is_complex for ir in table.irreps):
         coeff = coeff.real
-    blocks, d, n = _bar_rows(fw)
+    blocks, d, n = rigidity_rows(fw, fw.velocity_blocks)
     vperms = np.array([_moving_perm(fw, act.vperm) for act in ops]).reshape(len(ops), n)
     eperms = np.array([act.eperm for act in ops]).reshape(len(ops), fw.num_edges)
     velocity = _isotypic_bases(vperms, np.array([act.op.matrix for act in ops]), coeff)
@@ -666,7 +601,8 @@ def verify(
 
     1. intertwining: the rigidity matrix commutes with the group action;
     2. projector_resolution: the irrep projectors sum to the identity on
-       both the velocity space and the bar space;
+       any representation, which is the character table's identity
+       sum_i d_i conj(chi_i(g)) = |G| delta_{g,E}, checked class by class;
     3. count_identity: m - s equals the freedom number k;
     4. per_irrep_identity: m_i - s_i = dim_i * gamma_i for every irrep;
     5. detected_lower_bound: the numerics find at least the detected counts
@@ -679,8 +615,10 @@ def verify(
     across the rank cutoff.
 
     Raises NotSymmetric / ClassMismatch when the framework fails the census
-    under the requested group.
+    under the requested group, and ValueError for a single unpinned joint
+    (see ``maxwell_count``).
     """
+    k = maxwell_count(fw)
     spec = group if group is not None else GroupSpec("auto")
     pg, center = resolve_group(spec, fw, tol)
     action = symmetry_action(fw, pg, center, tol)
@@ -693,7 +631,6 @@ def verify(
     )
     table = character_table(pg)
     gamma = analysis.decomposition
-    k = maxwell_count(fw)
 
     checks: list[CheckResult] = []
 
@@ -714,9 +651,11 @@ def verify(
         )
     )
 
-    res_v = _resolution_residual(fw, action, table, "velocity")
-    res_e = _resolution_residual(fw, action, table, "edge")
-    res_p = max(res_v, res_e)
+    # sum_i d_i conj(chi_i(g)) / |G| - delta_{g,E} per class; E is class 0.
+    dims = np.array([ir.dim for ir in table.irreps], dtype=float)
+    weights = dims @ np.conj(table.as_matrix()) / pg.order
+    weights[0] -= 1.0
+    res_p = float(np.max(np.abs(weights)))
     checks.append(
         CheckResult(
             "projector_resolution",

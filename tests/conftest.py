@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,14 @@ def run_cli(*args: str, cwd: str | Path | None = None) -> subprocess.CompletedPr
         text=True,
         cwd=str(cwd) if cwd is not None else None,
     )
+
+
+def corrupt_identity_character(table):
+    """The character table with its first irrep's character on E off by 1/2."""
+    first = table.irreps[0]
+    chars = (first.characters[0] + 0.5,) + first.characters[1:]
+    irreps = (dataclasses.replace(first, characters=chars),) + table.irreps[1:]
+    return dataclasses.replace(table, irreps=irreps)
 
 
 def write_entry(tmp_path: Path, name: str, filename: str | None = None, **params) -> Path:

@@ -11,7 +11,7 @@ import symstress.numeric as numeric
 from symstress import Framework, catalog, framework_to_json
 from symstress.cli import main
 
-from conftest import run_cli
+from conftest import corrupt_identity_character, run_cli
 
 
 class TestGen:
@@ -279,6 +279,30 @@ class TestExitCodes:
             res = run_cli(command, str(path), "--group", "C1")
             assert res.returncode == 2, command
             assert "joints 1 and 3 coincide at (1, 0)" in res.stderr
+
+    def test_single_unpinned_joint_is_invalid_input(self, tmp_path):
+        path = tmp_path / "onejoint.json"
+        path.write_text(framework_to_json(Framework([(0.5, 1.0)], [])))
+        for command in ("analyze", "verify"):
+            res = run_cli(command, str(path))
+            assert res.returncode == 2, command
+            assert "an unpinned framework needs at least two joints" in res.stderr
+            assert "Traceback" not in res.stderr
+
+    def test_single_pinned_joint_verifies(self, tmp_path):
+        path = tmp_path / "onepinned.json"
+        path.write_text(framework_to_json(Framework([(0.5, 1.0)], [], pinned=[0])))
+        res = run_cli("verify", str(path))
+        assert res.returncode == 0
+        assert "verification PASSED" in res.stdout
+
+    def test_corrupted_character_table_fails_verification(self, entry_file, monkeypatch, capsys):
+        original = numeric.character_table
+        monkeypatch.setattr(
+            numeric, "character_table", lambda g: corrupt_identity_character(original(g))
+        )
+        assert main(["verify", str(entry_file("fig3"))]) == 5
+        assert "check projector_resolution: FAIL" in capsys.readouterr().out
 
     def test_error_payload_in_json_mode(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -12,6 +12,7 @@ from symstress import (
     affine_map,
     affine_span_dim,
     bbox_diagonal,
+    catalog,
     check_planarity,
     framework_to_json,
     load_framework,
@@ -83,6 +84,29 @@ class TestCounting:
         )
         assert maxwell_count(fw) == 2 * 1 - 2
 
+    def test_single_joint(self):
+        with pytest.raises(ValueError, match="at least two joints"):
+            maxwell_count(Framework([(0.5, 1.0)], []))
+        assert maxwell_count(Framework([(0.5, 1.0)], [], pinned=[0])) == 0
+
+
+GEOMETRIC = [n for n in catalog.names() if catalog.generate(n).framework is not None]
+
+
+def _per_bar_reference(fw, pinned):
+    """The rigidity matrix written bar by bar; pinned joints get no columns
+    when ``pinned``."""
+    joints = fw.internal_vertices if pinned else range(fw.num_vertices)
+    col_of = {vi: c for c, vi in enumerate(joints)}
+    R = np.zeros((fw.num_edges, 2 * len(col_of)))
+    for row, (i, j) in enumerate(fw.edges):
+        d = fw.positions[i] - fw.positions[j]
+        if i in col_of:
+            R[row, 2 * col_of[i] : 2 * col_of[i] + 2] = d
+        if j in col_of:
+            R[row, 2 * col_of[j] : 2 * col_of[j] + 2] = -d
+    return R
+
 
 class TestRigidityMatrix:
     def test_shape_and_entries(self):
@@ -108,6 +132,19 @@ class TestRigidityMatrix:
         R = rigidity_matrix_pinned(fw)
         assert R.shape == (2, 2)  # two bars, one internal joint
         assert np.linalg.matrix_rank(R) == 2  # pinned triangle is rigid
+
+    @pytest.mark.parametrize("name", GEOMETRIC + ["grid"])
+    def test_bit_equal_to_per_bar_reference(self, name):
+        if name == "grid":
+            fw = catalog._pinned_quad_grid(6, 5)
+        else:
+            fw = catalog.generate(name).framework
+        for build, pinned in ((rigidity_matrix, False), (rigidity_matrix_pinned, True)):
+            R = build(fw)
+            assert R.flags.c_contiguous
+            ref = _per_bar_reference(fw, pinned)
+            assert R.shape == ref.shape
+            assert R.tobytes() == ref.tobytes()
 
     def test_pinned_matrix_without_pins_matches_full_matrix(self):
         np.testing.assert_array_equal(

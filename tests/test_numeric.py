@@ -13,6 +13,7 @@ import symstress.symmetry as symmetry
 from symstress import (
     Framework,
     GroupSpec,
+    analyze,
     catalog,
     character_table,
     classify_by_irrep,
@@ -31,6 +32,8 @@ from symstress import (
     verify,
     vertex_permutation,
 )
+
+from conftest import corrupt_identity_character
 
 CHECK_NAMES = [
     "intertwining",
@@ -194,6 +197,19 @@ class TestVerify:
         assert rep.passed
         assert rep.checks[0].residual == 0.0
 
+    def test_single_unpinned_joint_is_rejected(self):
+        # One joint has two rigid-body motions, not the three k = 2v - e - 3
+        # assumes.
+        fw = Framework([(0.5, 1.0)], [])
+        for run in (analyze, verify):
+            with pytest.raises(ValueError, match="at least two joints"):
+                run(fw)
+
+    def test_single_pinned_joint_verifies(self):
+        rep = verify(Framework([(0.5, 1.0)], [], pinned=[0]))
+        assert rep.passed
+        assert rep.k == rep.s == rep.m == 0
+
     def test_report_serialization(self):
         entry = catalog.generate("fig2b")
         rep = verify(entry.framework, entry.group)
@@ -207,9 +223,9 @@ class TestVerify:
 
 
 # ---------------------------------------------------------------------------
-# Dense references: the checks as whole-matrix computations, one permutation
-# per operation and consumer.  The library computes them on the bar list and
-# on sparse entries, and must give the same floats.
+# Dense references: the intertwining check as a whole-matrix computation, one
+# permutation per operation.  The library computes it on the bar list, and
+# must give the same floats.
 # ---------------------------------------------------------------------------
 
 GEOMETRIC = [n for n in catalog.names() if catalog.generate(n).framework is not None]
@@ -232,29 +248,6 @@ def _dense_intertwining(fw, group, center, tol):
         transformed = np.einsum("evd,dc->evc", R3[:, perm, :], op.matrix)
         worst = max(worst, float(np.max(np.abs(transformed[eperm] - R3))))
     return worst
-
-
-def _dense_resolution(fw, group, table, center, space, tol):
-    if space == "velocity":
-        dim = 2 * (len(fw.internal_vertices) if fw.is_pinned else fw.num_vertices)
-    else:
-        dim = fw.num_edges
-    total = np.zeros((dim, dim), dtype=complex)
-    for cls_idx, cls in enumerate(group.classes):
-        weight = sum(ir.dim * np.conj(ir.characters[cls_idx]) for ir in table.irreps)
-        if weight == 0:
-            continue
-        for op in cls.operations:
-            vperm = vertex_permutation(fw, op, center, tol)
-            M = np.zeros((dim, dim))
-            if space == "velocity":
-                perm = _moving_perm_dense(fw, vperm) if fw.is_pinned else vperm
-                M4 = M.reshape(dim // 2, 2, dim // 2, 2)
-                M4[perm, :, np.arange(dim // 2), :] = op.matrix
-            else:
-                M[edge_permutation(fw, vperm), np.arange(dim)] = 1.0
-            total += (weight / group.order) * M
-    return float(np.max(np.abs(total - np.eye(dim))))
 
 
 def _sloppy_square(shift):
@@ -281,12 +274,6 @@ class TestAgainstDenseReferences:
         assert intertwining_residual(fw, group, center, tol) == _dense_intertwining(
             fw, group, center, tol
         )
-        table = character_table(group)
-        action = symmetry_action(fw, group, center, tol)
-        for space in ("velocity", "edge"):
-            assert numeric._resolution_residual(fw, action, table, space) == (
-                _dense_resolution(fw, group, table, center, space, tol)
-            )
 
     def test_perturbed_cases_have_nonzero_residual(self):
         for name, fw, group, center, tol in _reference_cases():
@@ -345,9 +332,11 @@ def _chiral_ring(n):
 
 
 def _wheel(n):
-    """A hub spoked to a rim cycle of n joints: C_nv symmetric."""
+    """A hub spoked to a rim of n joints, a cycle when n >= 3: C_nv symmetric."""
     rim = [(np.cos(2 * np.pi * k / n), np.sin(2 * np.pi * k / n)) for k in range(n)]
-    edges = [(0, k + 1) for k in range(n)] + [(k + 1, (k + 1) % n + 1) for k in range(n)]
+    edges = [(0, k + 1) for k in range(n)]
+    if n >= 3:
+        edges += [(k + 1, (k + 1) % n + 1) for k in range(n)]
     return Framework([(0.0, 0.0)] + rim, edges)
 
 
@@ -369,6 +358,39 @@ class TestUncataloguedGroups:
         # Cn (n >= 3) takes the complex classification path, Cnv the real one.
         complex_table = any(ir.is_complex for ir in character_table(group).irreps)
         assert complex_table == (not name.endswith("v"))
+
+
+# ---------------------------------------------------------------------------
+# projector_resolution: the character table's identity
+# sum_i d_i conj(chi_i(g)) = |G| delta_{g,E}, whatever the framework.
+# ---------------------------------------------------------------------------
+
+
+class TestProjectorResolution:
+    @pytest.mark.parametrize("family", ["Cn", "Cnv"])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_table_residual(self, family, n):
+        group = GroupSpec(family, n, center=(0.0, 0.0))
+        rep = verify(_wheel(n), group)
+        check = rep.checks[CHECK_NAMES.index("projector_resolution")]
+        assert check.passed
+        assert check.residual <= 2e-15
+        # Integer characters sum exactly.
+        chars = character_table(group_elements(family, n)).as_matrix()
+        if np.array_equal(chars, np.round(chars)):
+            assert check.residual == 0.0
+
+    def test_corrupted_table_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(
+            numeric, "character_table", lambda g: corrupt_identity_character(character_table(g))
+        )
+        entry = catalog.generate("fig3")
+        rep = verify(entry.framework, entry.group)
+        failed = [c.name for c in rep.checks if not c.passed]
+        assert failed == ["projector_resolution"]
+        # Cs: the E column sums to 1 + 1/2 + 1 over |G| = 2.
+        assert rep.checks[1].residual == 0.25
+        assert not rep.passed
 
 
 # ---------------------------------------------------------------------------
