@@ -260,6 +260,20 @@ def affine_map(
     return Framework(fw.positions @ A.T + b, fw.edges, fw.pinned)
 
 
+def _range_pairs(starts: np.ndarray, counts: np.ndarray, block: int = 200_000):
+    """Yield ``(owner, member)`` index arrays pairing each owner k with the
+    members ``starts[k] .. starts[k] + counts[k] - 1``, about ``block``
+    pairs at a time (more only when one owner has more)."""
+    ends = np.cumsum(counts)
+    k = 0
+    while k < counts.size:
+        stop = max(int(np.searchsorted(ends, ends[k] - counts[k] + block, "right")), k + 1)
+        c = counts[k:stop]
+        owner = np.repeat(np.arange(k, stop), c)
+        yield owner, np.arange(owner.size) + np.repeat(starts[k:stop] - np.cumsum(c) + c, c)
+        k = stop
+
+
 def check_planarity(
     fw: Framework, tol: float = GEOM_TOL
 ) -> list[tuple[str, Any, Any]]:
@@ -272,79 +286,83 @@ def check_planarity(
     - ``("vertex_on_edge", vertex, edge_index)`` for a joint lying in the
       interior of a bar it does not belong to.
 
-    These are advisory: the counting theory only needs joint positions and
-    incidences.  Tolerance is relative to the bounding-box diagonal.
+    Joint-on-bar hits come first, by (vertex, edge), then crossings, by
+    (edge_a, edge_b) with edge_a < edge_b.  These are advisory: the counting
+    theory only needs joint positions and incidences.  Tolerance is relative
+    to the bounding-box diagonal.
+
+    The predicates run only on pairs whose boxes overlap: sort on x, then
+    filter on y (sweep and prune).  A bar's box is its bounding box widened
+    by the absolute tolerance and a rounding allowance.  The cost is
+    O((v + e) log(v + e) + c) for c candidate pairs, and c never exceeds the
+    v·e + e(e - 1)/2 pairs of an all-pairs scan.  At tol below rounding
+    level (tol = 0) that scan also reports rounding-noise crossings of
+    collinear bars with disjoint boxes; these are not candidates here.
     """
-    violations: list[tuple[str, Any, Any]] = []
     p = fw.positions
     e = fw.num_edges
     if e == 0:
-        return violations
+        return []
     scale = bbox_diagonal(p)
     tol_abs = tol * (scale if scale > 0 else 1.0)
 
-    a = np.array([fw.edges[i][0] for i in range(e)])
-    b = np.array([fw.edges[i][1] for i in range(e)])
+    a, b = np.array(fw.edges).T
     pa, pb = p[a], p[b]
     d = pb - pa
     lengths = np.hypot(d[:, 0], d[:, 1])
     lengths = np.where(lengths == 0.0, 1.0, lengths)
+    # A few roundings beyond tol_abs: a computed foot point can lie past a
+    # bar's end, and a joint's offset from it can round down to tol_abs.
+    pad = tol_abs + 4 * np.finfo(float).eps * (tol_abs + np.abs(p).max())
+    lo, hi = np.minimum(pa, pb) - pad, np.maximum(pa, pb) + pad
+    hits: dict[str, list[np.ndarray]] = {"vertex_on_edge": [], "crossing": []}
 
     # Joint in the interior of a foreign bar: distance to the segment below
     # tol_abs with the projection parameter strictly inside (0, 1) and the
     # joint not within tolerance of either endpoint.
-    for vi in range(fw.num_vertices):
-        rel = p[vi] - pa
-        t = (rel * d).sum(axis=1) / (lengths**2)
-        foot = pa + t[:, None] * d
+    jorder = np.argsort(p[:, 0], kind="stable")
+    first = np.searchsorted(p[jorder, 0], lo[:, 0], "left")
+    last = np.searchsorted(p[jorder, 0], hi[:, 0], "right")
+    for ei, k in _range_pairs(first, last - first):
+        vi = jorder[k]
+        keep = (lo[ei, 1] <= p[vi, 1]) & (p[vi, 1] <= hi[ei, 1]) & (vi != a[ei]) & (vi != b[ei])
+        vi, ei = vi[keep], ei[keep]
+        t = ((p[vi] - pa[ei]) * d[ei]).sum(axis=1) / (lengths[ei] ** 2)
+        foot = pa[ei] + t[:, None] * d[ei]
         dist = np.hypot(*(p[vi] - foot).T)
-        de1 = np.hypot(*(p[vi] - pa).T)
-        de2 = np.hypot(*(p[vi] - pb).T)
-        hits = np.where(
-            (dist <= tol_abs)
-            & (t > 0.0)
-            & (t < 1.0)
-            & (de1 > tol_abs)
-            & (de2 > tol_abs)
-        )[0]
-        for ei in hits:
-            if vi not in fw.edges[ei]:
-                violations.append(("vertex_on_edge", vi, int(ei)))
+        de1 = np.hypot(*(p[vi] - pa[ei]).T)
+        de2 = np.hypot(*(p[vi] - pb[ei]).T)
+        hit = (dist <= tol_abs) & (t > 0.0) & (t < 1.0) & (de1 > tol_abs) & (de2 > tol_abs)
+        hits["vertex_on_edge"].append(np.stack([vi[hit], ei[hit]]))
 
-    # Proper crossings, in blocks to bound memory on large frameworks.
-    idx_a, idx_b = np.triu_indices(e, k=1)
-    share = (
-        (a[idx_a] == a[idx_b])
-        | (a[idx_a] == b[idx_b])
-        | (b[idx_a] == a[idx_b])
-        | (b[idx_a] == b[idx_b])
-    )
-    idx_a, idx_b = idx_a[~share], idx_b[~share]
-    block = 200_000
-    for start in range(0, idx_a.size, block):
-        ia = idx_a[start : start + block]
-        ib = idx_b[start : start + block]
-        A1, B1 = pa[ia], pb[ia]
-        A2, B2 = pa[ib], pb[ib]
-        d1, d2 = B1 - A1, B2 - A2
-        l1, l2 = lengths[ia], lengths[ib]
+    # Proper crossings of bars that share no joint.
+    def sdist(pt: np.ndarray, origin: np.ndarray, dvec: np.ndarray, ln: np.ndarray) -> np.ndarray:
+        r = pt - origin
+        return (dvec[:, 0] * r[:, 1] - dvec[:, 1] * r[:, 0]) / ln
 
-        def sdist(pt: np.ndarray, origin: np.ndarray, dvec: np.ndarray, ln: np.ndarray) -> np.ndarray:
-            r = pt - origin
-            return (dvec[:, 0] * r[:, 1] - dvec[:, 1] * r[:, 0]) / ln
-
-        s1 = sdist(A1, A2, d2, l2)
-        s2 = sdist(B1, A2, d2, l2)
-        s3 = sdist(A2, A1, d1, l1)
-        s4 = sdist(B2, A1, d1, l1)
+    order = np.argsort(lo[:, 0], kind="stable")
+    after = np.arange(1, e + 1)
+    for k, m in _range_pairs(after, np.searchsorted(lo[order, 0], hi[order, 0], "right") - after):
+        ia, ib = np.minimum(order[k], order[m]), np.maximum(order[k], order[m])
+        keep = (lo[ia, 1] <= hi[ib, 1]) & (lo[ib, 1] <= hi[ia, 1])
+        keep &= (a[ia] != a[ib]) & (a[ia] != b[ib]) & (b[ia] != a[ib]) & (b[ia] != b[ib])
+        ia, ib = ia[keep], ib[keep]
+        A1, B1, A2, B2 = pa[ia], pb[ia], pa[ib], pb[ib]
+        d1, d2, l1, l2 = B1 - A1, B2 - A2, lengths[ia], lengths[ib]
+        s1, s2 = sdist(A1, A2, d2, l2), sdist(B1, A2, d2, l2)
+        s3, s4 = sdist(A2, A1, d1, l1), sdist(B2, A1, d1, l1)
         crossing = (
             (s1 * s2 < 0)
             & (s3 * s4 < 0)
             & (np.minimum(np.abs(s1), np.abs(s2)) > tol_abs)
             & (np.minimum(np.abs(s3), np.abs(s4)) > tol_abs)
         )
-        for w in np.where(crossing)[0]:
-            violations.append(("crossing", int(ia[w]), int(ib[w])))
+        hits["crossing"].append(np.stack([ia[crossing], ib[crossing]]))
+
+    violations: list[tuple[str, Any, Any]] = []
+    for kind, found in hits.items():
+        x, y = np.concatenate(found, axis=1)
+        violations += [(kind, int(x[w]), int(y[w])) for w in np.lexsort((y, x))]
     return violations
 
 

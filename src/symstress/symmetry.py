@@ -33,7 +33,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import ClassMismatch, DimensionMismatch, NotSymmetric
-from .framework import Framework, bbox_diagonal, require_distinct_joints
+from .framework import Framework, bbox_diagonal, maxwell_count, require_distinct_joints
 
 __all__ = [
     "SymmetryOperation",
@@ -179,10 +179,6 @@ class PointGroup:
     @property
     def order(self) -> int:
         return self.n if self.family == "Cn" else 2 * self.n
-
-    @property
-    def has_mirrors(self) -> bool:
-        return self.family == "Cnv"
 
     def class_labels(self) -> tuple[str, ...]:
         return tuple(c.label for c in self.classes)
@@ -532,8 +528,11 @@ def census(
     otherwise ClassMismatch is raised.  NotSymmetric propagates from the
     underlying permutation checks.  For pinned frameworks, joint counts cover
     internal joints only (bars are always counted in full).  A precomputed
-    ``action`` of ``group`` on ``fw`` replaces ``center`` and ``tol``.
+    ``action`` of ``group`` on ``fw`` replaces ``center`` and ``tol``.  Like
+    ``maxwell_count``, raises ValueError for an unpinned framework with fewer
+    than two joints.
     """
+    maxwell_count(fw)
     if action is None:
         action = symmetry_action(fw, group, center, tol)
     counted = ~fw.pinned_mask

@@ -1,6 +1,7 @@
 """Framework construction, counting, rigidity matrices, and JSON I/O."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from symstress import (
     rigidity_matrix_pinned,
     save_framework,
 )
+from symstress.framework import GEOM_TOL, _range_pairs
 
 TRIANGLE = Framework([(0.0, 0.0), (2.0, 0.0), (1.0, 1.5)], [(0, 1), (1, 2), (2, 0)])
 SQUARE = Framework(
@@ -190,6 +192,269 @@ class TestGeometryHelpers:
 
     def test_check_planarity_clean(self):
         assert check_planarity(TRIANGLE) == []
+
+
+def _all_pairs_planarity(fw, tol=GEOM_TOL):
+    """Reference for check_planarity: every joint against every bar, then
+    every pair of bars that share no joint, with the same predicates."""
+    violations = []
+    p = fw.positions
+    e = fw.num_edges
+    if e == 0:
+        return violations
+    scale = bbox_diagonal(p)
+    tol_abs = tol * (scale if scale > 0 else 1.0)
+
+    a = np.array([fw.edges[i][0] for i in range(e)])
+    b = np.array([fw.edges[i][1] for i in range(e)])
+    pa, pb = p[a], p[b]
+    d = pb - pa
+    lengths = np.hypot(d[:, 0], d[:, 1])
+    lengths = np.where(lengths == 0.0, 1.0, lengths)
+
+    for vi in range(fw.num_vertices):
+        rel = p[vi] - pa
+        t = (rel * d).sum(axis=1) / (lengths**2)
+        foot = pa + t[:, None] * d
+        dist = np.hypot(*(p[vi] - foot).T)
+        de1 = np.hypot(*(p[vi] - pa).T)
+        de2 = np.hypot(*(p[vi] - pb).T)
+        hits = np.where(
+            (dist <= tol_abs)
+            & (t > 0.0)
+            & (t < 1.0)
+            & (de1 > tol_abs)
+            & (de2 > tol_abs)
+        )[0]
+        for ei in hits:
+            if vi not in fw.edges[ei]:
+                violations.append(("vertex_on_edge", vi, int(ei)))
+
+    idx_a, idx_b = np.triu_indices(e, k=1)
+    share = (
+        (a[idx_a] == a[idx_b])
+        | (a[idx_a] == b[idx_b])
+        | (b[idx_a] == a[idx_b])
+        | (b[idx_a] == b[idx_b])
+    )
+    idx_a, idx_b = idx_a[~share], idx_b[~share]
+    block = 200_000
+    for start in range(0, idx_a.size, block):
+        ia = idx_a[start : start + block]
+        ib = idx_b[start : start + block]
+        A1, B1 = pa[ia], pb[ia]
+        A2, B2 = pa[ib], pb[ib]
+        d1, d2 = B1 - A1, B2 - A2
+        l1, l2 = lengths[ia], lengths[ib]
+
+        def sdist(pt, origin, dvec, ln):
+            r = pt - origin
+            return (dvec[:, 0] * r[:, 1] - dvec[:, 1] * r[:, 0]) / ln
+
+        s1 = sdist(A1, A2, d2, l2)
+        s2 = sdist(B1, A2, d2, l2)
+        s3 = sdist(A2, A1, d1, l1)
+        s4 = sdist(B2, A1, d1, l1)
+        crossing = (
+            (s1 * s2 < 0)
+            & (s3 * s4 < 0)
+            & (np.minimum(np.abs(s1), np.abs(s2)) > tol_abs)
+            & (np.minimum(np.abs(s3), np.abs(s4)) > tol_abs)
+        )
+        for w in np.where(crossing)[0]:
+            violations.append(("crossing", int(ia[w]), int(ib[w])))
+    return violations
+
+
+def _random_framework(rng):
+    """3 to 44 joints, scaled by 1e-3..100 and offset by up to 1e3: free
+    or lattice-snapped coordinates (exact touches and collinear runs), plus
+    joints placed at fractions of random bars."""
+    v = int(rng.integers(3, 40))
+    pos = rng.uniform(-1, 1, (v, 2))
+    if rng.integers(3):
+        h = rng.choice([0.25, 0.1, 1 / 3, 0.125])
+        pos = np.round(pos / h) * h
+    pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
+    m = int(rng.integers(1, min(len(pairs), 3 * v) + 1))
+    edges = [pairs[k] for k in rng.choice(len(pairs), m, replace=False)]
+    for _ in range(int(rng.integers(0, 6))):
+        i, j = edges[int(rng.integers(m))]
+        t = rng.choice([0.25, 0.5, 0.75, rng.uniform()])
+        pos = np.vstack([pos, pos[i] + t * (pos[j] - pos[i])])
+    offset = rng.uniform(-1e3, 1e3, 2) * rng.integers(2)
+    return Framework(pos * 10 ** rng.uniform(-3, 2) + offset, edges)
+
+
+def _complete_on_circle(n):
+    ang = 2 * np.pi * np.arange(n) / n
+    pos = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    return Framework(pos, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def _mixed_scale(n_short, n_long, seed):
+    """Bars of length 1e-4 scattered over the unit square, plus long bars
+    from the bottom edge to the top edge."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0, 1, (n_short, 2))
+    ang = rng.uniform(0, 2 * np.pi, n_short)
+    b = a + 1e-4 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    bottom = np.stack([rng.uniform(0, 1, n_long), np.zeros(n_long)], axis=1)
+    top = np.stack([rng.uniform(0, 1, n_long), np.ones(n_long)], axis=1)
+    s, n = n_short, n_long
+    edges = [(i, s + i) for i in range(s)] + [(2 * s + i, 2 * s + n + i) for i in range(n)]
+    return Framework(np.vstack([a, b, bottom, top]), edges)
+
+
+def _near_bar_joints(angle, offset, tol):
+    """A bar of length 2 at ``angle`` plus corner joints that fix the
+    bounding box, with joints at tol_abs·(1 ± 1e-12) from the bar on both
+    sides, along it and beyond its ends."""
+    u = np.array([np.cos(angle), np.sin(angle)])
+    nrm = np.array([-u[1], u[0]])
+    A, B = offset - u, offset + u
+    corners = offset + np.array([[-3.0, -3.0], [3.0, 3.0]])
+    tol_abs = tol * bbox_diagonal(np.vstack([corners, A, B]))
+    pts = []
+    for rel in (1 - 1e-12, 1 + 1e-12):
+        for side in (-1, 1):
+            pts += [A + t * (B - A) + side * rel * tol_abs * nrm for t in (1e-6, 0.3, 0.5, 1 - 1e-6)]
+            pts += [end + side * rel * tol_abs * u for end in (A, B)]
+    return Framework(np.vstack([corners, A, B, pts]), [(2, 3)])
+
+
+# Joints, then bars, of a framework whose two bars lie on one line with
+# disjoint boxes.  At tol=0 the all-pairs scan reports them as crossing.
+_COLLINEAR_PAIR = [
+    (0.0005153835021506218, 0.00023083916836239932),
+    (0.005670052282745006, 0.002539604290898821),
+    (0.010277962030728963, 0.004603477212082754),
+    (0.014091463010439958, 0.00631153614495952),
+]
+
+
+class TestPlanarityAgainstAllPairs:
+    """check_planarity must return the all-pairs scan's list, order included."""
+
+    @pytest.mark.parametrize("name", GEOMETRIC)
+    def test_catalog(self, name):
+        fw = catalog.generate(name).framework
+        for tol in (GEOM_TOL, 1e-3, 0.0):
+            assert check_planarity(fw, tol) == _all_pairs_planarity(fw, tol)
+
+    @pytest.mark.parametrize("tol", [GEOM_TOL, 1e-3, 0.0])
+    def test_random_frameworks(self, tol):
+        rng = np.random.default_rng(20261018)
+        kinds = Counter()
+        for _ in range(100):
+            fw = _random_framework(rng)
+            found = check_planarity(fw, tol)
+            assert found == _all_pairs_planarity(fw, tol)
+            kinds.update(kind for kind, *_ in found)
+        assert kinds["crossing"] > 1000 and kinds["vertex_on_edge"] > 100
+
+    @pytest.mark.parametrize("angle", [0.0, np.pi / 2, np.pi, 0.61, 2.3])
+    @pytest.mark.parametrize("offset", [(0.0, 0.0), (1e3, -7e2)])
+    @pytest.mark.parametrize("tol", [GEOM_TOL, 1e-3])
+    def test_joints_at_the_tolerance(self, angle, offset, tol):
+        fw = _near_bar_joints(angle, np.array(offset), tol)
+        found = check_planarity(fw, tol)
+        assert found == _all_pairs_planarity(fw, tol)
+        assert found  # the joints just inside the tolerance are hits
+
+    def test_exact_distance_decides_on_an_axis_bar(self):
+        # On the x axis the perpendicular offsets are exact: the joints at
+        # tol_abs·(1 - 1e-12) beside the bar hit, those at 1 + 1e-12 do not.
+        fw = _near_bar_joints(0.0, np.zeros(2), GEOM_TOL)
+        hit = {v for _, v, _ in check_planarity(fw)}
+        assert {4, 5, 6, 7, 10, 11, 12, 13} <= hit
+        assert hit.isdisjoint({16, 17, 18, 19, 22, 23, 24, 25})
+
+    @pytest.mark.parametrize("frac", [0.7, 0.9, 0.999])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_joint_just_outside_the_tolerance_box(self, frac, transpose):
+        # A bar at x = -frac·tol_abs and a joint one ulp beyond
+        # fl(x + tol_abs): the joint's offset from the bar rounds to
+        # tol_abs, so it is a hit outside the box widened by tol_abs alone.
+        corners = [(-1.0, -1.0), (1.0, 1.0)]
+        tol_abs = GEOM_TOL * bbox_diagonal(np.array(corners))
+        x = -frac * tol_abs
+        pts = corners + [(x, -0.01), (x, 0.01), (np.nextafter(x + tol_abs, 1.0), 0.0)]
+        if transpose:
+            pts = [(q, p) for p, q in pts]
+        fw = Framework(pts, [(2, 3)])
+        assert check_planarity(fw) == _all_pairs_planarity(fw) == [("vertex_on_edge", 4, 0)]
+
+    def test_t_junctions(self):
+        fw = Framework(
+            [(0.0, 0.0), (2.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.5, -1.0), (0.5, 0.0)],
+            [(0, 1), (2, 3), (4, 5)],
+        )
+        found = check_planarity(fw)
+        assert found == [("vertex_on_edge", 2, 0), ("vertex_on_edge", 5, 0)]
+        assert found == _all_pairs_planarity(fw)
+
+    def test_endpoint_one_ulp_off_a_bar(self):
+        for y in (np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)):
+            fw = Framework(
+                [(0.0, 1.0), (2.0, 1.0), (1.0, y), (1.0, 3.0)], [(0, 1), (2, 3)]
+            )
+            for tol in (GEOM_TOL, 0.0):
+                assert check_planarity(fw, tol) == _all_pairs_planarity(fw, tol)
+            assert check_planarity(fw) == [("vertex_on_edge", 2, 0)]
+
+    def test_complete_graph_on_a_circle(self):
+        fw = _complete_on_circle(24)
+        found = check_planarity(fw)
+        assert found == _all_pairs_planarity(fw)
+        assert len(found) == 10626  # C(24, 4): one crossing per 4 joints
+
+    def test_mixed_scale(self):
+        fw = _mixed_scale(300, 60, seed=3)
+        found = check_planarity(fw)
+        assert found == _all_pairs_planarity(fw)
+        assert len(found) > 100
+
+    def test_zero_length_bar_between_coincident_joints(self):
+        fw = Framework(
+            [(0.0, 0.0), (0.0, 0.0), (-1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0)],
+            [(0, 1), (2, 3), (4, 5), (0, 4)],
+        )
+        for tol in (GEOM_TOL, 0.0):
+            assert check_planarity(fw, tol) == _all_pairs_planarity(fw, tol)
+        assert ("vertex_on_edge", 0, 1) in check_planarity(fw)
+
+    def test_all_joints_collinear(self):
+        rng = np.random.default_rng(7)
+        t = np.sort(rng.uniform(0, 1, 30))
+        pos = np.stack([t * np.cos(0.41), t * np.sin(0.41)], axis=1) * 3 + 50
+        edges = [(i, i + 1) for i in range(0, 29, 2)] + [(i, i + 3) for i in range(0, 27, 4)]
+        fw = Framework(pos, edges)
+        for tol in (GEOM_TOL, 1e-3):
+            assert check_planarity(fw, tol) == _all_pairs_planarity(fw, tol)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 200_000])
+    def test_candidate_blocks(self, block):
+        rng = np.random.default_rng(block)
+        counts = rng.integers(0, 6, 40)
+        counts[[3, 17]] = 0, 11  # an empty range, and one longer than a block
+        starts = rng.integers(0, 100, 40)
+        chunks = list(_range_pairs(starts, counts, block))
+        owner = np.concatenate([o for o, _ in chunks])
+        member = np.concatenate([m for _, m in chunks])
+        np.testing.assert_array_equal(owner, np.repeat(np.arange(40), counts))
+        want = [s + k for s, c in zip(starts, counts) for k in range(c)]
+        np.testing.assert_array_equal(member, want)
+        assert all(o.size <= max(block, 11) for o, _ in chunks)
+
+    def test_rounding_noise_crossings_at_zero_tolerance(self):
+        # At tol=0 the all-pairs scan takes rounding noise for a crossing of
+        # two collinear bars whose boxes are disjoint; the sweep never pairs
+        # them.  Any positive tolerance above rounding level agrees.
+        fw = Framework(_COLLINEAR_PAIR, [(0, 1), (2, 3)])
+        assert _all_pairs_planarity(fw, 0.0) == [("crossing", 0, 1)]
+        assert check_planarity(fw, 0.0) == []
+        assert check_planarity(fw) == _all_pairs_planarity(fw) == []
 
 
 class TestJsonIO:

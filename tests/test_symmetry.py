@@ -169,6 +169,17 @@ class TestCensus:
         assert cen.freedom_number == 2 * 1 - 2
         assert cen.v_sigma() == 1 and cen.e_sigma() == 0
 
+    def test_single_unpinned_joint_is_rejected(self):
+        # Counting three rigid motions on one joint would give k = -1 and a
+        # self-stress that does not exist.
+        with pytest.raises(ValueError, match="at least two joints"):
+            census(Framework([(0.5, 1.0)], []), group_elements("Cn", 1))
+
+    def test_single_pinned_joint_is_counted(self):
+        fw = Framework([(0.5, 1.0)], [], pinned=[0])
+        cen = census(fw, group_elements("Cn", 1))
+        assert cen.pinned and cen.v == 0 and cen.freedom_number == 0
+
     def test_make_census_round_trips_counts(self):
         cen = make_census(
             "Cnv", 4, v=28, e=56, v_c=0, e_2=0,
