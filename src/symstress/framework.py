@@ -142,14 +142,19 @@ def maxwell_count(fw: Framework) -> int:
     unpinned joint has only two rigid-body motions, so the count needs at
     least two joints there and raises ValueError otherwise.
     """
-    if fw.is_pinned:
-        return 2 * len(fw.internal_vertices) - fw.num_edges
-    if fw.num_vertices < 2:
+    v = len(fw.internal_vertices) if fw.is_pinned else fw.num_vertices
+    return maxwell_count_of(v, fw.num_edges, fw.is_pinned)
+
+
+def maxwell_count_of(v: int, e: int, pinned: bool) -> int:
+    """``maxwell_count`` from the counts alone: v joints (internal joints
+    when pinned) and e bars."""
+    if not pinned and v < 2:
         raise ValueError(
             "an unpinned framework needs at least two joints for the Maxwell "
-            f"count, got {fw.num_vertices}"
+            f"count, got {v}"
         )
-    return 2 * fw.num_vertices - fw.num_edges - 3
+    return 2 * v - e - (0 if pinned else 3)
 
 
 def rigidity_rows(
@@ -260,7 +265,8 @@ def affine_map(
     return Framework(fw.positions @ A.T + b, fw.edges, fw.pinned)
 
 
-def _range_pairs(starts: np.ndarray, counts: np.ndarray, block: int = 200_000):
+# 16,384 pairs keep each block's temporaries on the heap already in use.
+def _range_pairs(starts: np.ndarray, counts: np.ndarray, block: int = 16_384):
     """Yield ``(owner, member)`` index arrays pairing each owner k with the
     members ``starts[k] .. starts[k] + counts[k] - 1``, about ``block``
     pairs at a time (more only when one owner has more)."""

@@ -40,12 +40,16 @@ Conventions
   block per orbit.  Orbits of one size are batched, and no projector on the
   whole space is formed.  Tables with complex irreps (Cn, n >= 3) give
   complex Hermitian projectors and complex blocks.
+* Each block E_i^H R V_i is assembled from (row, column, value) triples:
+  E_i's entry at a bar meets V_i's entries (one per vector and joint) at the
+  bar's two joints.  The cost is O(entries of E_i x most entries at a joint),
+  and no dense intermediate (V_i or R V_i) is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -296,6 +300,24 @@ def intertwining_residual(
     return worst
 
 
+def _scatter(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """``np.bincount(at, values, size)`` for real or complex values."""
+    if np.iscomplexobj(values):
+        return np.bincount(at, values.real, size) + 1j * np.bincount(at, values.imag, size)
+    return np.bincount(at, values, size)
+
+
+def _entries(parts: list[tuple[np.ndarray, ...]], f: int) -> tuple[int, tuple[np.ndarray, ...]]:
+    """The number of basis vectors in ``_isotypic_bases`` parts with fibre f,
+    and their entries as (point, vector, f values) arrays."""
+    shapes = np.array([values.shape for _, values in parts], dtype=int).reshape(-1, 2)
+    count = int(shapes[:, 0].sum())
+    vector = np.repeat(np.arange(count), np.repeat(shapes[:, 1] // f, shapes[:, 0]))
+    point = np.concatenate([c[:, ::f].ravel() // f for c, _ in parts] + [np.zeros(0, dtype=np.intp)])
+    value = np.concatenate([v.reshape(-1, f) for _, v in parts] + [np.zeros((0, f))])
+    return count, (point, vector, value)
+
+
 def _isotypic_bases(
     perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray
 ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
@@ -311,13 +333,11 @@ def _isotypic_bases(
 
     Returns, per irrep, one (coords, values) pair per orbit size: row r of
     both is one basis vector, values[r] at global coordinates coords[r]
-    (coordinate (j, a) is j * f + a).
+    (coordinate (j, a) is j * f + a; each point's f coordinates adjacent).
     """
     n = perms.shape[1]
     f = mats.shape[-1]
     bases: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in coeff]
-    if n == 0:
-        return bases
     # Each orbit is {g(j)}: its smallest point names it and its size is the
     # number of distinct images.  Sorting by (name, point) lines orbits up.
     name = perms.min(axis=0)
@@ -340,13 +360,7 @@ def _isotypic_bases(
         at = ((block * width + row) * width + col).ravel()
         entries = (coeff[:, :, None, None] * mats)[:, :, None, None]
         entries = np.broadcast_to(entries, (irreps,) + row.shape[:3] + (f, f)).ravel()
-        total = irreps * orbits * width * width
-        if np.iscomplexobj(entries):
-            projector = np.bincount(at, entries.real, total) + 1j * np.bincount(
-                at, entries.imag, total
-            )
-        else:
-            projector = np.bincount(at, entries, total)
+        projector = _scatter(at, entries, irreps * orbits * width * width)
         values, vectors = np.linalg.eigh(projector.reshape(-1, width, width))
         hit, j = np.nonzero(values > CLASSIFY_THRESHOLD)
         irrep, orbit = np.divmod(hit, orbits)
@@ -378,6 +392,51 @@ class _Counts:
     error: str = ""
 
 
+def _adapted_blocks(
+    fw: Framework, action: SymmetryAction, table: CharacterTable, blocks: np.ndarray, d: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield, per irrep i, the block E_i^H R V_i and the rigid-body motions
+    projected on V_i (3 x dim V_i, no rows when pinned), each scattered from
+    (row, column, value) triples by one ``bincount``.  ``blocks`` and ``d``
+    are R's rows from ``rigidity_rows``."""
+    ops = action.ops
+    dims = np.array([ir.dim for ir in table.irreps], dtype=float)
+    chars = table.as_matrix()[:, [act.class_index for act in ops]]
+    coeff = np.conj(chars) * (dims / action.group.order)[:, None]
+    if not any(ir.is_complex for ir in table.irreps):
+        coeff = coeff.real
+    n = int(np.count_nonzero(fw.velocity_blocks >= 0))
+    vperms = np.array([_moving_perm(fw, act.vperm) for act in ops]).reshape(len(ops), n)
+    eperms = np.array([act.eperm for act in ops]).reshape(len(ops), fw.num_edges)
+    velocity = _isotypic_bases(vperms, np.array([act.op.matrix for act in ops]), coeff)
+    bar = _isotypic_bases(eperms, np.ones((len(ops), 1, 1)), coeff)
+    trivial = trivial_motion_basis(fw)
+    # Pinned ends read the zero row n of the per-joint tables below.
+    first, second = np.where(blocks < 0, n, blocks).T
+    for v_parts, e_parts in zip(velocity, bar):
+        cols, (joint, col, value) = _entries(v_parts, 2)
+        rows, (bars, row, weight) = _entries(e_parts, 1)
+        # Joint j's velocity entries go to row j of two tables, zero-padded.
+        order = np.argsort(joint, kind="stable")
+        joint, col, value = joint[order], col[order], value[order]
+        count = np.bincount(joint, minlength=n)
+        slot = np.arange(joint.size) - (np.cumsum(count) - count)[joint]
+        at_col = np.zeros((n + 1, int(count.max(initial=0))), dtype=np.intp)
+        at_val = np.zeros(at_col.shape + (2,), dtype=value.dtype)
+        at_col[joint, slot], at_val[joint, slot] = col, value
+        # Entry (row, col) gains conj(E_i[b, row]) d_b . (V_i[j1, col] -
+        # V_i[j2, col]) for each bar b = (j1, j2) and each entry at its ends.
+        j1, j2 = first[bars], second[bars]
+        at = (row * cols)[:, None] + np.hstack([at_col[j1], at_col[j2]])
+        ends = np.hstack([at_val[j1], -at_val[j2]])
+        pair = np.einsum("ba,bka->bk", weight.conj() * d[bars], ends)
+        at_t = (np.arange(len(trivial))[:, None] * cols + col).ravel()
+        moved = np.einsum("kpa,pa->kp", trivial.reshape(len(trivial), n, 2)[:, joint], value)
+        projected = _scatter(at_t, moved.ravel(), len(trivial) * cols)
+        block = _scatter(at.ravel(), pair.ravel(), rows * cols).reshape(rows, cols)
+        yield block, projected.reshape(len(trivial), cols)
+
+
 def _block_counts(
     fw: Framework,
     action: SymmetryAction,
@@ -387,55 +446,25 @@ def _block_counts(
 ) -> _Counts | None:
     """Counts from the blocks E_i^H R V_i of R in symmetry-adapted bases.
 
-    V_i and E_i are orthonormal bases of irrep i's isotypic components of
-    the velocity and bar spaces.  When R intertwines the action it maps V_i
-    into E_i and nothing else, so rank_i = rank of the block, s_i =
-    dim E_i - rank_i and m_i = dim V_i - rank_i - t_i, where t_i counts the
-    rigid-body motions in V_i (0 when pinned).  Only singular values are
-    computed; the rank cutoff is the full matrix's, rel_tol * sigma_max *
-    max(e, cols) with sigma_max the largest block singular value.
+    When R intertwines the action it maps V_i into E_i and nothing else, so
+    rank_i = rank of the block, s_i = dim E_i - rank_i and m_i = dim V_i -
+    rank_i - t_i, where t_i counts the rigid-body motions in V_i (0 when
+    pinned).  ``_adapted_blocks`` builds the blocks one at a time from
+    orbit-local triples: each entry of E_i at a bar meets V_i's entries at
+    the bar's two joints, so a block costs O(entries of E_i x most entries
+    at a joint) besides its rows x cols, and no e x cols array is formed.  Only
+    singular values are computed; the rank cutoff is the full matrix's,
+    rel_tol * sigma_max * max(e, cols) with sigma_max the largest block
+    singular value.
 
     ``residual`` is the intertwining residual.  Returns None when it is
     large enough that some rank decision could differ in R itself.
     """
-    ops = action.ops
-    dims = np.array([ir.dim for ir in table.irreps], dtype=float)
-    chars = table.as_matrix()[:, [act.class_index for act in ops]]
-    coeff = np.conj(chars) * (dims / action.group.order)[:, None]
-    if not any(ir.is_complex for ir in table.irreps):
-        coeff = coeff.real
     blocks, d, n = rigidity_rows(fw, fw.velocity_blocks)
-    vperms = np.array([_moving_perm(fw, act.vperm) for act in ops]).reshape(len(ops), n)
-    eperms = np.array([act.eperm for act in ops]).reshape(len(ops), fw.num_edges)
-    velocity = _isotypic_bases(vperms, np.array([act.op.matrix for act in ops]), coeff)
-    bar = _isotypic_bases(eperms, np.ones((len(ops), 1, 1)), coeff)
-    trivial = trivial_motion_basis(fw)
-    # Pinned ends read the zero block n appended to each velocity basis.
-    first, second = np.where(blocks < 0, n, blocks).T
-
-    sigmas, dim_e, dim_v, rigid = [], [], [], []
-    for v_parts, e_parts in zip(velocity, bar):
-        cols = sum(values.shape[0] for _, values in v_parts)
-        basis = np.zeros((n + 1, 2, cols), dtype=coeff.dtype)
-        flat = basis.reshape(2 * n + 2, cols)
-        start = 0
-        for coords, values in v_parts:
-            stop = start + values.shape[0]
-            flat[coords, np.arange(start, stop)[:, None]] = values
-            start = stop
-        # R V_i, row b = d_b . (V_i at the first joint - V_i at the second)
-        rv = d[:, :1] * (basis[first, 0] - basis[second, 0])
-        rv += d[:, 1:] * (basis[first, 1] - basis[second, 1])
-        rows = [
-            np.einsum("rs,rsc->rc", values.conj(), rv[coords]) for coords, values in e_parts
-        ]
-        block = np.concatenate(rows) if rows else np.zeros((0, cols))
-        sigmas.append(
-            np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0)
-        )
-        dim_e.append(block.shape[0])
-        dim_v.append(cols)
-        projected = trivial @ flat[: 2 * n]
+    sigmas, shapes, rigid = [], [], []
+    for block, projected in _adapted_blocks(fw, action, table, blocks, d):
+        sigmas.append(np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0))
+        shapes.append(block.shape)
         rigid.append(
             int(np.sum(np.linalg.svd(projected, compute_uv=False) > CLASSIFY_THRESHOLD))
             if projected.size
@@ -456,8 +485,8 @@ def _block_counts(
         return None
     ranks = [int(np.sum(sv > cutoff)) for sv in sigmas]
     labels = [ir.label for ir in table.irreps]
-    s_by = {lab: de - r for lab, de, r in zip(labels, dim_e, ranks)}
-    m_by = {lab: dv - r - t for lab, dv, r, t in zip(labels, dim_v, ranks, rigid)}
+    s_by = {lab: de - r for lab, (de, _), r in zip(labels, shapes, ranks)}
+    m_by = {lab: dv - r - t for lab, (_, dv), r, t in zip(labels, shapes, ranks, rigid)}
     return _Counts(sum(ranks), sum(s_by.values()), sum(m_by.values()), s_by, m_by)
 
 

@@ -33,7 +33,13 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import ClassMismatch, DimensionMismatch, NotSymmetric
-from .framework import Framework, bbox_diagonal, maxwell_count, require_distinct_joints
+from .framework import (
+    Framework,
+    bbox_diagonal,
+    maxwell_count,
+    maxwell_count_of,
+    require_distinct_joints,
+)
 
 __all__ = [
     "SymmetryOperation",
@@ -445,7 +451,7 @@ class SymmetryCensus:
     @property
     def freedom_number(self) -> int:
         """k = mechanisms - self-stresses."""
-        return 2 * self.v - self.e - (0 if self.pinned else 3)
+        return maxwell_count_of(self.v, self.e, self.pinned)
 
     def _class_index(self, label: str) -> int | None:
         for idx, cls in enumerate(self.group.classes):
@@ -577,8 +583,11 @@ def make_census(
 
     For C_nv with even n, ``v_sigma`` / ``e_sigma`` are pairs
     (reference class, other class); otherwise scalars.  ``mirror_angle_deg``
-    orients the reference mirror; it never affects a count.
+    orients the reference mirror; it never affects a count.  Like
+    ``maxwell_count``, raises ValueError for an unpinned census with fewer
+    than two joints.
     """
+    maxwell_count_of(v, e, pinned)
     group = group_elements(family, n, math.radians(mirror_angle_deg))
     fixed_v: list[int] = []
     fixed_e: list[int] = []

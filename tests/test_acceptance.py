@@ -15,6 +15,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from symstress import (
     GroupSpec,
@@ -136,9 +137,19 @@ def test_criterion_2_fig9a_full_symmetry():
 # Criterion 3: random census sweep, closed form == reduction, < 10 s total
 # ---------------------------------------------------------------------------
 
+def _census(family, n, **counts):
+    """``make_census``, or None for an unpinned draw with fewer than two
+    joints, which has no Maxwell count and must raise ValueError."""
+    if not counts.get("pinned") and counts["v"] < 2:
+        with pytest.raises(ValueError, match="at least two joints"):
+            make_census(family, n, **counts)
+        return None
+    return make_census(family, n, **counts)
+
+
 def _sample_cs(rng, pinned=False):
     v_s, a, b, e_s = (int(x) for x in rng.integers(0, 12, 4))
-    return make_census(
+    return _census(
         "Cnv", 1, v=v_s + 2 * a, e=e_s + 2 * b, pinned=pinned,
         v_sigma=v_s, e_sigma=e_s,
     )
@@ -147,7 +158,7 @@ def _sample_cs(rng, pinned=False):
 def _sample_c2(rng, pinned=False):
     v_c, e_2 = ((0, 0), (0, 1), (1, 0))[int(rng.integers(0, 3))]
     a, b = (int(x) for x in rng.integers(0, 15, 2))
-    return make_census(
+    return _census(
         "Cn", 2, v=v_c + 2 * a, e=e_2 + 2 * b, pinned=pinned, v_c=v_c, e_2=e_2
     )
 
@@ -155,13 +166,13 @@ def _sample_c2(rng, pinned=False):
 def _sample_cn(rng, n):
     v_c = int(rng.integers(0, 2))
     a, b = (int(x) for x in rng.integers(0, 10, 2))
-    return make_census("Cn", n, v=v_c + n * a, e=n * b, v_c=v_c)
+    return _census("Cn", n, v=v_c + n * a, e=n * b, v_c=v_c)
 
 
 def _sample_c2v(rng, pinned=False):
     v_c, e_2 = ((0, 0), (0, 1), (1, 0))[int(rng.integers(0, 3))]
     a_h, a_v, b, c_h, c_v, f = (int(x) for x in rng.integers(0, 8, 6))
-    return make_census(
+    return _census(
         "Cnv", 2,
         v=v_c + 2 * a_h + 2 * a_v + 4 * b,
         e=e_2 + 2 * c_h + 2 * c_v + 4 * f,
@@ -174,7 +185,7 @@ def _sample_c2v(rng, pinned=False):
 def _sample_c3v(rng):
     v_c = int(rng.integers(0, 2))
     a, b, c, f = (int(x) for x in rng.integers(0, 8, 4))
-    return make_census(
+    return _census(
         "Cnv", 3, v=v_c + 3 * a + 6 * b, e=3 * c + 6 * f,
         v_c=v_c, v_sigma=v_c + a, e_sigma=c,
     )
@@ -183,7 +194,7 @@ def _sample_c3v(rng):
 def _sample_c4v(rng):
     v_c = int(rng.integers(0, 2))
     a_v, a_d, b, c_v, c_d, f = (int(x) for x in rng.integers(0, 6, 6))
-    return make_census(
+    return _census(
         "Cnv", 4,
         v=v_c + 4 * a_v + 4 * a_d + 8 * b,
         e=4 * c_v + 4 * c_d + 8 * f,
@@ -215,6 +226,8 @@ def test_criterion_3_census_sweep():
     for family, sampler in samplers:
         for _ in range(1000):
             cen = sampler(rng)
+            if cen is None:  # rejected by make_census, checked in _census
+                continue
             # cross_check raises CrossCheckFailure on any disagreement and
             # NonIntegerMultiplicity on any non-integral coefficient.
             reduced, closed = cross_check(cen)

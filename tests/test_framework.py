@@ -1,6 +1,7 @@
 """Framework construction, counting, rigidity matrices, and JSON I/O."""
 
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -446,6 +447,19 @@ class TestPlanarityAgainstAllPairs:
         want = [s + k for s, c in zip(starts, counts) for k in range(c)]
         np.testing.assert_array_equal(member, want)
         assert all(o.size <= max(block, 11) for o, _ in chunks)
+
+    def test_memory_peak(self):
+        # Measured with tracemalloc, which sees numpy's buffers: blocks of
+        # 200k candidate pairs peaked at 2.8 MB on this grid, 16k at 1.0 MB.
+        fw = catalog._pinned_quad_grid(24, 23)
+        check_planarity(fw)
+        tracemalloc.start()
+        try:
+            check_planarity(fw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
     def test_rounding_noise_crossings_at_zero_tolerance(self):
         # At tol=0 the all-pairs scan takes rounding noise for a crossing of
