@@ -13,7 +13,7 @@ are exact only when R commutes with the group action, so ``verify`` checks
 that first; when it fails, or when its residual could move a block singular
 value across the rank cutoff, ``verify`` falls back to one SVD of the whole
 matrix with all singular vectors, and classifies the self-stress and
-mechanism bases by irrep with projection operators.
+mechanism bases by irrep in the same adapted bases.
 
 Conventions
 -----------
@@ -93,6 +93,9 @@ CLASSIFY_THRESHOLD = 0.5
 # Residual bound for the intertwining and resolution-of-identity checks,
 # relative to the max-norm of the rigidity matrix (or to 1 for projectors).
 RESIDUAL_TOL = 1e-9
+
+# One irrep's isotypic basis: (coords, values) pairs from ``_isotypic_bases``.
+_Parts = list[tuple[np.ndarray, np.ndarray]]
 
 
 def numeric_rank(matrix: np.ndarray, rel_tol: float = RANK_TOL) -> int:
@@ -198,18 +201,18 @@ def classify_by_irrep(
 
     ``space`` is "velocity" for motion vectors (length 2v, or 2*v_int when
     pinned) or "edge" for bar-scalar vectors (length e).  Rows are
-    orthonormalised first; projecting an orthonormal invariant span yields
-    singular values 0/1, so dimensions are counted against a 0.5 threshold.
-    The dimensions sum to the basis size, else ClassMismatch is raised (the
-    span was not invariant under the group).  A precomputed ``action`` of
-    ``group`` on ``fw`` replaces ``center`` and ``tol``.
+    orthonormalised first, and irrep i's dimension counts the singular
+    values of B V_i, with V_i an orthonormal basis of its isotypic component
+    (the bases the block route uses).  They are the cosines of the principal
+    angles between span(B) and that component, 0 or 1 for an invariant span,
+    so they are counted against a 0.5 threshold.  The dimensions sum to the
+    basis size, else ClassMismatch is raised (the span was not invariant
+    under the group).  A precomputed ``action`` of ``group`` on ``fw``
+    replaces ``center`` and ``tol``.
     """
     table = character_table(group)
     n_rows = basis.shape[0]
     counts: dict[str, int] = {ir.label: 0 for ir in table.irreps}
-    if n_rows == 0:
-        return counts
-
     expected = 2 * len(fw.internal_vertices) if fw.is_pinned else 2 * fw.num_vertices
     if space == "velocity":
         if basis.shape[1] != expected:
@@ -223,33 +226,14 @@ def classify_by_irrep(
             )
     else:
         raise ValueError(f"space must be 'velocity' or 'edge', got {space!r}")
+    if n_rows == 0:
+        return counts
     if action is None:
         action = symmetry_action(fw, group, center, tol)
 
     B = _orthonormal_rows(np.asarray(basis, dtype=float), rel_tol)
-
-    # Characters are constant on a class, so sum the transformed bases per
-    # class and project each irrep from the class sums.
-    # (g.u)_{perm(i)} = T u_i on velocities, (g.w)_{eperm(b)} = w_b on bars.
-    class_sums = np.zeros((len(group.classes),) + B.shape)
-    rows = B.shape[0]
-    for act in action.ops:
-        target = class_sums[act.class_index]
-        if space == "velocity":
-            perm = _moving_perm(fw, act.vperm)
-            moved = B.reshape(rows, -1, 2) @ act.op.matrix.T
-            target.reshape(rows, -1, 2)[:, perm, :] += moved
-        else:
-            target[:, act.eperm] += B
-
-    dims = np.array([ir.dim for ir in table.irreps], dtype=float)
-    coeff = np.conj(table.as_matrix()) * (dims / group.order)[:, None]
-    if not any(ir.is_complex for ir in table.irreps):
-        coeff = coeff.real
-    for t, ir in enumerate(table.irreps):
-        projected = np.tensordot(coeff[t], class_sums, axes=(0, 0))
-        sv = np.linalg.svd(projected, compute_uv=False)
-        counts[ir.label] = int(np.sum(sv > CLASSIFY_THRESHOLD))
+    for ir, parts in zip(table.irreps, _isotypic(fw, action, table, space)):
+        counts[ir.label] = _dim_in(B, parts)
 
     if sum(counts.values()) != n_rows:
         raise ClassMismatch(
@@ -307,7 +291,7 @@ def _scatter(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(at, values, size)
 
 
-def _entries(parts: list[tuple[np.ndarray, ...]], f: int) -> tuple[int, tuple[np.ndarray, ...]]:
+def _entries(parts: _Parts, f: int) -> tuple[int, tuple[np.ndarray, ...]]:
     """The number of basis vectors in ``_isotypic_bases`` parts with fibre f,
     and their entries as (point, vector, f values) arrays."""
     shapes = np.array([values.shape for _, values in parts], dtype=int).reshape(-1, 2)
@@ -318,9 +302,7 @@ def _entries(parts: list[tuple[np.ndarray, ...]], f: int) -> tuple[int, tuple[np
     return count, (point, vector, value)
 
 
-def _isotypic_bases(
-    perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray
-) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+def _isotypic_bases(perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray) -> list[_Parts]:
     """Orthonormal bases of the isotypic components of a permutation action.
 
     The group permutes n points, each carrying an f-dimensional fibre:
@@ -337,7 +319,7 @@ def _isotypic_bases(
     """
     n = perms.shape[1]
     f = mats.shape[-1]
-    bases: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in coeff]
+    bases: list[_Parts] = [[] for _ in coeff]
     # Each orbit is {g(j)}: its smallest point names it and its size is the
     # number of distinct images.  Sorting by (name, point) lines orbits up.
     name = perms.min(axis=0)
@@ -371,6 +353,35 @@ def _isotypic_bases(
     return bases
 
 
+def _isotypic(
+    fw: Framework, action: SymmetryAction, table: CharacterTable, space: str
+) -> list[_Parts]:
+    """Per irrep, the ``_isotypic_bases`` parts of its isotypic component of
+    the velocity space (``space="velocity"``) or of the bar space ("edge")."""
+    ops = action.ops
+    dims = np.array([ir.dim for ir in table.irreps], dtype=float)
+    chars = table.as_matrix()[:, [act.class_index for act in ops]]
+    coeff = np.conj(chars) * (dims / action.group.order)[:, None]
+    if not any(ir.is_complex for ir in table.irreps):
+        coeff = coeff.real
+    if space == "velocity":
+        n = int(np.count_nonzero(fw.velocity_blocks >= 0))
+        vperms = np.array([_moving_perm(fw, act.vperm) for act in ops]).reshape(len(ops), n)
+        return _isotypic_bases(vperms, np.array([act.op.matrix for act in ops]), coeff)
+    eperms = np.array([act.eperm for act in ops]).reshape(len(ops), fw.num_edges)
+    return _isotypic_bases(eperms, np.ones((len(ops), 1, 1)), coeff)
+
+
+def _dim_in(B: np.ndarray, parts: _Parts) -> int:
+    """The number of singular values of B V_i above CLASSIFY_THRESHOLD, for
+    orthonormal rows B and the isotypic basis V_i given as ``parts``."""
+    if not len(B) or not parts:
+        return 0
+    product = np.hstack([np.einsum("rkc,kc->rk", B[:, coords], values) for coords, values in parts])
+    sv = np.linalg.svd(product, compute_uv=False) if product.size else np.zeros(0)
+    return int(np.sum(sv > CLASSIFY_THRESHOLD))
+
+
 def _max_entry(fw: Framework) -> float:
     """max |R| without forming R; 1.0 when R has no entries."""
     blocks, d, n = rigidity_rows(fw, fw.velocity_blocks)
@@ -393,24 +404,13 @@ class _Counts:
 
 
 def _adapted_blocks(
-    fw: Framework, action: SymmetryAction, table: CharacterTable, blocks: np.ndarray, d: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield, per irrep i, the block E_i^H R V_i and the rigid-body motions
-    projected on V_i (3 x dim V_i, no rows when pinned), each scattered from
-    (row, column, value) triples by one ``bincount``.  ``blocks`` and ``d``
-    are R's rows from ``rigidity_rows``."""
-    ops = action.ops
-    dims = np.array([ir.dim for ir in table.irreps], dtype=float)
-    chars = table.as_matrix()[:, [act.class_index for act in ops]]
-    coeff = np.conj(chars) * (dims / action.group.order)[:, None]
-    if not any(ir.is_complex for ir in table.irreps):
-        coeff = coeff.real
+    fw: Framework, velocity: list[_Parts], bar: list[_Parts], blocks: np.ndarray, d: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Yield, per irrep i, the block E_i^H R V_i, scattered from (row,
+    column, value) triples by one ``bincount``.  ``velocity`` and ``bar``
+    are the isotypic bases from ``_isotypic``; ``blocks`` and ``d`` are R's
+    rows from ``rigidity_rows``."""
     n = int(np.count_nonzero(fw.velocity_blocks >= 0))
-    vperms = np.array([_moving_perm(fw, act.vperm) for act in ops]).reshape(len(ops), n)
-    eperms = np.array([act.eperm for act in ops]).reshape(len(ops), fw.num_edges)
-    velocity = _isotypic_bases(vperms, np.array([act.op.matrix for act in ops]), coeff)
-    bar = _isotypic_bases(eperms, np.ones((len(ops), 1, 1)), coeff)
-    trivial = trivial_motion_basis(fw)
     # Pinned ends read the zero row n of the per-joint tables below.
     first, second = np.where(blocks < 0, n, blocks).T
     for v_parts, e_parts in zip(velocity, bar):
@@ -430,11 +430,7 @@ def _adapted_blocks(
         at = (row * cols)[:, None] + np.hstack([at_col[j1], at_col[j2]])
         ends = np.hstack([at_val[j1], -at_val[j2]])
         pair = np.einsum("ba,bka->bk", weight.conj() * d[bars], ends)
-        at_t = (np.arange(len(trivial))[:, None] * cols + col).ravel()
-        moved = np.einsum("kpa,pa->kp", trivial.reshape(len(trivial), n, 2)[:, joint], value)
-        projected = _scatter(at_t, moved.ravel(), len(trivial) * cols)
-        block = _scatter(at.ravel(), pair.ravel(), rows * cols).reshape(rows, cols)
-        yield block, projected.reshape(len(trivial), cols)
+        yield _scatter(at.ravel(), pair.ravel(), rows * cols).reshape(rows, cols)
 
 
 def _block_counts(
@@ -448,8 +444,9 @@ def _block_counts(
 
     When R intertwines the action it maps V_i into E_i and nothing else, so
     rank_i = rank of the block, s_i = dim E_i - rank_i and m_i = dim V_i -
-    rank_i - t_i, where t_i counts the rigid-body motions in V_i (0 when
-    pinned).  ``_adapted_blocks`` builds the blocks one at a time from
+    rank_i - t_i.  t_i = ``_dim_in`` of the rigid-body motions and V_i, the
+    dimension of their part in V_i; pinned frameworks have none, so t_i = 0.
+    ``_adapted_blocks`` builds the blocks one at a time from
     orbit-local triples: each entry of E_i at a bar meets V_i's entries at
     the bar's two joints, so a block costs O(entries of E_i x most entries
     at a joint) besides its rows x cols, and no e x cols array is formed.  Only
@@ -461,15 +458,12 @@ def _block_counts(
     large enough that some rank decision could differ in R itself.
     """
     blocks, d, n = rigidity_rows(fw, fw.velocity_blocks)
-    sigmas, shapes, rigid = [], [], []
-    for block, projected in _adapted_blocks(fw, action, table, blocks, d):
+    velocity = _isotypic(fw, action, table, "velocity")
+    bar = _isotypic(fw, action, table, "edge")
+    sigmas, shapes = [], []
+    for block in _adapted_blocks(fw, velocity, bar, blocks, d):
         sigmas.append(np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0))
         shapes.append(block.shape)
-        rigid.append(
-            int(np.sum(np.linalg.svd(projected, compute_uv=False) > CLASSIFY_THRESHOLD))
-            if projected.size
-            else 0
-        )
 
     top = max((float(sv[0]) for sv in sigmas if sv.size), default=0.0)
     size = max(fw.num_edges, 2 * n)
@@ -484,6 +478,8 @@ def _block_counts(
     if any(np.any(np.abs(sv - cutoff) < slack) for sv in sigmas):
         return None
     ranks = [int(np.sum(sv > cutoff)) for sv in sigmas]
+    trivial = trivial_motion_basis(fw)
+    rigid = [_dim_in(trivial, parts) for parts in velocity]
     labels = [ir.label for ir in table.irreps]
     s_by = {lab: de - r for lab, (de, _), r in zip(labels, shapes, ranks)}
     m_by = {lab: dv - r - t for lab, (_, dv), r, t in zip(labels, shapes, ranks, rigid)}
@@ -493,16 +489,14 @@ def _block_counts(
 def _full_counts(
     fw: Framework, group: PointGroup, action: SymmetryAction, rel_tol: float
 ) -> _Counts:
-    """Counts from one SVD of the whole rigidity matrix, with the self-stress
-    and mechanism bases classified by projection.  Valid whether or not R
-    intertwines the action; ``verify`` uses it when intertwining fails."""
-    R = _matrix_for(fw)
-    rank, stresses, motions_all = _svd_spaces(R, rel_tol)
-    if not fw.is_pinned:
-        stacked = np.vstack([R, trivial_motion_basis(fw)])
-        _, _, mechanisms = _svd_spaces(stacked, rel_tol)
-    else:
-        mechanisms = motions_all
+    """Counts from one SVD of the whole rigidity matrix, with its left kernel
+    (the self-stresses), its kernel and the rigid-body motions classified by
+    irrep.  m = dim ker R - (number of rigid-body motions), and m_i = k_i -
+    t_i with k_i and t_i the kernel's and the motions' irrep dimensions, the
+    block route's rule.  Valid whether or not R intertwines the action;
+    ``verify`` uses it when intertwining fails."""
+    rank, stresses, kernel = _svd_spaces(_matrix_for(fw), rel_tol)
+    trivial = trivial_motion_basis(fw)
     s_by: dict[str, int] | None = None
     m_by: dict[str, int] | None = None
     error = ""
@@ -510,12 +504,14 @@ def _full_counts(
         s_by = classify_by_irrep(
             fw, group, stresses, space="edge", rel_tol=rel_tol, action=action
         )
-        m_by = classify_by_irrep(
-            fw, group, mechanisms, space="velocity", rel_tol=rel_tol, action=action
+        k_by, t_by = (
+            classify_by_irrep(fw, group, basis, space="velocity", rel_tol=rel_tol, action=action)
+            for basis in (kernel, trivial)
         )
+        m_by = {label: k_by[label] - t_by[label] for label in k_by}
     except (ClassMismatch, DegenerateSpan) as exc:
         error = str(exc)
-    return _Counts(rank, stresses.shape[0], mechanisms.shape[0], s_by, m_by, error)
+    return _Counts(rank, stresses.shape[0], kernel.shape[0] - trivial.shape[0], s_by, m_by, error)
 
 
 @dataclass(frozen=True)

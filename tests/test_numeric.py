@@ -21,10 +21,13 @@ from symstress import (
     classify_by_irrep,
     detect_groups,
     edge_permutation,
+    framework_to_json,
     group_elements,
+    group_spec_to_json,
     intertwining_residual,
     mechanism_basis,
     numeric_rank,
+    reduce,
     resolve_group,
     rigidity_matrix,
     rigidity_matrix_pinned,
@@ -35,6 +38,8 @@ from symstress import (
     vertex_permutation,
 )
 
+from symstress.cli import main
+from symstress.errors import ClassMismatch, DegenerateSpan, DimensionMismatch
 from symstress.framework import rigidity_rows
 
 from conftest import corrupt_identity_character
@@ -60,6 +65,13 @@ SQUARE_FRAME = Framework(
 def _nz(d):
     """Drop zero entries from a per-irrep count dict."""
     return {k: v for k, v in d.items() if v}
+
+
+def _moved(fw, shift):
+    """``fw`` with joint 0 moved by ``shift`` along x."""
+    pos = fw.positions.copy()
+    pos[0, 0] += shift
+    return Framework(pos, fw.edges, fw.pinned)
 
 
 class TestRankAndBases:
@@ -124,10 +136,26 @@ class TestClassification:
         by = classify_by_irrep(entry.framework, group, M, center=center)
         assert sum(by.values()) == M.shape[0] == 14
 
+    def test_basis_rows_need_not_be_orthonormal(self):
+        entry = catalog.generate("fig12b")
+        group, center = resolve_group(entry.group, entry.framework)
+        M = mechanism_basis(entry.framework)
+        mixed = 0.1 * np.tril(np.ones((len(M), len(M)))) @ M
+        by = classify_by_irrep(entry.framework, group, mixed, center)
+        assert by == classify_by_irrep(entry.framework, group, M, center)
+
     def test_empty_basis_classifies_to_nothing(self):
         group = group_elements("Cnv", 4)
-        by = classify_by_irrep(SQUARE_X, group, np.zeros((0, 12)))
+        by = classify_by_irrep(SQUARE_X, group, np.zeros((0, 8)))
         assert _nz(by) == {}
+
+    def test_empty_basis_is_checked_like_any_other(self):
+        group = group_elements("Cnv", 4)
+        for rows in (0, 1):
+            with pytest.raises(DimensionMismatch, match="length 8, got 12"):
+                classify_by_irrep(SQUARE_X, group, np.zeros((rows, 12)))
+            with pytest.raises(ValueError, match="space must be"):
+                classify_by_irrep(SQUARE_X, group, np.zeros((rows, 8)), space="bogus")
 
 
 class TestIntertwining:
@@ -175,6 +203,24 @@ class TestVerify:
         assert not rep.passed
         failed = {c.name for c in rep.checks if not c.passed}
         assert "intertwining" in failed
+
+    def test_failed_classification_is_reported(self, tmp_path, capsys):
+        # Joint 0 moved by 1e-6 passes the census at tol 1e-2, but the
+        # self-stress span is not invariant under C4v.
+        entry = catalog.generate("fig12b")
+        fw = _moved(entry.framework, 1e-6)
+        rep = verify(fw, entry.group, tol=1e-2)
+        assert (rep.v, rep.e, rep.rank, rep.s, rep.m) == (52, 96, 88, 8, 13)
+        assert [c.passed for c in rep.checks] == [False, True, True, False, False]
+        assert rep.checks[CHECK_NAMES.index("per_irrep_identity")].detail == (
+            "classification failed: projected dimensions {'A1': 3, 'A2': 0, 'B1': 1, "
+            "'B2': 1, 'E': 4} sum to 9, expected 8: the span is not invariant under C4v"
+        )
+        assert rep.s_by_irrep is None and rep.m_by_irrep is None
+        path = tmp_path / "moved.json"
+        path.write_text(framework_to_json(fw, group=group_spec_to_json(entry.group)))
+        assert main(["verify", str(path), "--tol-sym", "1e-2"]) == 5
+        assert "classification failed" in capsys.readouterr().out
 
     def test_pinned_verification(self):
         fw = Framework(
@@ -254,12 +300,6 @@ def _dense_intertwining(fw, group, center, tol):
     return worst
 
 
-def _sloppy_square(shift):
-    pos = SQUARE_X.positions.copy()
-    pos[0, 0] += shift
-    return Framework(pos, SQUARE_X.edges)
-
-
 def _reference_cases():
     """(framework, group, centre, tol): every geometric catalog entry under
     its declared group, and a perturbed square with a non-zero residual."""
@@ -267,8 +307,8 @@ def _reference_cases():
         entry = catalog.generate(name)
         group, center = resolve_group(entry.group, entry.framework)
         yield name, entry.framework, group, center, 1e-9
-    yield "sloppy", _sloppy_square(1e-6), group_elements("Cnv", 4), np.zeros(2), 1e-4
-    yield "sloppy-c4", _sloppy_square(3e-7), group_elements("Cn", 4), np.zeros(2), 1e-4
+    yield "sloppy", _moved(SQUARE_X, 1e-6), group_elements("Cnv", 4), np.zeros(2), 1e-4
+    yield "sloppy-c4", _moved(SQUARE_X, 3e-7), group_elements("Cn", 4), np.zeros(2), 1e-4
 
 
 class TestAgainstDenseReferences:
@@ -449,14 +489,8 @@ class TestBlockRoute:
     def test_isotypic_bases_are_orthonormal_and_complete(self, fw):
         group, center = detect_groups(fw)[0]
         action = symmetry_action(fw, group, center)
-        table = character_table(group)
-        chars = table.as_matrix()[:, [act.class_index for act in action.ops]]
-        dims = np.array([ir.dim for ir in table.irreps])
-        coeff = np.conj(chars) * (dims / group.order)[:, None]
-        perms = np.array([act.vperm for act in action.ops])
-        mats = np.array([act.op.matrix for act in action.ops])
         vectors = []
-        for parts in numeric._isotypic_bases(perms, mats, coeff):
+        for parts in numeric._isotypic(fw, action, character_table(group), "velocity"):
             for coords, values in parts:
                 dense = np.zeros((values.shape[0], 2 * fw.num_vertices), complex)
                 np.put_along_axis(dense, coords, values, axis=1)
@@ -477,9 +511,11 @@ class TestBlockRoute:
             numeric, "_block_counts", wraps=numeric._block_counts
         ) as block, mock.patch.object(
             numeric, "_full_counts", wraps=numeric._full_counts
-        ) as full:
+        ) as full, mock.patch.object(numeric, "_svd_spaces", wraps=numeric._svd_spaces) as svd:
             rep = verify(fw, spec, tol=tol)
         assert not block.called and full.call_count == 1
+        # The mechanisms come from the same SVD as the rank and the stresses.
+        assert svd.call_count == 1
         # The report is the one the full route has always given.
         assert [c.name for c in rep.checks if not c.passed] == ["intertwining"]
         assert (rep.rank, rep.s, rep.m) == (5, 1, 0)
@@ -491,9 +527,7 @@ class TestBlockRoute:
         # With a fine rank cutoff a residual that passes the intertwining
         # check can still move a singular value across the cutoff.
         entry = catalog.generate("fig3")
-        pos = entry.framework.positions.copy()
-        pos[0, 0] += shift
-        fw = Framework(pos, entry.framework.edges)
+        fw = _moved(entry.framework, shift)
         rep, ref, took_full = _both_routes(fw, entry.group, tol=1e-4, rel_tol=1e-13)
         assert rep.checks[0].passed
         assert took_full == fell_back
@@ -507,25 +541,15 @@ class TestBlockRoute:
 # ---------------------------------------------------------------------------
 
 
-def _dense_blocks(fw, action, table, blocks, d):
-    """The (block, projected rigid motions) pairs of
-    ``numeric._adapted_blocks``, through dense intermediates."""
-    ops = action.ops
+def _dense_blocks(fw, velocity, bar, blocks, d):
+    """The blocks of ``numeric._adapted_blocks``, through dense
+    intermediates."""
     n = int(np.count_nonzero(fw.velocity_blocks >= 0))
-    dims = np.array([ir.dim for ir in table.irreps], dtype=float)
-    chars = table.as_matrix()[:, [act.class_index for act in ops]]
-    coeff = np.conj(chars) * (dims / action.group.order)[:, None]
-    if not any(ir.is_complex for ir in table.irreps):
-        coeff = coeff.real
-    vperms = np.array([numeric._moving_perm(fw, act.vperm) for act in ops]).reshape(len(ops), n)
-    eperms = np.array([act.eperm for act in ops]).reshape(len(ops), fw.num_edges)
-    velocity = numeric._isotypic_bases(vperms, np.array([act.op.matrix for act in ops]), coeff)
-    bar = numeric._isotypic_bases(eperms, np.ones((len(ops), 1, 1)), coeff)
-    trivial = trivial_motion_basis(fw)
     first, second = np.where(blocks < 0, n, blocks).T
     for v_parts, e_parts in zip(velocity, bar):
         cols = sum(values.shape[0] for _, values in v_parts)
-        basis = np.zeros((n + 1, 2, cols), dtype=coeff.dtype)
+        dtype = np.result_type(*[values for _, values in v_parts + e_parts], float)
+        basis = np.zeros((n + 1, 2, cols), dtype=dtype)
         flat = basis.reshape(2 * n + 2, cols)
         start = 0
         for coords, values in v_parts:
@@ -537,8 +561,7 @@ def _dense_blocks(fw, action, table, blocks, d):
         rows = [
             np.einsum("rs,rsc->rc", values.conj(), rv[coords]) for coords, values in e_parts
         ]
-        block = np.concatenate(rows) if rows else np.zeros((0, cols))
-        yield block, trivial @ flat[: 2 * n]
+        yield np.concatenate(rows) if rows else np.zeros((0, cols))
 
 
 def _assert_blocks_match_dense(fw, spec):
@@ -546,17 +569,17 @@ def _assert_blocks_match_dense(fw, spec):
     action = symmetry_action(fw, group, center)
     table = character_table(group)
     blocks, d, _ = rigidity_rows(fw, fw.velocity_blocks)
+    velocity = numeric._isotypic(fw, action, table, "velocity")
+    bar = numeric._isotypic(fw, action, table, "edge")
     pairs = zip_longest(
-        numeric._adapted_blocks(fw, action, table, blocks, d),
-        _dense_blocks(fw, action, table, blocks, d),
+        numeric._adapted_blocks(fw, velocity, bar, blocks, d),
+        _dense_blocks(fw, velocity, bar, blocks, d),
     )
     atol = 1e-13 * numeric._max_entry(fw)
-    for (block, projected), (ref_block, ref_projected) in pairs:
+    for block, ref_block in pairs:
         assert block.shape == ref_block.shape
         assert np.iscomplexobj(block) == np.iscomplexobj(ref_block)
         np.testing.assert_allclose(block, ref_block, rtol=0, atol=atol)
-        assert projected.shape == ref_projected.shape
-        np.testing.assert_allclose(projected, ref_projected, rtol=0, atol=1e-13)
     # Counts and per-irrep counts from the dense blocks are verify's own.
     with mock.patch.object(numeric, "_adapted_blocks", _dense_blocks):
         ref = verify(fw, spec)
@@ -581,6 +604,138 @@ class TestBlockAssembly:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+# ---------------------------------------------------------------------------
+# Classification against a class-sum reference: each irrep's projector on the
+# whole space, applied to the basis as per-class sums of the transformed
+# basis rows, independent of the isotypic bases both verify routes share.
+# ---------------------------------------------------------------------------
+
+
+def _class_sum_classify(fw, group, basis, center=None, space="velocity", tol=1e-9):
+    """``classify_by_irrep`` through per-class sums of the transformed basis
+    rows: singular values of B P_i, with P_i = (d_i/|G|) sum_g conj(chi_i(g))
+    rho(g)."""
+    table = character_table(group)
+    counts = {ir.label: 0 for ir in table.irreps}
+    if basis.shape[0] == 0:
+        return counts
+    action = symmetry_action(fw, group, center, tol)
+    B = numeric._orthonormal_rows(np.asarray(basis, dtype=float), numeric.RANK_TOL)
+    rows = B.shape[0]
+    # (g.u)_{perm(i)} = T u_i on velocities, (g.w)_{eperm(b)} = w_b on bars.
+    class_sums = np.zeros((len(group.classes),) + B.shape)
+    for act in action.ops:
+        target = class_sums[act.class_index]
+        if space == "velocity":
+            perm = numeric._moving_perm(fw, act.vperm)
+            moved = B.reshape(rows, -1, 2) @ act.op.matrix.T
+            target.reshape(rows, -1, 2)[:, perm, :] += moved
+        else:
+            target[:, act.eperm] += B
+    dims = np.array([ir.dim for ir in table.irreps], dtype=float)
+    coeff = np.conj(table.as_matrix()) * (dims / group.order)[:, None]
+    if not any(ir.is_complex for ir in table.irreps):
+        coeff = coeff.real
+    for t, ir in enumerate(table.irreps):
+        projected = np.tensordot(coeff[t], class_sums, axes=(0, 0))
+        sv = np.linalg.svd(projected, compute_uv=False)
+        counts[ir.label] = int(np.sum(sv > numeric.CLASSIFY_THRESHOLD))
+    if sum(counts.values()) != rows:
+        raise ClassMismatch(
+            f"projected dimensions {counts} sum to {sum(counts.values())}, "
+            f"expected {rows}: the span is not invariant under {group.name}"
+        )
+    return counts
+
+
+def _outcome(classify, *args, **kwargs):
+    """A classification's dict, or its error as text."""
+    try:
+        return classify(*args, **kwargs)
+    except (ClassMismatch, DegenerateSpan) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_classify_matches_class_sums(fw, group, center, tol=1e-9):
+    """Self-stresses, mechanisms and rigid motions classify alike both ways;
+    returns the self-stress outcome."""
+    outcomes = []
+    for basis, space in (
+        (self_stress_basis(fw), "edge"),
+        (mechanism_basis(fw), "velocity"),
+        (trivial_motion_basis(fw), "velocity"),
+    ):
+        got = _outcome(classify_by_irrep, fw, group, basis, center, space, tol)
+        assert got == _outcome(_class_sum_classify, fw, group, basis, center, space, tol)
+        outcomes.append(got)
+    return outcomes[0]
+
+
+def _classify_cases():
+    """(id, framework, group, centre, tol)."""
+    yield from _reference_cases()
+    entry = catalog.generate("fig12b")
+    group, center = resolve_group(entry.group, entry.framework)
+    yield "fig12b-moved", _moved(entry.framework, 1e-6), group, center, 1e-2
+    for n in range(3, 9):
+        for name, fw in ((f"ring-C{n}", _chiral_ring(n)), (f"wheel-C{n}v", _wheel(n))):
+            yield (name, fw) + detect_groups(fw)[0] + (1e-9,)
+
+
+def _rigid_motions(group):
+    """The irreps of the rigid-body motions, whose character is tr g + det g."""
+    return reduce([c.trace + c.det for c in group.classes], character_table(group))
+
+
+class TestClassifyAgainstClassSums:
+    @pytest.mark.parametrize("case", list(_classify_cases()), ids=lambda c: c[0])
+    def test_same_counts_or_errors(self, case):
+        name, fw, group, center, tol = case
+        stresses = _assert_classify_matches_class_sums(fw, group, center, tol)
+        # Only the moved fig12b has a self-stress span that is not invariant.
+        if name == "fig12b-moved":
+            assert stresses.startswith("ClassMismatch: projected dimensions")
+        else:
+            assert sum(stresses.values()) == self_stress_basis(fw).shape[0]
+
+    def test_same_error_for_a_degenerate_basis(self):
+        group = group_elements("Cnv", 4)
+        S = self_stress_basis(SQUARE_X)
+        got = _outcome(classify_by_irrep, SQUARE_X, group, np.vstack([S, S]), space="edge")
+        assert got == "DegenerateSpan: basis of 2 vectors spans only 1 dimensions"
+        assert got == _outcome(_class_sum_classify, SQUARE_X, group, np.vstack([S, S]), space="edge")
+
+
+def _unpinned_cases():
+    """(id, framework): unpinned frameworks under their detected group."""
+    for name in GEOMETRIC:
+        fw = catalog.generate(name).framework
+        if not fw.is_pinned:
+            yield name, fw
+    for n in range(3, 9):
+        yield f"ring-C{n}", _chiral_ring(n)
+        yield f"wheel-C{n}v", _wheel(n)
+
+
+class TestRigidMotionCounts:
+    @pytest.mark.parametrize("case", list(_unpinned_cases()), ids=lambda c: c[0])
+    def test_both_routes_count_the_rigid_motion_character(self, case):
+        _, fw = case
+        group, center = detect_groups(fw)[0]
+        action = symmetry_action(fw, group, center)
+        table = character_table(group)
+        want = {label: dim * coeff for label, dim, coeff in _rigid_motions(group).terms}
+        T = trivial_motion_basis(fw)
+        velocity = numeric._isotypic(fw, action, table, "velocity")
+        block = {ir.label: numeric._dim_in(T, parts) for ir, parts in zip(table.irreps, velocity)}
+        assert block == want
+        assert classify_by_irrep(fw, group, T, center) == want
+
+    @pytest.mark.parametrize("family, n, want", [("Cnv", 16, "A2 + E1"), ("Cnv", 4, "A2 + E")])
+    def test_rigid_motion_character(self, family, n, want):
+        assert str(_rigid_motions(group_elements(family, n))) == want
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +806,12 @@ class TestGeneratedFrameworks:
     @given(_symmetric_frameworks())
     def test_blocks_match_dense_reference(self, case):
         _assert_blocks_match_dense(*case)
+
+    @GENERATED
+    @given(_symmetric_frameworks())
+    def test_classify_matches_class_sums(self, case):
+        fw, spec = case
+        _assert_classify_matches_class_sums(fw, *resolve_group(spec, fw))
 
     @GENERATED
     @given(_symmetric_frameworks())
