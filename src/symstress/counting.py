@@ -24,7 +24,6 @@ from .errors import (
 )
 from .framework import Framework, maxwell_count
 from .reptheory import (
-    CharacterTable,
     IrrepDecomposition,
     character_table,
     decomposition_from_counts,
@@ -33,9 +32,11 @@ from .reptheory import (
 )
 from .symmetry import (
     GroupSpec,
+    SymmetryAction,
     SymmetryCensus,
     census,
     resolve_group,
+    symmetry_action,
 )
 
 __all__ = [
@@ -442,6 +443,24 @@ def analyze_census(
     )
 
 
+def _analysis(
+    fw: Framework, group: GroupSpec | None, tol: float
+) -> tuple[AnalysisReport, SymmetryAction]:
+    """The front end ``analyze`` and ``verify`` share: resolve the group,
+    compute its action on ``fw`` once, and report the census's counts."""
+    maxwell_count(fw)
+    spec = group if group is not None else GroupSpec("auto")
+    pg, center = resolve_group(spec, fw, tol)
+    action = symmetry_action(fw, pg, center, tol)
+    report = analyze_census(
+        census(fw, pg, action=action),
+        detected=spec.is_auto,
+        num_pinned=len(fw.pinned),
+        center=(float(center[0]), float(center[1])),
+    )
+    return report, action
+
+
 def analyze(
     fw: Framework,
     group: GroupSpec | None = None,
@@ -459,22 +478,7 @@ def analyze(
     """
     from .framework import check_planarity  # local import, cheap call site
 
-    k = maxwell_count(fw)
-    spec = group if group is not None else GroupSpec("auto")
-    pg, center = resolve_group(spec, fw, tol)
-    cen = census(fw, pg, center, tol)
-    if cen.freedom_number != k:
-        raise CrossCheckFailure(
-            f"census freedom number {cen.freedom_number} differs from the "
-            f"Maxwell count {k}"
-        )
-    report = analyze_census(
-        cen,
-        detected=spec.is_auto,
-        num_pinned=len(fw.pinned),
-        center=(float(center[0]), float(center[1])),
-    )
+    report, _ = _analysis(fw, group, tol)
     if planarity:
-        violations = len(check_planarity(fw))
-        report = replace(report, planarity_violations=violations)
+        report = replace(report, planarity_violations=len(check_planarity(fw)))
     return report

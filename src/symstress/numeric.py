@@ -13,7 +13,9 @@ are exact only when R commutes with the group action, so ``verify`` checks
 that first; when it fails, or when its residual could move a block singular
 value across the rank cutoff, ``verify`` falls back to one SVD of the whole
 matrix with all singular vectors, and classifies the self-stress and
-mechanism bases by irrep in the same adapted bases.
+mechanism bases by irrep in the same adapted bases.  ``verify`` builds V_i,
+E_i and R's sparse rows once, before it picks a route, and both routes read
+them.
 
 Conventions
 -----------
@@ -26,10 +28,11 @@ Conventions
 * A symmetry operation g acts on velocities by (g.u)_{perm(i)} = T u_i and on
   bar scalars by (g.w)_{eperm(b)} = w_b; the rigidity matrix R intertwines
   the two actions, which is checked explicitly as part of verification.
-* ``verify`` computes the group's :class:`~symstress.symmetry.SymmetryAction`
-  (every operation's joint and bar permutation) once and hands it to the
-  census, the intertwining check and the adapted bases (or, on the fallback
-  route, the classification).  Called alone, each of those builds its own.
+* ``verify`` shares ``analyze``'s front end, which computes the group's
+  :class:`~symstress.symmetry.SymmetryAction` (every operation's joint and
+  bar permutation) once for the census; ``verify`` hands the same action to
+  the intertwining check and the adapted bases.  Called alone, each of those
+  builds its own.
   The intertwining check works on the bar list, so it costs O(|G| * e).
 * The irrep projectors sum to the identity on any representation exactly
   when the character table's columns satisfy sum_i d_i conj(chi_i(g)) =
@@ -54,23 +57,10 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from .errors import ClassMismatch, DegenerateSpan, DimensionMismatch
-from .framework import (
-    Framework,
-    maxwell_count,
-    rigidity_matrix,
-    rigidity_matrix_pinned,
-    rigidity_rows,
-)
-from .counting import AnalysisReport, analyze_census
+from .framework import Framework, rigidity_matrix, rigidity_matrix_pinned, rigidity_rows
+from .counting import AnalysisReport, _analysis
 from .reptheory import CharacterTable, IrrepDecomposition, character_table
-from .symmetry import (
-    GroupSpec,
-    PointGroup,
-    SymmetryAction,
-    census,
-    resolve_group,
-    symmetry_action,
-)
+from .symmetry import GroupSpec, PointGroup, SymmetryAction, symmetry_action
 from .symmetry import vertex_permutation  # noqa: F401  unused; perfbench's tracer looks it up here
 
 __all__ = [
@@ -211,8 +201,6 @@ def classify_by_irrep(
     replaces ``center`` and ``tol``.
     """
     table = character_table(group)
-    n_rows = basis.shape[0]
-    counts: dict[str, int] = {ir.label: 0 for ir in table.irreps}
     expected = 2 * len(fw.internal_vertices) if fw.is_pinned else 2 * fw.num_vertices
     if space == "velocity":
         if basis.shape[1] != expected:
@@ -226,21 +214,12 @@ def classify_by_irrep(
             )
     else:
         raise ValueError(f"space must be 'velocity' or 'edge', got {space!r}")
-    if n_rows == 0:
-        return counts
+    if basis.shape[0] == 0:
+        return {ir.label: 0 for ir in table.irreps}
     if action is None:
         action = symmetry_action(fw, group, center, tol)
-
     B = _orthonormal_rows(np.asarray(basis, dtype=float), rel_tol)
-    for ir, parts in zip(table.irreps, _isotypic(fw, action, table, space)):
-        counts[ir.label] = _dim_in(B, parts)
-
-    if sum(counts.values()) != n_rows:
-        raise ClassMismatch(
-            f"projected dimensions {counts} sum to {sum(counts.values())}, "
-            f"expected {n_rows}: the span is not invariant under {group.name}"
-        )
-    return counts
+    return _classify(B, table, _isotypic(fw, action, table, space))
 
 
 def intertwining_residual(
@@ -382,9 +361,23 @@ def _dim_in(B: np.ndarray, parts: _Parts) -> int:
     return int(np.sum(sv > CLASSIFY_THRESHOLD))
 
 
-def _max_entry(fw: Framework) -> float:
-    """max |R| without forming R; 1.0 when R has no entries."""
-    blocks, d, n = rigidity_rows(fw, fw.velocity_blocks)
+def _classify(B: np.ndarray, table: CharacterTable, bases: list[_Parts]) -> dict[str, int]:
+    """Per irrep, the dimension of the span of the orthonormal rows B in its
+    isotypic component, whose basis is ``bases[i]`` from ``_isotypic``.  The
+    dimensions sum to len(B), else ClassMismatch is raised (the span was not
+    invariant under the group)."""
+    counts = {ir.label: _dim_in(B, parts) for ir, parts in zip(table.irreps, bases)}
+    if sum(counts.values()) != len(B):
+        raise ClassMismatch(
+            f"projected dimensions {counts} sum to {sum(counts.values())}, "
+            f"expected {len(B)}: the span is not invariant under {table.group.name}"
+        )
+    return counts
+
+
+def _max_entry(blocks: np.ndarray, d: np.ndarray, n: int) -> float:
+    """max |R| from R's rows as ``rigidity_rows`` gives them; 1.0 when R has
+    no entries."""
     if not blocks.size or not n:
         return 1.0
     return float(np.max(np.abs(d[(blocks >= 0).any(axis=1)]), initial=0.0))
@@ -435,8 +428,10 @@ def _adapted_blocks(
 
 def _block_counts(
     fw: Framework,
-    action: SymmetryAction,
     table: CharacterTable,
+    velocity: list[_Parts],
+    bar: list[_Parts],
+    rows: tuple[np.ndarray, np.ndarray, int],
     rel_tol: float,
     residual: float,
 ) -> _Counts | None:
@@ -454,12 +449,13 @@ def _block_counts(
     rel_tol * sigma_max * max(e, cols) with sigma_max the largest block
     singular value.
 
-    ``residual`` is the intertwining residual.  Returns None when it is
-    large enough that some rank decision could differ in R itself.
+    ``velocity`` and ``bar`` are the isotypic bases V_i and E_i from
+    ``_isotypic`` and ``rows`` is R from ``rigidity_rows``, all built once
+    per ``verify``.  ``residual`` is the intertwining residual.  Returns
+    None when it is large enough that some rank decision could differ in R
+    itself.
     """
-    blocks, d, n = rigidity_rows(fw, fw.velocity_blocks)
-    velocity = _isotypic(fw, action, table, "velocity")
-    bar = _isotypic(fw, action, table, "edge")
+    blocks, d, n = rows
     sigmas, shapes = [], []
     for block in _adapted_blocks(fw, velocity, bar, blocks, d):
         sigmas.append(np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0))
@@ -487,29 +483,26 @@ def _block_counts(
 
 
 def _full_counts(
-    fw: Framework, group: PointGroup, action: SymmetryAction, rel_tol: float
+    fw: Framework, table: CharacterTable, velocity: list[_Parts], bar: list[_Parts], rel_tol: float
 ) -> _Counts:
     """Counts from one SVD of the whole rigidity matrix, with its left kernel
     (the self-stresses), its kernel and the rigid-body motions classified by
-    irrep.  m = dim ker R - (number of rigid-body motions), and m_i = k_i -
-    t_i with k_i and t_i the kernel's and the motions' irrep dimensions, the
-    block route's rule.  Valid whether or not R intertwines the action;
-    ``verify`` uses it when intertwining fails."""
+    irrep in the block route's bases ``velocity`` and ``bar``, built once per
+    ``verify``.  The SVD's bases and the motions are orthonormal, so they go
+    to ``_classify`` as they are.  m = dim ker R - (number of rigid-body
+    motions), and m_i = k_i - t_i with k_i and t_i the kernel's and the
+    motions' irrep dimensions, the block route's rule.  Valid whether or not
+    R intertwines the action; ``verify`` uses it when intertwining fails."""
     rank, stresses, kernel = _svd_spaces(_matrix_for(fw), rel_tol)
     trivial = trivial_motion_basis(fw)
     s_by: dict[str, int] | None = None
     m_by: dict[str, int] | None = None
     error = ""
     try:
-        s_by = classify_by_irrep(
-            fw, group, stresses, space="edge", rel_tol=rel_tol, action=action
-        )
-        k_by, t_by = (
-            classify_by_irrep(fw, group, basis, space="velocity", rel_tol=rel_tol, action=action)
-            for basis in (kernel, trivial)
-        )
+        s_by = _classify(stresses, table, bar)
+        k_by, t_by = (_classify(basis, table, velocity) for basis in (kernel, trivial))
         m_by = {label: k_by[label] - t_by[label] for label in k_by}
-    except (ClassMismatch, DegenerateSpan) as exc:
+    except ClassMismatch as exc:
         error = str(exc)
     return _Counts(rank, stresses.shape[0], kernel.shape[0] - trivial.shape[0], s_by, m_by, error)
 
@@ -643,27 +636,19 @@ def verify(
     under the requested group, and ValueError for a single unpinned joint
     (see ``maxwell_count``).
     """
-    k = maxwell_count(fw)
-    spec = group if group is not None else GroupSpec("auto")
-    pg, center = resolve_group(spec, fw, tol)
-    action = symmetry_action(fw, pg, center, tol)
-    cen = census(fw, pg, center, tol, action=action)
-    analysis = analyze_census(
-        cen,
-        detected=spec.is_auto,
-        num_pinned=len(fw.pinned),
-        center=(float(center[0]), float(center[1])),
-    )
+    analysis, action = _analysis(fw, group, tol)
+    pg, k, gamma = action.group, analysis.k, analysis.decomposition
     table = character_table(pg)
-    gamma = analysis.decomposition
+    velocity, bar = (_isotypic(fw, action, table, space) for space in ("velocity", "edge"))
+    rows = rigidity_rows(fw, fw.velocity_blocks)
 
     checks: list[CheckResult] = []
 
-    res = intertwining_residual(fw, pg, center, tol, action=action)
-    thr = RESIDUAL_TOL * _max_entry(fw)
-    counts = _block_counts(fw, action, table, rel_tol, res) if res <= thr else None
+    res = intertwining_residual(fw, pg, action=action)
+    thr = RESIDUAL_TOL * _max_entry(*rows)
+    counts = _block_counts(fw, table, velocity, bar, rows, rel_tol, res) if res <= thr else None
     if counts is None:
-        counts = _full_counts(fw, pg, action, rel_tol)
+        counts = _full_counts(fw, table, velocity, bar, rel_tol)
     s_count, m_count = counts.s, counts.m
     s_by, m_by = counts.s_by_irrep, counts.m_by_irrep
     checks.append(
@@ -739,8 +724,8 @@ def verify(
     return VerificationReport(
         group_name=pg.name,
         pinned=fw.is_pinned,
-        v=cen.v,
-        e=cen.e,
+        v=analysis.v,
+        e=analysis.e,
         k=k,
         rank=counts.rank,
         s=s_count,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -261,7 +261,6 @@ def decomposition_from_counts(
 def reduce(
     character: Sequence[float] | np.ndarray,
     table: CharacterTable,
-    class_sizes: Sequence[int] | None = None,
     tol: float = REDUCE_TOL,
 ) -> IrrepDecomposition:
     """Reduce a class function into integer irrep multiplicities.
@@ -270,18 +269,14 @@ def reduce(
     NonIntegerMultiplicity when any multiplicity is farther than ``tol``
     from an integer (the input was not a character of the group).
     """
-    sizes = np.array(
-        table.class_sizes if class_sizes is None else tuple(class_sizes),
-        dtype=float,
-    )
+    sizes = np.array(table.class_sizes, dtype=float)
     ch = np.asarray(character, dtype=complex)
     if ch.shape != sizes.shape:
         raise DimensionMismatch(
             f"character has {ch.shape[0]} entries, group has {sizes.shape[0]} classes"
         )
-    order = float(sizes.sum() if class_sizes is not None else table.order)
     chars = table.as_matrix()
-    raw = (chars.conj() * (sizes * ch)).sum(axis=1) / order
+    raw = (chars.conj() * (sizes * ch)).sum(axis=1) / float(table.order)
     coeffs: list[int] = []
     for ir, val in zip(table.irreps, raw):
         nearest = round(val.real)

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import ClassMismatch, DimensionMismatch, NotSymmetric
 from .framework import (
     Framework,
+    _range_pairs,
     bbox_diagonal,
     maxwell_count,
     maxwell_count_of,
@@ -74,8 +75,6 @@ _SNAP_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 # Joints are matched to images along this direction first.  Its slope is
 # irrational, so joints in one lattice row or column project apart.
 _MATCH_DIRECTION = np.array([math.cos(0.5377), math.sin(0.5377)])
-# Most candidate (image, joint) pairs compared at once when matching.
-_MATCH_BLOCK = 1 << 20
 
 
 def _snap(x: float) -> float:
@@ -271,18 +270,12 @@ def _nearest_joints(
     slack = tol_abs + 8 * np.finfo(float).eps * magnitude
     lo = np.searchsorted(proj, target - slack, "left")
     counts = np.searchsorted(proj, target + slack, "right") - lo
-    ends = np.cumsum(counts)
 
     nearest = np.zeros(len(images), dtype=int)
     dist = np.full(len(images), np.inf)
-    start = 0
-    while start < len(images):
-        done = ends[start] - counts[start]  # candidates of earlier blocks
-        stop = max(start + 1, int(np.searchsorted(ends, done + _MATCH_BLOCK, "right")))
-        block = counts[start:stop]
-        owner = np.repeat(np.arange(start, stop), block)
-        within = np.arange(owner.size) - np.repeat(ends[start:stop] - block - done, block)
-        cand = order[lo[owner] + within]
+    # Blocks never split an owner, so each image sees all its candidates.
+    for owner, member in _range_pairs(lo, counts):
+        cand = order[member]
         d = np.sqrt(((images[owner] - positions[cand]) ** 2).sum(axis=1))
         pick = np.lexsort((d, owner))
         owner, cand, d = owner[pick], cand[pick], d[pick]
@@ -290,7 +283,6 @@ def _nearest_joints(
         keep[1:] = owner[1:] != owner[:-1]
         nearest[owner[keep]] = cand[keep]
         dist[owner[keep]] = d[keep]
-        start = stop
     return nearest, dist
 
 
@@ -630,11 +622,10 @@ def make_census(
 
 
 def _is_symmetry(
-    fw: Framework, op: SymmetryOperation, center: np.ndarray, tol: float
+    fw: Framework, bars: _BarLookup, op: SymmetryOperation, center: np.ndarray, tol: float
 ) -> bool:
     try:
-        vperm = vertex_permutation(fw, op, center, tol)
-        edge_permutation(fw, vperm)
+        bars.permutation(vertex_permutation(fw, op, center, tol))
         return True
     except NotSymmetric:
         return False
@@ -679,9 +670,10 @@ def detect_groups(
     g = 0
     for shell in shells:
         g = math.gcd(g, len(shell))
+    bars = _BarLookup(fw)
     rot_order = 1
     for cand in _divisors_desc(g):
-        if _is_symmetry(fw, rotation_op(2 * math.pi / cand), center, tol):
+        if _is_symmetry(fw, bars, rotation_op(2 * math.pi / cand), center, tol):
             rot_order = cand
             break
 
@@ -700,7 +692,7 @@ def detect_groups(
     for a in cand_angles:
         if not dedup or (a - dedup[-1] > ang_tol and (math.pi - a + dedup[0]) > ang_tol):
             dedup.append(a)
-    mirrors = [a for a in dedup if _is_symmetry(fw, mirror_op(a), center, tol)]
+    mirrors = [a for a in dedup if _is_symmetry(fw, bars, mirror_op(a), center, tol)]
 
     # Enumerate subgroups from the verified generators.  With rotation order
     # N and mirrors present, the N mirror axes are evenly spaced by pi/N

@@ -267,10 +267,6 @@ class TestExitCodes:
         assert res.stderr.startswith("render: not symmetric: ")
         assert "Traceback" not in res.stderr
 
-    def test_census_disagreeing_with_maxwell_count(self, entry_file, monkeypatch):
-        monkeypatch.setattr(counting, "maxwell_count", lambda fw: -99)
-        assert main(["analyze", str(entry_file("fig3"))]) == 4
-
     def test_coincident_joints_are_invalid_input(self, tmp_path):
         fw = Framework([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.0)], [(0, 1), (1, 2), (2, 3)])
         path = tmp_path / "twice.json"

@@ -2,12 +2,13 @@
 
 import json
 import tracemalloc
+from contextlib import ExitStack
 from itertools import zip_longest
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import symstress.numeric as numeric
@@ -17,6 +18,7 @@ from symstress import (
     GroupSpec,
     analyze,
     catalog,
+    census,
     character_table,
     classify_by_irrep,
     detect_groups,
@@ -25,6 +27,7 @@ from symstress import (
     group_elements,
     group_spec_to_json,
     intertwining_residual,
+    maxwell_count,
     mechanism_basis,
     numeric_rank,
     reduce,
@@ -534,6 +537,41 @@ class TestBlockRoute:
         _assert_same_report(rep, ref)
 
 
+def _bases_cases():
+    """(id, framework, group spec, verify's keywords, whether the block route
+    is forced off, whether the full route runs)."""
+    entry = catalog.generate("fig3")
+    yield "fig3", entry.framework, entry.group, {}, False, False
+    # Intertwining passes, but the residual slack covers the rank cutoff.
+    slack = {"tol": 1e-4, "rel_tol": 1e-13}
+    yield "fig3-slack", _moved(entry.framework, 1e-9), entry.group, slack, False, True
+    for name, fw, group, center, tol in _reference_cases():
+        if name.startswith("sloppy"):
+            spec = GroupSpec(group.family, group.n, center=tuple(center))
+            yield name, fw, spec, {"tol": tol}, False, True
+    yield "fig3-forced", entry.framework, entry.group, {}, True, True
+
+
+class TestBasesOncePerVerify:
+    @pytest.mark.parametrize("case", list(_bases_cases()), ids=lambda c: c[0])
+    def test_isotypic_bases_built_once_for_both_routes(self, case):
+        _, fw, spec, kwargs, forced, full_route = case
+        with ExitStack() as stack:
+            if forced:
+                stack.enter_context(mock.patch.object(numeric, "_block_counts", return_value=None))
+            spy = {
+                name: stack.enter_context(
+                    mock.patch.object(numeric, name, wraps=getattr(numeric, name))
+                )
+                for name in ("_isotypic", "classify_by_irrep", "_full_counts")
+            }
+            verify(fw, spec, **kwargs)
+        assert spy["_full_counts"].called == full_route
+        # One velocity and one bar basis, whichever route counts.
+        assert spy["_isotypic"].call_count == 2
+        assert not spy["classify_by_irrep"].called
+
+
 # ---------------------------------------------------------------------------
 # Block assembly against a dense reference: scatter each V_i into a dense
 # (n+1) x 2 x cols array (the zero block n stands for pinned ends), form
@@ -568,14 +606,14 @@ def _assert_blocks_match_dense(fw, spec):
     group, center = resolve_group(spec or GroupSpec("auto"), fw)
     action = symmetry_action(fw, group, center)
     table = character_table(group)
-    blocks, d, _ = rigidity_rows(fw, fw.velocity_blocks)
+    blocks, d, n = rigidity_rows(fw, fw.velocity_blocks)
     velocity = numeric._isotypic(fw, action, table, "velocity")
     bar = numeric._isotypic(fw, action, table, "edge")
     pairs = zip_longest(
         numeric._adapted_blocks(fw, velocity, bar, blocks, d),
         _dense_blocks(fw, velocity, bar, blocks, d),
     )
-    atol = 1e-13 * numeric._max_entry(fw)
+    atol = 1e-13 * numeric._max_entry(blocks, d, n)
     for block, ref_block in pairs:
         assert block.shape == ref_block.shape
         assert np.iscomplexobj(block) == np.iscomplexobj(ref_block)
@@ -819,3 +857,25 @@ class TestGeneratedFrameworks:
         fw, spec = case
         order = (2 if spec.family == "Cnv" else 1) * spec.n
         assert detect_groups(fw)[0][0].order % order == 0
+
+
+def _census_examples(test):
+    """Every geometric catalog entry under its declared group and pinned grids
+    under their detected group, as explicit examples."""
+    for name in GEOMETRIC:
+        entry = catalog.generate(name)
+        test = example((entry.framework, entry.group))(test)
+    for cols, rows in ((6, 5), (10, 9), (7, 7)):
+        test = example((catalog._pinned_quad_grid(cols, rows), None))(test)
+    return test
+
+
+@GENERATED
+@given(_symmetric_frameworks())
+@_census_examples
+def test_census_freedom_number_is_the_maxwell_count(case):
+    # Both count maxwell_count_of(v, e, pinned), so verify and analyze take
+    # k from the census alone.
+    fw, spec = case
+    group, center = resolve_group(spec or GroupSpec("auto"), fw)
+    assert census(fw, group, center).freedom_number == maxwell_count(fw)

@@ -1,14 +1,18 @@
 """Point groups, permutation matching, censuses, and group detection."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import symstress.symmetry as symmetry
 from symstress import (
     SYM_TOL,
     Framework,
     GroupSpec,
     NotSymmetric,
     analyze,
+    catalog,
     census,
     detect_groups,
     edge_permutation,
@@ -19,6 +23,7 @@ from symstress import (
     resolve_group,
     vertex_permutation,
 )
+from symstress.framework import _range_pairs
 from symstress.symmetry import apply_op
 
 SQUARE = Framework(
@@ -124,6 +129,20 @@ class TestMatching:
             reference, _ = _brute_force_permutation(fw, op, (0.0, 0.0))
             assert np.array_equal(perm, reference)
 
+    @pytest.mark.parametrize("block", [1, 5])
+    def test_small_match_blocks_find_the_same_joints(self, block, monkeypatch):
+        # A block never splits one image's candidates, so its size cannot
+        # change a match or a tie.
+        monkeypatch.setattr(
+            symmetry, "_range_pairs", lambda starts, counts: _range_pairs(starts, counts, block)
+        )
+        points = np.array([(x, y) for x in range(-3, 4) for y in range(-3, 4)], dtype=float)
+        fw = Framework(points, [])
+        for op in group_elements("Cnv", 4).operations():
+            perm = vertex_permutation(fw, op, (0.0, 0.0), tol=0.2)
+            reference, _ = _brute_force_permutation(fw, op, (0.0, 0.0))
+            assert np.array_equal(perm, reference)
+
     def test_reports_nearest_joint_distance(self):
         fw = Framework([(0.0, 0.0), (3.0, 0.0), (1.0, 2.0), (2.0, 2.1)], [])
         mirror = mirror_op(np.pi / 2)
@@ -221,6 +240,13 @@ class TestDetection:
     def test_scalene_triangle_is_asymmetric(self):
         groups = [g.name for g, _ in detect_groups(SCALENE)]
         assert groups == ["C1"]
+
+    @pytest.mark.parametrize("name", ["fig3", "fig9a", "fig12b", "quadgrid"])
+    def test_one_bar_lookup_per_detection(self, name):
+        fw = catalog.generate(name).framework
+        with mock.patch.object(symmetry, "_BarLookup", wraps=symmetry._BarLookup) as lookup:
+            detect_groups(fw)
+        assert lookup.call_count == 1
 
 
 class TestGroupSpec:
