@@ -33,7 +33,7 @@ from .errors import (
     UnknownEntry,
 )
 from .catalog import generate
-from .counting import analyze
+from .counting import _check_tolerance, analyze
 from .framework import check_planarity, framework_to_json, parse_framework_json
 from .numeric import RANK_TOL, mechanism_basis, self_stress_basis, verify
 from .render import render_svg
@@ -53,6 +53,17 @@ EXIT_CROSS_CHECK = 4
 EXIT_VERIFY = 5
 
 
+def _tolerance(text: str) -> float:
+    """The argparse type of ``--tol-sym`` and ``--tol-rank``: a finite
+    number >= 0."""
+    try:
+        return _check_tolerance("tolerance", float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}"
+        ) from None
+
+
 def _add_common(parser: argparse.ArgumentParser, many_inputs: bool) -> None:
     if many_inputs:
         parser.add_argument("inputs", nargs="+", metavar="FILE", help="framework JSON file(s)")
@@ -66,13 +77,13 @@ def _add_common(parser: argparse.ArgumentParser, many_inputs: bool) -> None:
     )
     parser.add_argument(
         "--tol-sym",
-        type=float,
+        type=_tolerance,
         default=SYM_TOL,
         help=f"relative tolerance for symmetry matching (default {SYM_TOL:g})",
     )
     parser.add_argument(
         "--tol-rank",
-        type=float,
+        type=_tolerance,
         default=RANK_TOL,
         help=f"relative singular-value cutoff for numeric ranks (default {RANK_TOL:g})",
     )

@@ -11,6 +11,7 @@ back to the general reduction, which needs no case analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -443,11 +444,20 @@ def analyze_census(
     )
 
 
+def _check_tolerance(name: str, value: float) -> float:
+    """``value`` if it is a finite number >= 0, else ValueError."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return value
+
+
 def _analysis(
     fw: Framework, group: GroupSpec | None, tol: float
 ) -> tuple[AnalysisReport, SymmetryAction]:
     """The front end ``analyze`` and ``verify`` share: resolve the group,
-    compute its action on ``fw`` once, and report the census's counts."""
+    compute its action on ``fw`` once, and report the census's counts.
+    ValueError for a ``tol`` that is not a finite number >= 0."""
+    _check_tolerance("tol", tol)
     maxwell_count(fw)
     spec = group if group is not None else GroupSpec("auto")
     pg, center = resolve_group(spec, fw, tol)

@@ -22,6 +22,7 @@ the decimal separator is always "." regardless of locale.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -377,6 +378,17 @@ def check_planarity(
 # ---------------------------------------------------------------------------
 
 
+def _is_number(value: Any) -> bool:
+    """Whether a parsed JSON value is a finite number: not a boolean, NaN,
+    an infinity or an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def parse_framework_json(text: str) -> tuple[Framework, Any]:
     """Parse a framework JSON document.
 
@@ -418,8 +430,8 @@ def parse_framework_json(text: str) -> tuple[Framework, Any]:
         if not 0 <= vid < n or vid in seen_ids:
             raise ValueError(f"vertex ids must be unique and cover 0..{n - 1}")
         seen_ids.add(vid)
-        if not isinstance(x, (int, float)) or not isinstance(y, (int, float)):
-            raise ValueError(f"vertex {vid} coordinates must be numbers")
+        if not (_is_number(x) and _is_number(y)):
+            raise ValueError(f"vertex {vid} coordinates must be finite numbers")
         positions[vid] = (float(x), float(y))
         pin = entry.get("pinned", False)
         if not isinstance(pin, bool):

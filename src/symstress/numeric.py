@@ -6,16 +6,16 @@ irrep, and checks the numerics against the symbolic decomposition.
 
 ``verify`` counts from symmetry-adapted blocks.  Orthonormal bases of each
 irrep's isotypic component of the velocity space (V_i) and of the bar space
-(E_i) come from small per-orbit projectors, and R maps V_i into E_i, so the
-rank splits into the ranks of the blocks E_i^H R V_i (Kangwai & Guest 2000;
-Schulze 2010).  Only singular values are taken, block by block.  The blocks
-are exact only when R commutes with the group action, so ``verify`` checks
-that first; when it fails, or when its residual could move a block singular
-value across the rank cutoff, ``verify`` falls back to one SVD of the whole
-matrix with all singular vectors, and classifies the self-stress and
-mechanism bases by irrep in the same adapted bases.  ``verify`` builds V_i,
-E_i and R's sparse rows once, before it picks a route, and both routes read
-them.
+(E_i) come from small projectors, one per orbit type, and R maps V_i into
+E_i, so the rank splits into the ranks of the blocks E_i^H R V_i (Kangwai &
+Guest 2000; Schulze 2010).  Only singular values are taken, block by block.
+The blocks are exact only when R commutes with the group action, so
+``verify`` checks that first; when it fails, or when its residual could
+move a block singular value across the rank cutoff, ``verify`` falls back
+to one SVD of the whole matrix with all singular vectors, and classifies
+the self-stress and mechanism bases by irrep in the same adapted bases.
+``verify`` builds V_i, E_i and R's sparse rows once, before it picks a
+route, and both routes read them.
 
 Conventions
 -----------
@@ -38,11 +38,12 @@ Conventions
   when the character table's columns satisfy sum_i d_i conj(chi_i(g)) =
   |G| delta_{g,E}, so the projector check tests that identity on the table
   and never touches the framework.
-* The isotypic bases are built orbit by orbit: each joint or bar orbit's
-  coordinates are invariant, so an irrep's projector splits into one small
-  block per orbit.  Orbits of one size are batched, and no projector on the
-  whole space is formed.  Tables with complex irreps (Cn, n >= 3) give
-  complex Hermitian projectors and complex blocks.
+* The isotypic bases are built once per orbit type: each joint or bar
+  orbit's coordinates are invariant, so an irrep's projector splits into one
+  small block per orbit, equal on orbits with conjugate stabilisers (a type).
+  One dense block and one ``eigh`` per type and irrep serve all its orbits,
+  and no projector on the whole space is formed.  Tables with complex irreps
+  (Cn, n >= 3) give complex Hermitian projectors and complex blocks.
 * Each block E_i^H R V_i is assembled from (row, column, value) triples:
   E_i's entry at a bar meets V_i's entries (one per vector and joint) at the
   bar's two joints.  The cost is O(entries of E_i x most entries at a joint),
@@ -58,7 +59,7 @@ import numpy as np
 
 from .errors import ClassMismatch, DegenerateSpan, DimensionMismatch
 from .framework import Framework, rigidity_matrix, rigidity_matrix_pinned, rigidity_rows
-from .counting import AnalysisReport, _analysis
+from .counting import AnalysisReport, _analysis, _check_tolerance
 from .reptheory import CharacterTable, IrrepDecomposition, character_table
 from .symmetry import GroupSpec, PointGroup, SymmetryAction, symmetry_action
 from .symmetry import vertex_permutation  # noqa: F401  unused; perfbench's tracer looks it up here
@@ -94,9 +95,12 @@ def numeric_rank(matrix: np.ndarray, rel_tol: float = RANK_TOL) -> int:
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0] * max(m.shape)))
+    return int(np.sum(s > _cutoff(rel_tol, s[0], m.shape)))
+
+
+def _cutoff(rel_tol: float, s_max: float, shape: tuple[int, ...]) -> float:
+    """The rank cutoff for a matrix of this shape and largest singular value."""
+    return rel_tol * s_max * max(shape)
 
 
 def _matrix_for(fw: Framework) -> np.ndarray:
@@ -111,8 +115,7 @@ def _svd_spaces(R: np.ndarray, rel_tol: float) -> tuple[int, np.ndarray, np.ndar
     if cols == 0:
         return 0, np.eye(rows), np.zeros((0, 0))
     U, s, Vt = np.linalg.svd(R, full_matrices=True)
-    cutoff = rel_tol * s[0] * max(rows, cols) if s.size and s[0] > 0 else 0.0
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.sum(s > _cutoff(rel_tol, s[0], R.shape)))
     return rank, U[:, rank:].T.copy(), Vt[rank:, :].copy()
 
 
@@ -167,8 +170,8 @@ def _orthonormal_rows(basis: np.ndarray, rel_tol: float) -> np.ndarray:
     if basis.shape[0] == 0:
         return basis
     U, s, Vt = np.linalg.svd(basis, full_matrices=False)
-    cutoff = rel_tol * s[0] * max(basis.shape) if s.size and s[0] > 0 else 0.0
-    rank = int(np.sum(s > cutoff))
+    # No singular values when the rows have no columns.
+    rank = int(np.sum(s > _cutoff(rel_tol, s.max(initial=0.0), basis.shape)))
     if rank < basis.shape[0]:
         raise DegenerateSpan(
             f"basis of {basis.shape[0]} vectors spans only {rank} dimensions"
@@ -288,47 +291,41 @@ def _isotypic_bases(perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray) -> l
     operation g (row g of ``perms``, shape (|G|, n)) sends coordinate (j, c)
     to sum_a mats[g, a, c] (perms[g, j], a).  Row i of ``coeff`` holds
     (d_i/|G|) conj(chi_i(g)) per operation, so sum_g coeff[i, g] rho(g) is
-    irrep i's projector.  It maps each orbit's coordinates to themselves, so
-    it is computed one orbit at a time, orbits of one size in one batch, and
-    each orbit's eigenvectors with eigenvalue above 1/2 are kept.
+    irrep i's projector.  It maps each orbit's coordinates to themselves.
+    Members are labelled from the group action, so orbits with conjugate
+    stabilisers share one local table (operation, member) -> image member,
+    one dense block and one ``eigh``, types of one size in one batch; the
+    eigenvectors with eigenvalue above 1/2 serve every orbit of the type.
 
-    Returns, per irrep, one (coords, values) pair per orbit size: row r of
+    Returns, per irrep, one (coords, values) pair per orbit type: row r of
     both is one basis vector, values[r] at global coordinates coords[r]
     (coordinate (j, a) is j * f + a; each point's f coordinates adjacent).
     """
-    n = perms.shape[1]
-    f = mats.shape[-1]
+    n, f = perms.shape[1], mats.shape[-1]
     bases: list[_Parts] = [[] for _ in coeff]
-    # Each orbit is {g(j)}: its smallest point names it and its size is the
-    # number of distinct images.  Sorting by (name, point) lines orbits up.
+    # Orbits {g(j)}, named by their smallest point and sized by their distinct
+    # images, start at a point whose stabiliser depends only on the orbit's
+    # type; member l is the l-th point the operations reach from there.
     name = perms.min(axis=0)
     size = 1 + np.count_nonzero(np.diff(np.sort(perms, axis=0), axis=0), axis=0)
-    order = np.lexsort((np.arange(n), name))
+    order = np.lexsort((*(perms == np.arange(n)), name))
     local = np.empty(n, dtype=np.intp)
-    fibre = np.arange(f)
-    irreps = coeff.shape[0]
     for k in np.unique(size):
         members = order[size[order] == k].reshape(-1, k)
+        reach = np.argmax(perms[:, members[:, :1]] == members, axis=0)
+        members = np.take_along_axis(members, np.argsort(reach, axis=1), axis=1)
         local[members] = np.arange(k)
-        orbits, width = members.shape[0], k * f
-        coords = (members[:, :, None] * f + fibre).reshape(orbits, width)
-        # One width x width block per irrep and orbit.  rho(g) puts
-        # mats[g, a, c] at row (local image of l, a), column (l, c).
-        block = (np.arange(irreps)[:, None] * orbits + np.arange(orbits))
-        block = block[:, None, :, None, None, None]
-        row = local[perms[:, members]][..., None, None] * f + fibre[:, None]
-        col = np.arange(k)[:, None, None] * f + fibre
-        at = ((block * width + row) * width + col).ravel()
-        entries = (coeff[:, :, None, None] * mats)[:, :, None, None]
-        entries = np.broadcast_to(entries, (irreps,) + row.shape[:3] + (f, f)).ravel()
-        projector = _scatter(at, entries, irreps * orbits * width * width)
-        values, vectors = np.linalg.eigh(projector.reshape(-1, width, width))
-        hit, j = np.nonzero(values > CLASSIFY_THRESHOLD)
-        irrep, orbit = np.divmod(hit, orbits)
-        kept_coords, kept = coords[orbit], vectors[hit, :, j]
-        for t in range(irreps):
-            mine = irrep == t
-            bases[t].append((kept_coords[mine], kept[mine]))
+        coords = (members[:, :, None] * f + np.arange(f)).reshape(-1, k * f)
+        tables, kind = np.unique(local[perms[:, members]].swapaxes(0, 1), axis=0, return_inverse=True)
+        # rho(g) puts mats[g, a, c] at row (local image of l, a), column (l, c).
+        moves = tables[:, :, None, :] == np.arange(k)[:, None]
+        rho = np.einsum("tgml,gac->tgmalc", moves, mats).reshape(tables.shape[:2] + (k * f,) * 2)
+        projector = np.einsum("ig,tgxy->itxy", coeff, rho)
+        values, vectors = np.linalg.eigh(projector.reshape((-1,) + rho.shape[2:]))
+        orbits = [coords[kind.ravel() == t] for t in range(len(tables))]  # NumPy 2.0.0: kind 2-D
+        for (i, t), value, vector in zip(np.ndindex(projector.shape[:2]), values, vectors):
+            kept = vector[:, value > CLASSIFY_THRESHOLD].T
+            bases[i].append((np.repeat(orbits[t], len(kept), axis=0), np.tile(kept, (len(orbits[t]), 1))))
     return bases
 
 
@@ -463,7 +460,7 @@ def _block_counts(
 
     top = max((float(sv[0]) for sv in sigmas if sv.size), default=0.0)
     size = max(fw.num_edges, 2 * n)
-    cutoff = rel_tol * top * size if top > 0 else 0.0
+    cutoff = _cutoff(rel_tol, top, (size,))
     # Each operation moves an entry of R by at most the residual, and R's rows
     # have 4 entries and its columns one per bar at the joint, so R is within
     # 4 * residual * sqrt(max degree) of its diagonal blocks in 2-norm.  Its
@@ -634,8 +631,10 @@ def verify(
 
     Raises NotSymmetric / ClassMismatch when the framework fails the census
     under the requested group, and ValueError for a single unpinned joint
-    (see ``maxwell_count``).
+    (see ``maxwell_count``) or a ``tol`` or ``rel_tol`` that is not a finite
+    number >= 0.
     """
+    _check_tolerance("rel_tol", rel_tol)
     analysis, action = _analysis(fw, group, tol)
     pg, k, gamma = action.group, analysis.k, analysis.decomposition
     table = character_table(pg)

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import ClassMismatch, DimensionMismatch, NotSymmetric
 from .framework import (
     Framework,
+    _is_number,
     _range_pairs,
     bbox_diagonal,
     maxwell_count,
@@ -754,6 +755,14 @@ class GroupSpec:
         return self.family == "auto"
 
 
+def _angle(text: str) -> float:
+    """A finite mirror angle in degrees; ValueError otherwise."""
+    ang = float(text)
+    if not math.isfinite(ang):
+        raise ValueError
+    return ang
+
+
 def parse_group_arg(text: str) -> GroupSpec:
     """Parse a CLI group argument.
 
@@ -767,7 +776,7 @@ def parse_group_arg(text: str) -> GroupSpec:
         if head == "C1" and len(parts) == 1:
             return GroupSpec("C1")
         if head == "Cs" and len(parts) in (1, 2):
-            ang = float(parts[1]) if len(parts) == 2 else 0.0
+            ang = _angle(parts[1]) if len(parts) == 2 else 0.0
             return GroupSpec("Cs", mirror_angle_deg=ang)
         if head == "Cn" and len(parts) == 2:
             n = int(parts[1])
@@ -778,7 +787,7 @@ def parse_group_arg(text: str) -> GroupSpec:
             n = int(parts[1])
             if n < 1:
                 raise ValueError
-            ang = float(parts[2]) if len(parts) == 3 else 0.0
+            ang = _angle(parts[2]) if len(parts) == 3 else 0.0
             return GroupSpec("Cnv", n=n, mirror_angle_deg=ang)
     except ValueError:
         pass
@@ -807,13 +816,13 @@ def group_spec_from_json(obj: Any) -> GroupSpec:
         if (
             not isinstance(center, list)
             or len(center) != 2
-            or not all(isinstance(t, (int, float)) for t in center)
+            or not all(_is_number(t) for t in center)
         ):
-            raise ValueError('group "center" must be a pair of numbers')
+            raise ValueError('group "center" must be a pair of finite numbers')
         center = (float(center[0]), float(center[1]))
     ang = obj.get("mirror_angle_deg", 0.0)
-    if not isinstance(ang, (int, float)):
-        raise ValueError('group "mirror_angle_deg" must be a number')
+    if not _is_number(ang):
+        raise ValueError('group "mirror_angle_deg" must be a finite number')
     return GroupSpec(family, n=n, center=center, mirror_angle_deg=float(ang))
 
 
@@ -837,11 +846,22 @@ def resolve_group(
     """Turn a GroupSpec into a concrete (PointGroup, centre) pair.
 
     "auto" requires a framework and returns the maximal detected group.
+    A declared C_n or C_nv with more rotations than the framework has joints
+    raises NotSymmetric before its n classes are built (see
+    ``_require_few_rotations``).
     """
     if spec.is_auto:
         if fw is None:
             raise ValueError("group 'auto' needs a framework to detect from")
         return detect_groups(fw, tol)[0]
+    if spec.center is not None:
+        center = np.asarray(spec.center, dtype=float)
+    elif fw is not None:
+        center = fw.centroid()
+    else:
+        center = np.zeros(2)
+    if fw is not None and spec.family in ("Cn", "Cnv") and spec.n > fw.num_vertices:
+        _require_few_rotations(fw, spec.n, center, tol)
     ang = math.radians(spec.mirror_angle_deg)
     if spec.family == "C1":
         group = group_elements("Cn", 1)
@@ -851,10 +871,22 @@ def resolve_group(
         group = group_elements("Cn", spec.n)
     else:
         group = group_elements("Cnv", spec.n, ang)
-    if spec.center is not None:
-        center = np.asarray(spec.center, dtype=float)
-    elif fw is not None:
-        center = fw.centroid()
-    else:
-        center = np.zeros(2)
     return group, center
+
+
+def _require_few_rotations(fw: Framework, n: int, center: np.ndarray, tol: float) -> None:
+    """Raise NotSymmetric for C_n or C_nv with n > v joints, unless the one
+    joint sits at the centre.
+
+    The rotation by 2 pi / n is the first operation ``symmetry_action``
+    tests after the identity, so when it fails it fails with the same
+    message.  When the tolerance swallows it, the group still cannot act:
+    an off-centre joint would have n > v images.
+    """
+    vperm = vertex_permutation(fw, rotation_op(2 * math.pi / n), center, tol)
+    _BarLookup(fw).permutation(vperm)
+    if fw.num_vertices > 1:
+        raise NotSymmetric(
+            f"the rotation by 360/{n} degrees would give an off-centre joint {n} images, "
+            f"but the framework has {fw.num_vertices} joints"
+        )

@@ -309,6 +309,63 @@ class TestExitCodes:
         assert doc["kind"] == "error"
         assert doc["exit_code"] == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("option", ["--tol-sym", "--tol-rank"])
+    @pytest.mark.parametrize("command", ["analyze", "verify", "render"])
+    def test_bad_tolerance_is_invalid_input(self, entry_file, capsys, command, option, value):
+        # --tol-rank nan used to pass verification with rank 0 and s = m = 9.
+        assert main([command, str(entry_file("fig3")), f"{option}={value}"]) == 2
+        assert f"argument {option}: expected a finite number >= 0, got '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            '"center": [true, 0]',
+            '"center": [NaN, 0]',
+            '"center": [Infinity, 0]',
+            '"mirror_angle_deg": false',
+            '"mirror_angle_deg": NaN',
+            '"mirror_angle_deg": -Infinity',
+        ],
+    )
+    def test_group_field_that_is_not_a_number_is_invalid_input(self, entry_file, field):
+        path = entry_file("fig3")
+        text = path.read_text()
+        path.write_text(text.replace('"mirror_angle_deg": 90.0', field))
+        assert path.read_text() != text
+        for command in ("analyze", "verify", "render"):
+            assert main([command, str(path)]) == 2, command
+
+    @pytest.mark.parametrize("group", ["Cs:nan", "Cs:inf", "Cnv:2:-inf"])
+    def test_non_finite_group_angle_is_invalid_input(self, entry_file, group):
+        for command in ("analyze", "verify", "render"):
+            assert main([command, str(entry_file("fig3")), "--group", group]) == 2, command
+
+    def test_boolean_coordinate_is_invalid_input(self, entry_file, capsys):
+        path = entry_file("fig3")
+        doc = json.loads(path.read_text())
+        doc["vertices"][0]["x"] = True
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 2
+        assert "vertex 0 coordinates must be finite numbers" in capsys.readouterr().err
+
+    def test_huge_declared_n(self, entry_file, capsys):
+        # Never returned: every class of C_n was built before any was tested.
+        path = entry_file("fig3")
+        doc = json.loads(path.read_text())
+        doc["group"] = {"family": "Cn", "n": 10**9}
+        from_file = path.with_name("huge.json")
+        from_file.write_text(json.dumps(doc))
+        for args in (
+            [str(path), "--group", "Cn:1000000000"],
+            [str(path), "--group", "Cnv:1000000000"],
+            [str(from_file)],
+        ):
+            assert main(["verify", *args]) == 3
+            assert "joint 3 has no image match under rotation" in capsys.readouterr().err
+        assert main(["analyze", str(path), "--group", "Cn:1000000000000"]) == 3
+        assert "would give an off-centre joint 1000000000000 images" in capsys.readouterr().err
+
     def test_version_flag(self):
         res = run_cli("--version")
         assert res.returncode == 0

@@ -500,6 +500,13 @@ class TestJsonIO:
             '{"vertices": [{"id": 0, "x": 0, "y": 0}], "edges": [[0, 0]]}',
             '{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 0, "x": 1, "y": 0}],'
             ' "edges": []}',
+            # Booleans, NaN, infinities and integers too large for a float
+            # are not coordinates.
+            '{"vertices": [{"id": 0, "x": true, "y": 0}], "edges": []}',
+            '{"vertices": [{"id": 0, "x": 0, "y": false}], "edges": []}',
+            '{"vertices": [{"id": 0, "x": NaN, "y": 0}], "edges": []}',
+            '{"vertices": [{"id": 0, "x": 0, "y": -Infinity}], "edges": []}',
+            '{"vertices": [{"id": 0, "x": 1' + "0" * 400 + ', "y": 0}], "edges": []}',
         ],
     )
     def test_malformed_documents_raise_value_error(self, doc):

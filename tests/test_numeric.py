@@ -258,6 +258,16 @@ class TestVerify:
             with pytest.raises(ValueError, match="at least two joints"):
                 run(fw)
 
+    @pytest.mark.parametrize("keyword", ["tol", "rel_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_is_rejected(self, keyword, value):
+        entry = catalog.generate("fig3")
+        with pytest.raises(ValueError, match=f"{keyword} must be a finite number >= 0"):
+            verify(entry.framework, entry.group, **{keyword: value})
+        if keyword == "tol":
+            with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+                analyze(entry.framework, entry.group, tol=value)
+
     def test_single_pinned_joint_verifies(self):
         rep = verify(Framework([(0.5, 1.0)], [], pinned=[0]))
         assert rep.passed
@@ -573,6 +583,203 @@ class TestBasesOncePerVerify:
 
 
 # ---------------------------------------------------------------------------
+# Isotypic bases against an orbit-by-orbit reference: the builder before
+# orbit types, which scatters every orbit's projector block from index
+# arithmetic and diagonalises each orbit on its own.
+# ---------------------------------------------------------------------------
+
+
+def _orbit_by_orbit_bases(perms, mats, coeff):
+    """``numeric._isotypic_bases`` with one projector block and one ``eigh``
+    per orbit, orbits of one size in one batch: one part per orbit size."""
+    n = perms.shape[1]
+    f = mats.shape[-1]
+    bases = [[] for _ in coeff]
+    name = perms.min(axis=0)
+    size = 1 + np.count_nonzero(np.diff(np.sort(perms, axis=0), axis=0), axis=0)
+    order = np.lexsort((np.arange(n), name))
+    local = np.empty(n, dtype=np.intp)
+    fibre = np.arange(f)
+    irreps = coeff.shape[0]
+    for k in np.unique(size):
+        members = order[size[order] == k].reshape(-1, k)
+        local[members] = np.arange(k)
+        orbits, width = members.shape[0], k * f
+        coords = (members[:, :, None] * f + fibre).reshape(orbits, width)
+        block = np.arange(irreps)[:, None] * orbits + np.arange(orbits)
+        block = block[:, None, :, None, None, None]
+        row = local[perms[:, members]][..., None, None] * f + fibre[:, None]
+        col = np.arange(k)[:, None, None] * f + fibre
+        at = ((block * width + row) * width + col).ravel()
+        entries = (coeff[:, :, None, None] * mats)[:, :, None, None]
+        entries = np.broadcast_to(entries, (irreps,) + row.shape[:3] + (f, f)).ravel()
+        projector = numeric._scatter(at, entries, irreps * orbits * width * width)
+        values, vectors = np.linalg.eigh(projector.reshape(-1, width, width))
+        hit, j = np.nonzero(values > numeric.CLASSIFY_THRESHOLD)
+        irrep, orbit = np.divmod(hit, orbits)
+        kept_coords, kept = coords[orbit], vectors[hit, :, j]
+        for t in range(irreps):
+            mine = irrep == t
+            bases[t].append((kept_coords[mine], kept[mine]))
+    return bases
+
+
+def _projectors(parts_by_irrep, size):
+    """Per irrep, V_i V_i^H from ``_isotypic`` parts, densely."""
+    for parts in parts_by_irrep:
+        count = sum(len(values) for _, values in parts)
+        dense = np.zeros((count, size), np.result_type(float, *[v for _, v in parts]))
+        start = 0
+        for coords, values in parts:
+            dense[np.arange(start, start + len(values))[:, None], coords] = values
+            start += len(values)
+        yield dense.T @ dense.conj()
+
+
+def _assert_same_projectors(bases, reference, size):
+    for got, want in zip(_projectors(bases, size), _projectors(reference, size)):
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+
+
+def _assert_bases_match_reference(fw, spec):
+    group, center = resolve_group(spec or GroupSpec("auto"), fw)
+    action = symmetry_action(fw, group, center)
+    table = character_table(group)
+    sizes = {"velocity": 2 * int(np.count_nonzero(fw.velocity_blocks >= 0)), "edge": fw.num_edges}
+    for space, size in sizes.items():
+        bases = numeric._isotypic(fw, action, table, space)
+        with mock.patch.object(numeric, "_isotypic_bases", _orbit_by_orbit_bases):
+            reference = numeric._isotypic(fw, action, table, space)
+        assert len(bases) == len(reference) == len(table.irreps)
+        _assert_same_projectors(bases, reference, size)
+    with mock.patch.object(numeric, "_isotypic_bases", _orbit_by_orbit_bases):
+        ref = verify(fw, spec)
+    assert json.dumps(verify(fw, spec).to_dict()) == json.dumps(ref.to_dict())
+
+
+def _web(rings=10, n=16):
+    """Unpinned C_nv spider web: a hub spoked to the first of ``rings`` rings
+    of n joints, odd rings turned by half a step, each ring a cycle, and each
+    band between two rings a strip of triangles (161 joints and 464 bars at
+    the defaults)."""
+    positions = [(0.0, 0.0)]
+    for ring in range(rings):
+        for k in range(n):
+            angle = np.pi * (2 * k + ring % 2) / n
+            positions.append(((1 + ring) * np.cos(angle), (1 + ring) * np.sin(angle)))
+
+    def joint(ring, k):
+        return 1 + ring * n + k % n
+
+    edges = [(0, joint(0, k)) for k in range(n)]
+    for ring in range(rings):
+        edges += [(joint(ring, k), joint(ring, k + 1)) for k in range(n)]
+    for ring in range(rings - 1):
+        shift = -1 if ring % 2 == 0 else 1
+        for k in range(n):
+            edges += [(joint(ring, k), joint(ring + 1, k)), (joint(ring, k), joint(ring + 1, k + shift))]
+    return Framework(positions, edges)
+
+
+def _renumbered(fw, seed):
+    """``fw`` with its joints and its bars in a random order."""
+    rng = np.random.default_rng(seed)
+    joints = rng.permutation(fw.num_vertices)
+    new_id = np.argsort(joints)
+    edges = [(int(new_id[a]), int(new_id[b])) for a, b in fw.edges]
+    return Framework(
+        np.asarray(fw.positions)[joints],
+        [edges[e] for e in rng.permutation(len(edges))],
+        pinned=[int(new_id[j]) for j in fw.pinned],
+    )
+
+
+def _orbit_types(perms):
+    """(number of orbits, number of conjugacy classes of stabilisers) of a
+    permutation action given as rows of ``perms``, one row per operation."""
+    stabiliser = [frozenset(np.flatnonzero(perms[:, j] == j).tolist()) for j in range(perms.shape[1])]
+    orbits = {frozenset(perms[:, j].tolist()) for j in range(perms.shape[1])}
+    return len(orbits), len({frozenset(stabiliser[p] for p in orbit) for orbit in orbits})
+
+
+class TestBasesByOrbitType:
+    @pytest.mark.parametrize("case", list(_agreement_cases()), ids=lambda c: c[0])
+    def test_matches_orbit_by_orbit_reference(self, case):
+        _, fw, spec = case
+        _assert_bases_match_reference(fw, spec)
+
+    @pytest.mark.parametrize("seed", [None, 1], ids=["as-built", "renumbered"])
+    def test_web_matches_orbit_by_orbit_reference(self, seed):
+        fw = _web() if seed is None else _renumbered(_web(), seed)
+        assert (fw.num_vertices, fw.num_edges) == (161, 464)
+        group, _ = detect_groups(fw)[0]
+        assert group.name == "C16v"
+        _assert_bases_match_reference(fw, None)
+
+    @pytest.mark.parametrize("seed", [None, 1, 2], ids=["as-built", "renumbered-1", "renumbered-2"])
+    def test_one_eigh_per_orbit_type_and_irrep(self, seed):
+        # Members are labelled from the group action, so renumbering the
+        # joints and bars leaves the number of types alone.
+        fw = _web() if seed is None else _renumbered(_web(), seed)
+        group, center = detect_groups(fw)[0]
+        action = symmetry_action(fw, group, center)
+        table = character_table(group)
+        perms = {
+            "velocity": np.array([act.vperm for act in action.ops]),
+            "edge": np.array([act.eperm for act in action.ops]),
+        }
+        irreps = len(table.irreps)
+        for space, perm in perms.items():
+            orbits, types = _orbit_types(perm)
+            with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+                numeric._isotypic(fw, action, table, space)
+            matrices = sum(
+                call.args[0].shape[0] if call.args[0].ndim == 3 else 1
+                for call in eigh.call_args_list
+            )
+            # Joints: the hub, and ring joints on a mirror of either class.
+            # Bars: on no mirror, or across a mirror of either class.
+            assert (orbits, types) == {"velocity": (11, 3), "edge": (20, 3)}[space]
+            assert matrices == irreps * types
+
+    def test_inverse_shaped_like_the_tables(self):
+        # NumPy 2.0.0 gave np.unique's inverse, with an axis, the shape
+        # (rows, 1, ...) of the input; earlier and later versions a 1-D one.
+        real = np.unique
+
+        def unique_2_0_0(a, **kwargs):
+            found = real(a, **kwargs)
+            if kwargs.get("axis") is None or not kwargs.get("return_inverse"):
+                return found
+            return (*found[:-1], found[-1].reshape((-1,) + (1,) * (np.ndim(a) - 1)))
+
+        fw = _wheel(6)
+        group, center = detect_groups(fw)[0]
+        action = symmetry_action(fw, group, center)
+        table = character_table(group)
+        with mock.patch.object(np, "unique", unique_2_0_0):
+            bases = numeric._isotypic(fw, action, table, "velocity")
+        reference = numeric._isotypic(fw, action, table, "velocity")
+        _assert_same_projectors(bases, reference, 2 * fw.num_vertices)
+
+    @pytest.mark.parametrize("seed", [None, 1], ids=["as-built", "renumbered"])
+    def test_verify_memory_peak(self, seed):
+        # tracemalloc sees numpy's buffers.  One projector block per orbit
+        # peaked at 6.1 MB here, one per orbit type at 1.6 MB.  Types read
+        # from members sorted by joint id peaked at 2.1 MB as built and at
+        # 6.4 MB renumbered.
+        fw = _web() if seed is None else _renumbered(_web(), seed)
+        verify(fw)
+        tracemalloc.start()
+        try:
+            verify(fw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
+
+# ---------------------------------------------------------------------------
 # Block assembly against a dense reference: scatter each V_i into a dense
 # (n+1) x 2 x cols array (the zero block n stands for pinned ends), form
 # R V_i densely (e x cols) and gather E_i's rows.
@@ -844,6 +1051,11 @@ class TestGeneratedFrameworks:
     @given(_symmetric_frameworks())
     def test_blocks_match_dense_reference(self, case):
         _assert_blocks_match_dense(*case)
+
+    @GENERATED
+    @given(_symmetric_frameworks())
+    def test_bases_match_orbit_by_orbit_reference(self, case):
+        _assert_bases_match_reference(*case)
 
     @GENERATED
     @given(_symmetric_frameworks())

@@ -17,6 +17,7 @@ from symstress import (
     detect_groups,
     edge_permutation,
     group_elements,
+    group_spec_from_json,
     make_census,
     mirror_op,
     parse_group_arg,
@@ -24,7 +25,7 @@ from symstress import (
     vertex_permutation,
 )
 from symstress.framework import _range_pairs
-from symstress.symmetry import apply_op
+from symstress.symmetry import apply_op, symmetry_action
 
 SQUARE = Framework(
     [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)],
@@ -267,10 +268,29 @@ class TestGroupSpec:
         assert spec.n == n
         assert spec.mirror_angle_deg == angle
 
-    @pytest.mark.parametrize("text", ["", "D4", "Cn", "Cn:0", "Cnv:2:up", "Cs:90:1"])
+    @pytest.mark.parametrize(
+        "text",
+        ["", "D4", "Cn", "Cn:0", "Cnv:2:up", "Cs:90:1", "Cs:nan", "Cs:inf", "Cnv:4:nan", "Cnv:4:-inf"],
+    )
     def test_parse_group_arg_rejects_junk(self, text):
         with pytest.raises(ValueError):
             parse_group_arg(text)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"center": [True, 0]},
+            {"center": [float("nan"), 0]},
+            {"center": [0, float("inf")]},
+            {"center": [10**400, 0]},
+            {"mirror_angle_deg": True},
+            {"mirror_angle_deg": float("nan")},
+            {"mirror_angle_deg": float("-inf")},
+        ],
+    )
+    def test_group_spec_from_json_rejects_non_numbers(self, field):
+        with pytest.raises(ValueError):
+            group_spec_from_json({"family": "Cs", **field})
 
     def test_resolve_explicit_group(self):
         spec = GroupSpec("Cnv", 4)
@@ -291,3 +311,51 @@ class TestGroupSpec:
         group, center = resolve_group(GroupSpec("Cnv", 4), RECTANGLE)
         with pytest.raises(NotSymmetric):
             census(RECTANGLE, group, center=center)
+
+
+class TestMoreRotationsThanJoints:
+    """A declared C_n or C_nv with n > v is rejected before its n classes
+    are built."""
+
+    FIG3 = catalog.generate("fig3").framework
+
+    @pytest.mark.parametrize("family", ["Cn", "Cnv"])
+    @pytest.mark.parametrize("n", [7, 12, 1000])
+    def test_same_message_as_the_group_action(self, family, n):
+        fw = self.FIG3
+        with pytest.raises(NotSymmetric) as built:
+            symmetry_action(fw, group_elements(family, n), fw.centroid())
+        with pytest.raises(NotSymmetric) as early:
+            resolve_group(GroupSpec(family, n), fw)
+        assert str(early.value) == str(built.value)
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (
+                10**9,
+                "joint 3 has no image match under rotation "
+                "(nearest joint is 2.04e-08 away, tolerance 7.21e-09)",
+            ),
+            (
+                10**12,
+                "the rotation by 360/1000000000000 degrees would give an off-centre "
+                "joint 1000000000000 images, but the framework has 6 joints",
+            ),
+        ],
+    )
+    def test_huge_n_returns_at_once(self, n, message):
+        # Building the group took 1.9 s at n = 100,000; here it is never built.
+        with mock.patch.object(symmetry, "group_elements") as build:
+            for family in ("Cn", "Cnv"):
+                with pytest.raises(NotSymmetric) as exc:
+                    resolve_group(GroupSpec(family, n), self.FIG3)
+                assert str(exc.value) == message
+        assert not build.called
+
+    @pytest.mark.parametrize("spec", [GroupSpec("Cn", 3), GroupSpec("Cnv", 5)])
+    def test_one_joint_at_the_centre_keeps_any_group(self, spec):
+        fw = Framework([(0.5, 1.0)], [], pinned=[0])
+        group, center = resolve_group(spec, fw)
+        assert group.order == (2 if spec.family == "Cnv" else 1) * spec.n
+        assert census(fw, group, center=center).freedom_number == 0
