@@ -21,7 +21,14 @@ Conventions
   centred on it; a bar fixed by the half-turn is centred on the centre point.
 * A :class:`SymmetryAction` holds every operation's joint and bar
   permutation for one framework, group, centre and tolerance.  It is built
-  once and shared by the census, the numeric checks and the renderer.
+  once and shared by the census, the numeric checks and the renderer.  Only
+  the two generators, the rotation by 2 pi / n and the reference mirror, are
+  matched joint by joint.  Every other joint permutation is composed from
+  theirs and accepted when one vectorised check finds each joint's image
+  within the tolerance of the joint it is sent to.  The composition is
+  trusted only when no two joints are within twice the tolerance of each
+  other (the crowding guard); otherwise, and wherever the check fails, an
+  operation is matched directly.
 """
 
 from __future__ import annotations
@@ -390,6 +397,61 @@ class SymmetryAction:
     ops: tuple[OperationAction, ...]
 
 
+class _Generated:
+    """Joint permutations composed from those of two generators: the
+    rotation r by 2 pi / n and a reference mirror s.  ``rotation(j)`` is the
+    permutation of r^j and ``reflection(k)`` that of the mirror r^k s.
+
+    A composed permutation is accepted for an operation only when every
+    joint's image lies within the matching tolerance of the joint it is sent
+    to, by the float formula ``vertex_permutation`` uses, and when no two
+    joints are crowded: every gap between their sorted projections on
+    ``_MATCH_DIRECTION`` exceeds twice the matching window.  Then no image
+    has two joints within the tolerance, so an accepted permutation is the
+    one ``vertex_permutation`` would return.  It is a bijection that keeps
+    pins on pins and bars on bars because the generators' permutations are.
+    """
+
+    def __init__(self, fw: Framework, center: np.ndarray, tol: float) -> None:
+        self.fw, self.center, self.tol = fw, center, tol
+        pos = fw.positions
+        scale = bbox_diagonal(pos)
+        self.tol_abs = tol * (scale if scale > 0 else 1.0)
+        proj = np.sort(pos @ _MATCH_DIRECTION)
+        magnitude = 2 * float(np.abs(pos).max(initial=0.0))
+        window = self.tol_abs + 8 * np.finfo(float).eps * magnitude
+        self.uncrowded = bool(np.all(np.diff(proj) > 2 * window))
+        # rotations[j] is r^j's permutation; r's is appended once matched.
+        self.rotations: list[np.ndarray] = [np.arange(fw.num_vertices)]
+        self.mirror: np.ndarray | None = None
+
+    def rotation(self, j: int) -> np.ndarray | None:
+        """The permutation of r^j, or None while r's is unknown."""
+        if len(self.rotations) < 2:
+            return self.rotations[0] if j == 0 else None
+        while len(self.rotations) <= j:
+            self.rotations.append(self.rotations[1][self.rotations[-1]])
+        return self.rotations[j]
+
+    def reflection(self, k: int) -> np.ndarray | None:
+        """The permutation of r^k s, or None while r's or s's is unknown."""
+        rot = self.rotation(k)
+        return None if rot is None or self.mirror is None else rot[self.mirror]
+
+    def accepts(self, op: SymmetryOperation, perm: np.ndarray | None) -> bool:
+        if perm is None or not self.uncrowded:
+            return False
+        pos = self.fw.positions
+        d = np.sqrt(((apply_op(op, pos, self.center) - pos[perm]) ** 2).sum(axis=1))
+        return bool(np.all(d <= self.tol_abs))
+
+    def permutation(self, op: SymmetryOperation, perm: np.ndarray | None) -> np.ndarray:
+        """``perm`` if accepted for ``op``, else ``vertex_permutation``'s."""
+        if self.accepts(op, perm):
+            return perm  # type: ignore[return-value]
+        return vertex_permutation(self.fw, op, self.center, self.tol)
+
+
 def symmetry_action(
     fw: Framework,
     group: PointGroup,
@@ -398,15 +460,33 @@ def symmetry_action(
 ) -> SymmetryAction:
     """Compute every operation's joint and bar permutation once.
 
-    Raises NotSymmetric at the first operation that is not a symmetry of the
-    framework.
+    Only the generators are matched joint by joint (``vertex_permutation``):
+    the rotation by 2 pi / n and the reference mirror, the first rotation and
+    the first mirror in canonical class order.  Every other operation's joint
+    permutation is composed from theirs and accepted by one vectorised
+    displacement check (see ``_Generated``); when the check fails, or when
+    two joints are too close for it to decide, that operation is matched
+    directly.  Raises NotSymmetric at the first operation, in canonical
+    order, that is not a symmetry of the framework, with the message direct
+    matching gives.
     """
     ctr = fw.centroid() if center is None else np.asarray(center, dtype=float)
     bars = _BarLookup(fw)
+    gen = _Generated(fw, ctr, tol)
+    n = group.n
     ops = []
     for idx, cls in enumerate(group.classes):
         for op in cls.operations:
-            vperm = vertex_permutation(fw, op, ctr, tol)
+            if op.kind == "mirror":
+                k = round((op.angle - group.mirror_angle) % math.pi * n / math.pi) % n
+                vperm = gen.permutation(op, gen.reflection(k))
+                if gen.mirror is None and k == 0:
+                    gen.mirror = vperm
+            else:
+                j = round(op.angle * n / (2 * math.pi)) % n
+                vperm = gen.permutation(op, gen.rotation(j))
+                if len(gen.rotations) == 1 and j == 1:
+                    gen.rotations.append(vperm)
             ops.append(OperationAction(idx, op, vperm, bars.permutation(vperm)))
     return SymmetryAction(group, ctr, tuple(ops))
 
@@ -622,14 +702,16 @@ def make_census(
 # ---------------------------------------------------------------------------
 
 
-def _is_symmetry(
+def _matched(
     fw: Framework, bars: _BarLookup, op: SymmetryOperation, center: np.ndarray, tol: float
-) -> bool:
+) -> np.ndarray | None:
+    """The joint permutation of ``op`` if it is a symmetry, else None."""
     try:
-        bars.permutation(vertex_permutation(fw, op, center, tol))
-        return True
+        vperm = vertex_permutation(fw, op, center, tol)
+        bars.permutation(vperm)
+        return vperm
     except NotSymmetric:
-        return False
+        return None
 
 
 def _divisors_desc(n: int) -> list[int]:
@@ -647,6 +729,15 @@ def detect_groups(
     is tried as a centre; a framework symmetric about a different point only
     (possible when extra massless joints shift the centroid) must be given
     its group explicitly.
+
+    Rotation orders are tested by direct matching, largest first.  So is
+    each candidate mirror axis up to the first that holds, m0.  A later
+    candidate within the angular tolerance of m0 + k pi / N, for the
+    rotation order N found, first tries the permutation composed from the
+    rotation's and m0's, accepted by the displacement check and crowding
+    guard of ``symmetry_action``; any other candidate, or one whose composed
+    permutation fails the check, is matched directly.  The list is the one
+    direct matching of every candidate gives.
     """
     center = fw.centroid()
     pos = fw.positions
@@ -672,10 +763,13 @@ def detect_groups(
     for shell in shells:
         g = math.gcd(g, len(shell))
     bars = _BarLookup(fw)
+    gen = _Generated(fw, center, tol)
     rot_order = 1
     for cand in _divisors_desc(g):
-        if _is_symmetry(fw, bars, rotation_op(2 * math.pi / cand), center, tol):
+        vperm = _matched(fw, bars, rotation_op(2 * math.pi / cand), center, tol)
+        if vperm is not None:
             rot_order = cand
+            gen.rotations.append(vperm)
             break
 
     # Candidate mirror axes from the smallest shell: an axis either passes
@@ -693,7 +787,24 @@ def detect_groups(
     for a in cand_angles:
         if not dedup or (a - dedup[-1] > ang_tol and (math.pi - a + dedup[0]) > ang_tol):
             dedup.append(a)
-    mirrors = [a for a in dedup if _is_symmetry(fw, bars, mirror_op(a), center, tol)]
+    # The first mirror found is matched directly; a later candidate within
+    # ang_tol of its image under a rotation r^k first tries r^k s.
+    step = math.pi / rot_order
+    mirrors: list[float] = []
+    for a in dedup:
+        op = mirror_op(a)
+        if mirrors:
+            k = round((a - mirrors[0]) / step)
+            if abs(a - mirrors[0] - k * step) <= ang_tol and gen.accepts(
+                op, gen.reflection(k % rot_order)
+            ):
+                mirrors.append(a)
+                continue
+        vperm = _matched(fw, bars, op, center, tol)
+        if vperm is not None:
+            if not mirrors:
+                gen.mirror = vperm
+            mirrors.append(a)
 
     # Enumerate subgroups from the verified generators.  With rotation order
     # N and mirrors present, the N mirror axes are evenly spaced by pi/N
@@ -875,18 +986,22 @@ def resolve_group(
 
 
 def _require_few_rotations(fw: Framework, n: int, center: np.ndarray, tol: float) -> None:
-    """Raise NotSymmetric for C_n or C_nv with n > v joints, unless the one
-    joint sits at the centre.
+    """Raise NotSymmetric for C_n or C_nv with n > v joints.
 
     The rotation by 2 pi / n is the first operation ``symmetry_action``
     tests after the identity, so when it fails it fails with the same
-    message.  When the tolerance swallows it, the group still cannot act:
-    an off-centre joint would have n > v images.
+    message.  When the tolerance swallows it, the group is rejected all the
+    same, before its n classes are built: an off-centre joint would have
+    n > v images, and a lone joint at the centre is held to the same rule.
     """
     vperm = vertex_permutation(fw, rotation_op(2 * math.pi / n), center, tol)
     _BarLookup(fw).permutation(vperm)
-    if fw.num_vertices > 1:
+    v = fw.num_vertices
+    if v > 1:
         raise NotSymmetric(
             f"the rotation by 360/{n} degrees would give an off-centre joint {n} images, "
-            f"but the framework has {fw.num_vertices} joints"
+            f"but the framework has {v} joints"
         )
+    raise NotSymmetric(
+        f"the declared group has {n} rotations, more than the framework's {v} joint(s)"
+    )

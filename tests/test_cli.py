@@ -366,6 +366,18 @@ class TestExitCodes:
         assert main(["analyze", str(path), "--group", "Cn:1000000000000"]) == 3
         assert "would give an off-centre joint 1000000000000 images" in capsys.readouterr().err
 
+    def test_huge_declared_n_on_one_joint(self, tmp_path, capsys):
+        # Never returned: the lone joint is at the centre, so every class of
+        # C_n was built.
+        path = tmp_path / "one.json"
+        path.write_text(framework_to_json(Framework([(0.5, 1.0)], [], pinned=[0])))
+        with mock.patch("symstress.symmetry.group_elements") as build:
+            for group in ("Cn:1000000000", "Cnv:1000000000", "Cn:2"):
+                assert main(["verify", str(path), "--group", group]) == 3
+                n = group.split(":")[1]
+                assert f"the declared group has {n} rotations" in capsys.readouterr().err
+        assert not build.called
+
     def test_version_flag(self):
         res = run_cli("--version")
         assert res.returncode == 0

@@ -1,9 +1,13 @@
 """Numeric rank engine: bases, symmetry classification, verification."""
 
+import functools
+import importlib.util
 import json
+import math
 import tracemalloc
 from contextlib import ExitStack
 from itertools import zip_longest
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -29,11 +33,13 @@ from symstress import (
     intertwining_residual,
     maxwell_count,
     mechanism_basis,
+    mirror_op,
     numeric_rank,
     reduce,
     resolve_group,
     rigidity_matrix,
     rigidity_matrix_pinned,
+    rotation_op,
     self_stress_basis,
     symmetry_action,
     trivial_motion_basis,
@@ -42,8 +48,8 @@ from symstress import (
 )
 
 from symstress.cli import main
-from symstress.errors import ClassMismatch, DegenerateSpan, DimensionMismatch
-from symstress.framework import rigidity_rows
+from symstress.errors import ClassMismatch, DegenerateSpan, DimensionMismatch, NotSymmetric
+from symstress.framework import bbox_diagonal, rigidity_rows
 
 from conftest import corrupt_identity_character
 
@@ -353,18 +359,14 @@ class TestAgainstDenseReferences:
 class TestPermutationsOncePerVerify:
     @pytest.mark.parametrize("name", ["fig3", "fig6a", "fig9a", "fig12b", "quadgrid"])
     def test_one_joint_permutation_per_operation(self, name, monkeypatch):
+        """One action per verify, which matches only the generators: the
+        rotation by 2 pi / n (n > 1) and the reference mirror (C_nv)."""
         entry = catalog.generate(name)
-        calls = []
-        original = symmetry.vertex_permutation
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(symmetry, "vertex_permutation", counting)
+        calls = _count_matchings(monkeypatch)
         rep = verify(entry.framework, entry.group)
         assert rep.passed
-        assert len(calls) == resolve_group(entry.group, entry.framework)[0].order
+        group = resolve_group(entry.group, entry.framework)[0]
+        assert calls == ["rotation"] * (group.n > 1) + ["mirror"] * (group.family == "Cnv")
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +417,252 @@ class TestUncataloguedGroups:
         # Cn (n >= 3) takes the complex classification path, Cnv the real one.
         complex_table = any(ir.is_complex for ir in character_table(group).irreps)
         assert complex_table == (not name.endswith("v"))
+
+
+# ---------------------------------------------------------------------------
+# Joint permutations composed from the generators' against direct matching:
+# every operation matched joint by joint, as before composition.
+# ---------------------------------------------------------------------------
+
+
+def _direct_action(fw, group, center, tol):
+    """Each operation's (vperm, eperm) in canonical order, every joint
+    permutation from ``vertex_permutation``."""
+    perms = []
+    for op in group.operations():
+        vperm = vertex_permutation(fw, op, center, tol)
+        perms.append((vperm, edge_permutation(fw, vperm)))
+    return perms
+
+
+def _composed_action(fw, group, center, tol):
+    return [(act.vperm, act.eperm) for act in symmetry_action(fw, group, center, tol).ops]
+
+
+def _direct_detect_groups(fw, tol):
+    """``detect_groups`` with every rotation and mirror candidate matched
+    directly."""
+
+    def is_symmetry(op):
+        try:
+            edge_permutation(fw, vertex_permutation(fw, op, center, tol))
+            return True
+        except NotSymmetric:
+            return False
+
+    center = fw.centroid()
+    pos = fw.positions
+    scale = bbox_diagonal(pos)
+    tol_abs = tol * (scale if scale > 0 else 1.0)
+    offsets = pos - center
+    radii = np.hypot(offsets[:, 0], offsets[:, 1])
+    off_center = np.where(radii > tol_abs)[0]
+    if off_center.size == 0:
+        return [(group_elements("Cn", 1), center)]
+    order_idx = off_center[np.argsort(radii[off_center])]
+    shells = [[int(order_idx[0])]]
+    for idx in order_idx[1:]:
+        if radii[idx] - radii[shells[-1][-1]] > tol_abs:
+            shells.append([])
+        shells[-1].append(int(idx))
+    g = 0
+    for shell in shells:
+        g = math.gcd(g, len(shell))
+    def divisors(n):
+        return [d for d in range(n, 1, -1) if n % d == 0]
+
+    rot_order = next(
+        (d for d in divisors(g) if is_symmetry(rotation_op(2 * math.pi / d))), 1
+    )
+    shell = min(shells, key=len)
+    angles = [math.atan2(offsets[i, 1], offsets[i, 0]) for i in shell]
+    cand_angles = sorted(
+        ((angles[ai] + angles[aj]) / 2) % math.pi
+        for ai in range(len(angles))
+        for aj in range(ai, len(angles))
+    )
+    ang_tol = max(tol_abs / float(radii[shell[0]]), 1e-12)
+    dedup = []
+    for a in cand_angles:
+        if not dedup or (a - dedup[-1] > ang_tol and (math.pi - a + dedup[0]) > ang_tol):
+            dedup.append(a)
+    mirrors = [a for a in dedup if is_symmetry(mirror_op(a))]
+    entries = [((-float(d), 1, 0.0), group_elements("Cn", d)) for d in divisors(rot_order)]
+    if len(mirrors) == rot_order:
+        for d in divisors(rot_order) + [1]:
+            for ref in mirrors[: rot_order // d]:
+                entries.append(((-2.0 * d, 0, ref), group_elements("Cnv", d, ref)))
+    else:
+        entries += [((-2.0, 0, ref), group_elements("Cnv", 1, ref)) for ref in mirrors]
+    entries.append(((-1.0, 1, 0.0), group_elements("Cn", 1)))
+    entries.sort(key=lambda item: item[0])
+    result, seen = [], set()
+    for _, grp in entries:
+        key = (grp.name, round(grp.mirror_angle, 9))
+        if key not in seen:
+            seen.add(key)
+            result.append((grp, center))
+    return result
+
+
+def _perms(action, fw, group, center, tol):
+    """Every operation's joint and bar permutation as lists, or the error."""
+    try:
+        return [(v.tolist(), e.tolist()) for v, e in action(fw, group, center, tol)]
+    except (NotSymmetric, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _groups(detect, fw, tol):
+    return [(g.name, g.mirror_angle, c.tolist()) for g, c in detect(fw, tol)]
+
+
+@functools.cache
+def _workloads():
+    """The benchmark's input generators, ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _ring_cnv(seed):
+    """The benchmark's C16v spider web."""
+    return _workloads().ring_cnv(seed)
+
+
+def _noisy_cnv(n, noise, seed):
+    """Two joint orbits of C_nv about the origin, one on the mirrors and one
+    off them, two bar orbits, and every coordinate moved by up to
+    ``noise``."""
+    group = group_elements("Cnv", n)
+    reps = [np.array([1.0, 0.0]), 1.7 * np.array([np.cos(0.3 * np.pi / n), np.sin(0.3 * np.pi / n)])]
+    points = []
+    for rep in reps:
+        for op in group.operations():
+            p = op.matrix @ rep
+            if all(np.linalg.norm(p - q) > 1e-9 for q in points):
+                points.append(p)
+    exact = np.array(points)
+    perms = [[int(np.argmin(np.linalg.norm(exact - op.matrix @ p, axis=1))) for p in exact]
+             for op in group.operations()]
+    bars = {tuple(sorted((perm[a], perm[b]))) for perm in perms for a, b in ((0, 1), (0, n))}
+    moved = exact + np.random.default_rng(seed).uniform(-noise, noise, exact.shape)
+    return Framework(moved, sorted(bars))
+
+
+def _square_drifting(tol=1e-9):
+    """Four joints on the unit circle, each turned from its C4 place so that
+    the quarter turn misses by 0.6 of the tolerance and the half turn by
+    1.2: C4 passes its generator and fails r^2."""
+    tol_abs = tol * 2 * np.sqrt(2)
+    turns = np.array([0.0, 0.6, 1.2, 0.6]) * tol_abs
+    angles = np.pi / 2 * np.arange(4) + turns
+    return Framework(np.c_[np.cos(angles), np.sin(angles)], [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+def _crowded_square(spacing, tol=1e-9):
+    """SQUARE_X with a second joint ``spacing`` absolute tolerances beyond
+    each corner, on the corner's diagonal: C4v symmetric, but too crowded to
+    accept a composed permutation without matching.  On the matching
+    direction the pairs project 0.245 x ``spacing`` tolerances apart (at
+    best), and the guard asks for more than 2."""
+    corners = np.asarray(SQUARE_X.positions)
+    step = spacing * tol * np.hypot(2 + tol, 2 + tol)
+    outer = corners * (1 + step / np.sqrt(2))
+    edges = list(SQUARE_X.edges) + [(k, 4 + k) for k in range(4)]
+    return Framework(np.vstack([corners, outer]), edges)
+
+
+def _generator_cases():
+    """(id, framework, tol, declared (group, centre) pairs), each checked
+    with its detected groups as well."""
+    for name in GEOMETRIC:
+        entry = catalog.generate(name)
+        fw = entry.framework
+        declared = [resolve_group(entry.group, fw)]
+        top, center = detect_groups(fw)[0]
+        family = top.family if top.n > 1 else "Cnv"
+        declared.append((group_elements(family, 2 * top.n, top.mirror_angle), center))
+        if top.family == "Cnv":
+            declared.append((group_elements("Cnv", top.n, top.mirror_angle + 0.1), center))
+        yield name, fw, 1e-9, declared
+    for seed in (1, 2, 3):
+        yield f"ring-cnv-{seed}", _ring_cnv(seed), 1e-9, []
+    for n in (3, 4, 7):
+        yield f"chiral-ring-{n}", _chiral_ring(n), 1e-9, [(group_elements("Cnv", n), np.zeros(2))]
+    for n in (4, 8):
+        for noise in (1e-10, 1e-9, 1.5e-9, 2e-9, 3e-9, 1e-8):
+            for seed in range(3):
+                origin = np.zeros(2)
+                declared = [(group_elements("Cnv", n), origin), (group_elements("Cnv", 2 * n), origin)]
+                yield f"noisy-C{n}v-{noise:g}-{seed}", _noisy_cnv(n, noise, seed), 1e-9, declared
+    yield "drifting-square", _square_drifting(), 1e-9, [(group_elements("Cn", 4), np.zeros(2))]
+    for spacing in (0.5, 6.0):
+        yield f"crowded-square-{spacing:g}", _crowded_square(spacing), 1e-9, [
+            (group_elements("Cnv", 4), np.zeros(2))
+        ]
+
+
+def _count_matchings(monkeypatch):
+    """The kinds of the operations ``vertex_permutation`` is called for,
+    appended as the calls are made."""
+    calls = []
+    original = symmetry.vertex_permutation
+
+    def counting(fw, op, *args, **kwargs):
+        calls.append(op.kind)
+        return original(fw, op, *args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "vertex_permutation", counting)
+    return calls
+
+
+class TestGeneratorMatching:
+    @pytest.mark.parametrize("case", list(_generator_cases()), ids=lambda c: c[0])
+    def test_same_as_direct_matching(self, case):
+        _, fw, tol, declared = case
+        detected = detect_groups(fw, tol)
+        assert _groups(detect_groups, fw, tol) == _groups(_direct_detect_groups, fw, tol)
+        for group, center in declared + detected:
+            got = _perms(_composed_action, fw, group, center, tol)
+            assert got == _perms(_direct_action, fw, group, center, tol), group
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_noise_reaches_both_outcomes(self, n):
+        """C_nv holds on the least noisy sets and fails on the noisiest."""
+        group, origin = group_elements("Cnv", n), np.zeros(2)
+        failed = [
+            isinstance(_perms(_composed_action, _noisy_cnv(n, noise, 0), group, origin, 1e-9), str)
+            for noise in (1e-10, 1e-8)
+        ]
+        assert failed == [False, True]
+
+    def test_half_turn_fails_after_its_generator_passes(self):
+        fw = _square_drifting()
+        center, c4 = np.zeros(2), group_elements("Cn", 4)
+        vertex_permutation(fw, rotation_op(np.pi / 2), center)
+        with pytest.raises(NotSymmetric, match="joint 0 has no image match under rotation"):
+            vertex_permutation(fw, rotation_op(np.pi), center)
+        assert isinstance(_perms(_composed_action, fw, c4, center, 1e-9), str)
+
+    @pytest.mark.parametrize("make", [lambda: _ring_cnv(1), lambda: _web()], ids=["ring-cnv", "web"])
+    def test_generators_only_are_matched(self, make, monkeypatch):
+        fw = make()
+        calls = _count_matchings(monkeypatch)
+        group, center = detect_groups(fw)[0]
+        assert group.name == "C16v"
+        assert calls == ["rotation", "mirror"]
+        calls.clear()
+        symmetry_action(fw, group, center)
+        assert calls == ["rotation", "mirror"]
+
+    @pytest.mark.parametrize("spacing", [0.5, 6.0])
+    def test_crowded_joints_are_all_matched(self, spacing, monkeypatch):
+        calls = _count_matchings(monkeypatch)
+        symmetry_action(_crowded_square(spacing), group_elements("Cnv", 4), np.zeros(2))
+        assert len(calls) == 8
 
 
 # ---------------------------------------------------------------------------

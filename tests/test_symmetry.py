@@ -354,8 +354,19 @@ class TestMoreRotationsThanJoints:
         assert not build.called
 
     @pytest.mark.parametrize("spec", [GroupSpec("Cn", 3), GroupSpec("Cnv", 5)])
-    def test_one_joint_at_the_centre_keeps_any_group(self, spec):
+    def test_one_joint_rejects_more_rotations(self, spec):
+        # The joint sits at the centre, so the rotation by 2 pi / n passes.
+        fw = Framework([(0.5, 1.0)], [], pinned=[0])
+        with mock.patch.object(symmetry, "group_elements") as build:
+            with pytest.raises(NotSymmetric) as exc:
+                resolve_group(spec, fw)
+        assert not build.called
+        assert str(exc.value) == (
+            f"the declared group has {spec.n} rotations, more than the framework's 1 joint(s)"
+        )
+
+    @pytest.mark.parametrize("spec", [GroupSpec("C1"), GroupSpec("Cs", mirror_angle_deg=30.0)])
+    def test_one_joint_keeps_a_group_without_rotations(self, spec):
         fw = Framework([(0.5, 1.0)], [], pinned=[0])
         group, center = resolve_group(spec, fw)
-        assert group.order == (2 if spec.family == "Cnv" else 1) * spec.n
         assert census(fw, group, center=center).freedom_number == 0
