@@ -21,6 +21,7 @@ import argparse
 import concurrent.futures
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .catalog import generate
 from .counting import _check_tolerance, analyze
-from .framework import check_planarity, framework_to_json, parse_framework_json
+from .framework import Framework, check_planarity, framework_to_json, parse_framework_json
 from .numeric import RANK_TOL, mechanism_basis, self_stress_basis, verify
 from .render import render_svg
 from .symmetry import (
@@ -51,6 +52,14 @@ EXIT_INVALID = 2
 EXIT_NOT_SYMMETRIC = 3
 EXIT_CROSS_CHECK = 4
 EXIT_VERIFY = 5
+
+# The exit code and stderr prefix of each kind of failure, tried in order.
+_FAILURES = (
+    ((NotSymmetric, ClassMismatch), EXIT_NOT_SYMMETRIC, "not symmetric: "),
+    ((CrossCheckFailure, NonIntegerMultiplicity), EXIT_CROSS_CHECK, "cross-check failed: "),
+    ((OSError, ValueError, SymstressError), EXIT_INVALID, ""),
+)
+_CAUGHT = tuple(kind for kinds, _, _ in _FAILURES for kind in kinds)
 
 
 def _tolerance(text: str) -> float:
@@ -99,25 +108,19 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_an = sub.add_parser("analyze", help="run the symbolic counting rule")
-    _add_common(p_an, many_inputs=True)
-    p_an.add_argument("--format", choices=("text", "json"), default="text", help="report format")
-    p_an.add_argument(
-        "--strict-planar",
-        action="store_true",
-        help="treat crossing bars / joints on bar interiors as invalid input (exit 2)",
-    )
-    p_an.add_argument("--jobs", type=int, default=1, metavar="N", help="process N files in parallel")
-
-    p_ve = sub.add_parser("verify", help="cross-check the counts against the numeric engine")
-    _add_common(p_ve, many_inputs=True)
-    p_ve.add_argument("--format", choices=("text", "json"), default="text", help="report format")
-    p_ve.add_argument(
-        "--strict-planar",
-        action="store_true",
-        help="treat crossing bars / joints on bar interiors as invalid input (exit 2)",
-    )
-    p_ve.add_argument("--jobs", type=int, default=1, metavar="N", help="process N files in parallel")
+    for command, help_text in (
+        ("analyze", "run the symbolic counting rule"),
+        ("verify", "cross-check the counts against the numeric engine"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        _add_common(p, many_inputs=True)
+        p.add_argument("--format", choices=("text", "json"), default="text", help="report format")
+        p.add_argument(
+            "--strict-planar",
+            action="store_true",
+            help="treat crossing bars / joints on bar interiors as invalid input (exit 2)",
+        )
+        p.add_argument("--jobs", type=int, default=1, metavar="N", help="process N files in parallel")
 
     p_ge = sub.add_parser("gen", help="write a built-in catalog framework as JSON")
     p_ge.add_argument("name", nargs="?", help="catalog entry name (see --list)")
@@ -140,16 +143,20 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_framework_json(text)
-
-
-def _choose_spec(arg_text: str, file_group) -> GroupSpec:
-    spec = parse_group_arg(arg_text)
+def _load(path: str, group_arg: str) -> tuple[Framework, GroupSpec]:
+    """The framework in file ``path`` and the group to analyse it under:
+    ``group_arg``, unless that is auto and the file declares a group."""
+    fw, file_group = parse_framework_json(Path(path).read_text(encoding="utf-8"))
+    spec = parse_group_arg(group_arg)
     if spec.is_auto and file_group is not None:
-        return group_spec_from_json(file_group)
-    return spec
+        spec = group_spec_from_json(file_group)
+    return fw, spec
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and stderr prefix of an exception in ``_CAUGHT``: the
+    first row of ``_FAILURES`` whose kinds it is an instance of."""
+    return next((code, prefix) for kinds, code, prefix in _FAILURES if isinstance(exc, kinds))
 
 
 def _json_text(payload) -> str:
@@ -166,59 +173,38 @@ def _error_payload(path: str, code: int, message: str) -> dict:
     }
 
 
-def _run_report(command: str, path: str, args_dict: dict) -> tuple[int, object, str]:
+def _run_report(path: str, args: argparse.Namespace) -> tuple[int, object, str]:
     """Analyze or verify one file.
 
-    Returns (exit code, payload, stderr message); payload is a report dict
-    (json mode) or report text (text mode), or None after an error.
+    Returns (exit code, payload, stderr message); payload is a report or
+    error dict in json mode, and the report text or None after an error in
+    text mode.
     """
-    fmt = args_dict["format"]
+    json_mode = args.format == "json"
     try:
-        fw, file_group = _load(path)
-        spec = _choose_spec(args_dict["group"], file_group)
-    except (OSError, ValueError) as exc:
-        msg = f"{path}: {exc}"
-        payload = _error_payload(path, EXIT_INVALID, str(exc)) if fmt == "json" else None
-        return EXIT_INVALID, payload, msg
-
-    try:
-        if command == "analyze":
-            report = analyze(fw, spec, tol=args_dict["tol_sym"])
+        fw, spec = _load(path, args.group)
+        if args.command == "analyze":
+            report = analyze(fw, spec, tol=args.tol_sym)
         else:
-            report = verify(fw, spec, tol=args_dict["tol_sym"], rel_tol=args_dict["tol_rank"])
-        if args_dict["strict_planar"]:
-            if command == "analyze":
+            report = verify(fw, spec, tol=args.tol_sym, rel_tol=args.tol_rank)
+        if args.strict_planar:
+            if args.command == "analyze":
                 count = report.planarity_violations or 0
             else:
                 # verify works from the census and never checks geometry
                 count = len(check_planarity(fw))
             if count:
                 msg = f"{path}: {count} planarity violation(s) under --strict-planar"
-                payload = _error_payload(path, EXIT_INVALID, msg) if fmt == "json" else None
+                payload = _error_payload(path, EXIT_INVALID, msg) if json_mode else None
                 return EXIT_INVALID, payload, msg
-    except (NotSymmetric, ClassMismatch) as exc:
-        msg = f"{path}: not symmetric: {exc}"
-        payload = _error_payload(path, EXIT_NOT_SYMMETRIC, str(exc)) if fmt == "json" else None
-        return EXIT_NOT_SYMMETRIC, payload, msg
-    except (CrossCheckFailure, NonIntegerMultiplicity) as exc:
-        msg = f"{path}: cross-check failed: {exc}"
-        payload = _error_payload(path, EXIT_CROSS_CHECK, str(exc)) if fmt == "json" else None
-        return EXIT_CROSS_CHECK, payload, msg
-    except (SymstressError, ValueError) as exc:
-        msg = f"{path}: {exc}"
-        payload = _error_payload(path, EXIT_INVALID, str(exc)) if fmt == "json" else None
-        return EXIT_INVALID, payload, msg
+    except _CAUGHT as exc:
+        code, prefix = _failure(exc)
+        payload = _error_payload(path, code, str(exc)) if json_mode else None
+        return code, payload, f"{path}: {prefix}{exc}"
 
-    code = EXIT_OK
-    if command == "verify" and not report.passed:
-        code = EXIT_VERIFY
-    payload = report.to_dict(input_name=path) if fmt == "json" else report.to_text()
-    err = "" if code == EXIT_OK else f"{path}: verification failed"
-    return code, payload, err
-
-
-def _run_report_task(task: tuple) -> tuple[int, object, str]:
-    return _run_report(*task)
+    code = EXIT_VERIFY if args.command == "verify" and not report.passed else EXIT_OK
+    payload = report.to_dict(input_name=path) if json_mode else report.to_text()
+    return code, payload, "" if code == EXIT_OK else f"{path}: verification failed"
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -228,46 +214,32 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_analyze_verify(command: str, args: argparse.Namespace) -> int:
-    args_dict = {
-        "group": args.group,
-        "tol_sym": args.tol_sym,
-        "tol_rank": args.tol_rank,
-        "strict_planar": args.strict_planar,
-        "format": args.format,
-    }
-    tasks = [(command, path, args_dict) for path in args.inputs]
-    if args.jobs > 1 and len(tasks) > 1:
+def _cmd_analyze_verify(args: argparse.Namespace) -> int:
+    if args.jobs > 1 and len(args.inputs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_report_task, tasks))
+            results = list(pool.map(_run_report, args.inputs, repeat(args)))
     else:
-        results = [_run_report(*task) for task in tasks]
+        results = list(map(_run_report, args.inputs, repeat(args)))
 
-    worst = EXIT_OK
     chunks: list[str] = []
     payloads: list[object] = []
-    for (code, payload, err), path in zip(results, args.inputs):
-        worst = max(worst, code)
+    for (_, payload, err), path in zip(results, args.inputs):
         if err:
             print(err, file=sys.stderr)
-        if payload is None:
-            continue
         if args.format == "json":
             payloads.append(payload)
-        else:
+        elif payload is not None:
             if len(args.inputs) > 1:
                 chunks.append(f"# {path}\n")
-            chunks.append(payload if isinstance(payload, str) else str(payload))
+            chunks.append(payload)
 
     if args.format == "json":
-        out = _json_text(payloads[0] if len(args.inputs) == 1 and payloads else payloads)
-        if len(args.inputs) == 1 and not payloads:
-            out = ""
+        out = _json_text(payloads[0] if len(payloads) == 1 else payloads)
     else:
-        out = "\n".join(chunks) if chunks else ""
+        out = "\n".join(chunks)
     if out:
         _emit(out, args.output)
-    return worst
+    return max(code for code, _, _ in results)
 
 
 def _parse_param(text: str) -> tuple[str, object]:
@@ -311,59 +283,43 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _overlay_row(
+    basis_of, fw: Framework, index: int | None, name: str, plural: str, rel_tol: float
+):
+    """Row ``index`` of ``basis_of(fw)`` for ``render --stress``/``--mechanism``,
+    or None without an index; ValueError when the row does not exist."""
+    if index is None:
+        return None
+    basis = basis_of(fw, rel_tol=rel_tol)
+    if not 0 <= index < basis.shape[0]:
+        raise ValueError(
+            f"{name} index {index} out of range (framework has {basis.shape[0]} {plural})"
+        )
+    return basis[index]
+
+
 def _cmd_render(args: argparse.Namespace) -> int:
     try:
-        fw, file_group = _load(args.input)
-        spec = _choose_spec(args.group, file_group)
-    except (OSError, ValueError) as exc:
-        print(f"render: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-    group = None
-    center = None
-    try:
+        fw, spec = _load(args.input, args.group)
         group, center = resolve_group(spec, fw, tol=args.tol_sym)
-    except NotSymmetric as exc:
-        print(f"render: not symmetric: {exc}", file=sys.stderr)
-        return EXIT_NOT_SYMMETRIC
-
-    stress = mechanism = None
-    try:
-        if args.stress is not None:
-            basis = self_stress_basis(fw, rel_tol=args.tol_rank)
-            if not 0 <= args.stress < basis.shape[0]:
-                raise ValueError(
-                    f"stress index {args.stress} out of range (framework has "
-                    f"{basis.shape[0]} self-stresses)"
-                )
-            stress = basis[args.stress]
-        if args.mechanism is not None:
-            basis = mechanism_basis(fw, rel_tol=args.tol_rank)
-            if not 0 <= args.mechanism < basis.shape[0]:
-                raise ValueError(
-                    f"mechanism index {args.mechanism} out of range (framework "
-                    f"has {basis.shape[0]} mechanisms)"
-                )
-            mechanism = basis[args.mechanism]
-    except ValueError as exc:
-        print(f"render: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-    try:
-        # highlighting unshifted bars maps every bar, which can still fail
         svg = render_svg(
             fw,
             group=group if group.order > 1 else None,
             center=center,
-            stress=stress,
-            mechanism=mechanism,
+            stress=_overlay_row(
+                self_stress_basis, fw, args.stress, "stress", "self-stresses", args.tol_rank
+            ),
+            mechanism=_overlay_row(
+                mechanism_basis, fw, args.mechanism, "mechanism", "mechanisms", args.tol_rank
+            ),
             highlight_fixed=not args.no_highlight,
             title=args.title,
             tol=args.tol_sym,
         )
-    except NotSymmetric as exc:
-        print(f"render: not symmetric: {exc}", file=sys.stderr)
-        return EXIT_NOT_SYMMETRIC
+    except _CAUGHT as exc:
+        code, prefix = _failure(exc)
+        print(f"render: {prefix}{exc}", file=sys.stderr)
+        return code
     _emit(svg, args.output)
     return EXIT_OK
 
@@ -376,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad arguments and 0 on --help/--version
         return int(exc.code or 0)
     if args.command in ("analyze", "verify"):
-        return _cmd_analyze_verify(args.command, args)
+        return _cmd_analyze_verify(args)
     if args.command == "gen":
         return _cmd_gen(args)
     return _cmd_render(args)

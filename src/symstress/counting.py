@@ -32,6 +32,7 @@ from .reptheory import (
     reducible_character,
 )
 from .symmetry import (
+    SYM_TOL,
     GroupSpec,
     SymmetryAction,
     SymmetryCensus,
@@ -474,7 +475,7 @@ def _analysis(
 def analyze(
     fw: Framework,
     group: GroupSpec | None = None,
-    tol: float = 1e-9,
+    tol: float = SYM_TOL,
     planarity: bool = True,
 ) -> AnalysisReport:
     """Run the symbolic counting rule on a framework.

@@ -123,7 +123,7 @@ class Framework:
     @property
     def internal_vertices(self) -> tuple[int, ...]:
         """Indices of non-pinned joints, ascending."""
-        return tuple(i for i in range(self.num_vertices) if i not in self.pinned)
+        return tuple(np.flatnonzero(~self.pinned_mask).tolist())
 
     def centroid(self) -> np.ndarray:
         return self.positions.mean(axis=0)
@@ -143,7 +143,7 @@ def maxwell_count(fw: Framework) -> int:
     unpinned joint has only two rigid-body motions, so the count needs at
     least two joints there and raises ValueError otherwise.
     """
-    v = len(fw.internal_vertices) if fw.is_pinned else fw.num_vertices
+    v = int(np.count_nonzero(fw.velocity_blocks >= 0))
     return maxwell_count_of(v, fw.num_edges, fw.is_pinned)
 
 
@@ -192,11 +192,12 @@ def rigidity_matrix(fw: Framework) -> np.ndarray:
 
 
 def rigidity_matrix_pinned(fw: Framework) -> np.ndarray:
-    """The e x 2·v_internal rigidity matrix for a pinned framework.
+    """The e x 2·v_internal rigidity matrix, pins honoured.
 
     All bars contribute rows, but only internal (non-pinned) joints have
     velocity columns; coefficients on pinned joints are dropped.  Column
-    blocks follow ascending internal vertex index.
+    blocks follow ascending internal vertex index, so with no pins this is
+    ``rigidity_matrix``.
     """
     return _rigidity(fw, fw.velocity_blocks)
 

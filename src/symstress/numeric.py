@@ -58,10 +58,10 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from .errors import ClassMismatch, DegenerateSpan, DimensionMismatch
-from .framework import Framework, rigidity_matrix, rigidity_matrix_pinned, rigidity_rows
+from .framework import Framework, rigidity_matrix_pinned, rigidity_rows
 from .counting import AnalysisReport, _analysis, _check_tolerance
 from .reptheory import CharacterTable, IrrepDecomposition, character_table
-from .symmetry import GroupSpec, PointGroup, SymmetryAction, symmetry_action
+from .symmetry import SYM_TOL, GroupSpec, PointGroup, SymmetryAction, symmetry_action
 from .symmetry import vertex_permutation  # noqa: F401  unused; perfbench's tracer looks it up here
 
 __all__ = [
@@ -103,10 +103,6 @@ def _cutoff(rel_tol: float, s_max: float, shape: tuple[int, ...]) -> float:
     return rel_tol * s_max * max(shape)
 
 
-def _matrix_for(fw: Framework) -> np.ndarray:
-    return rigidity_matrix_pinned(fw) if fw.is_pinned else rigidity_matrix(fw)
-
-
 def _svd_spaces(R: np.ndarray, rel_tol: float) -> tuple[int, np.ndarray, np.ndarray]:
     """(rank, left-kernel rows, kernel rows) of R from a single SVD."""
     rows, cols = R.shape
@@ -122,7 +118,7 @@ def _svd_spaces(R: np.ndarray, rel_tol: float) -> tuple[int, np.ndarray, np.ndar
 def trivial_motion_basis(fw: Framework) -> np.ndarray:
     """Orthonormal rigid-body motions: (3, 2v) unpinned, (0, 2v_int) pinned."""
     if fw.is_pinned:
-        return np.zeros((0, 2 * len(fw.internal_vertices)))
+        return np.zeros((0, 2 * int(np.count_nonzero(fw.velocity_blocks >= 0))))
     v = fw.num_vertices
     pos = fw.positions - fw.positions.mean(axis=0)
     basis = np.zeros((3, 2 * v))
@@ -138,7 +134,7 @@ def trivial_motion_basis(fw: Framework) -> np.ndarray:
 def self_stress_basis(fw: Framework, rel_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal self-stress basis, shape (s, e): rows are bar-tension
     assignments in equilibrium at every joint."""
-    _, stresses, _ = _svd_spaces(_matrix_for(fw), rel_tol)
+    _, stresses, _ = _svd_spaces(rigidity_matrix_pinned(fw), rel_tol)
     return stresses
 
 
@@ -147,22 +143,20 @@ def mechanism_basis(fw: Framework, rel_tol: float = RANK_TOL) -> np.ndarray:
 
     Unpinned: kernel of the rigidity matrix intersected with the orthogonal
     complement of the rigid-body motions (computed in one SVD by stacking the
-    motion rows as extra constraints).  Pinned: the kernel itself.
+    motion rows as extra constraints).  Pinned: the kernel itself, as there
+    are no motion rows to stack.
     """
-    R = _matrix_for(fw)
-    if not fw.is_pinned:
-        R = np.vstack([R, trivial_motion_basis(fw)])
+    R = np.vstack([rigidity_matrix_pinned(fw), trivial_motion_basis(fw)])
     _, _, motions = _svd_spaces(R, rel_tol)
     return motions
 
 
 def _moving_perm(fw: Framework, vperm: np.ndarray) -> np.ndarray:
-    """A joint permutation on the joints with velocity columns: all joints
-    when unpinned, else the internal ones reindexed 0..n-1."""
-    if not fw.is_pinned:
-        return vperm
+    """A joint permutation (or one per row of ``vperm``) on the joints with
+    velocity columns: all joints when unpinned, else the internal ones
+    reindexed 0..n-1."""
     block = fw.velocity_blocks
-    return block[vperm[block >= 0]]
+    return block[vperm[..., block >= 0]]
 
 
 def _orthonormal_rows(basis: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -185,7 +179,7 @@ def classify_by_irrep(
     basis: np.ndarray,
     center: np.ndarray | Sequence[float] | None = None,
     space: str = "velocity",
-    tol: float = 1e-9,
+    tol: float = SYM_TOL,
     rel_tol: float = RANK_TOL,
     *,
     action: SymmetryAction | None = None,
@@ -204,7 +198,7 @@ def classify_by_irrep(
     replaces ``center`` and ``tol``.
     """
     table = character_table(group)
-    expected = 2 * len(fw.internal_vertices) if fw.is_pinned else 2 * fw.num_vertices
+    expected = 2 * int(np.count_nonzero(fw.velocity_blocks >= 0))
     if space == "velocity":
         if basis.shape[1] != expected:
             raise DimensionMismatch(
@@ -229,7 +223,7 @@ def intertwining_residual(
     fw: Framework,
     group: PointGroup,
     center: np.ndarray | Sequence[float] | None = None,
-    tol: float = 1e-9,
+    tol: float = SYM_TOL,
     *,
     action: SymmetryAction | None = None,
 ) -> float:
@@ -341,9 +335,8 @@ def _isotypic(
     if not any(ir.is_complex for ir in table.irreps):
         coeff = coeff.real
     if space == "velocity":
-        n = int(np.count_nonzero(fw.velocity_blocks >= 0))
-        vperms = np.array([_moving_perm(fw, act.vperm) for act in ops]).reshape(len(ops), n)
-        return _isotypic_bases(vperms, np.array([act.op.matrix for act in ops]), coeff)
+        vperms = np.array([act.vperm for act in ops]).reshape(len(ops), fw.num_vertices)
+        return _isotypic_bases(_moving_perm(fw, vperms), np.array([act.op.matrix for act in ops]), coeff)
     eperms = np.array([act.eperm for act in ops]).reshape(len(ops), fw.num_edges)
     return _isotypic_bases(eperms, np.ones((len(ops), 1, 1)), coeff)
 
@@ -490,7 +483,7 @@ def _full_counts(
     motions), and m_i = k_i - t_i with k_i and t_i the kernel's and the
     motions' irrep dimensions, the block route's rule.  Valid whether or not
     R intertwines the action; ``verify`` uses it when intertwining fails."""
-    rank, stresses, kernel = _svd_spaces(_matrix_for(fw), rel_tol)
+    rank, stresses, kernel = _svd_spaces(rigidity_matrix_pinned(fw), rel_tol)
     trivial = trivial_motion_basis(fw)
     s_by: dict[str, int] | None = None
     m_by: dict[str, int] | None = None
@@ -607,7 +600,7 @@ class VerificationReport:
 def verify(
     fw: Framework,
     group: GroupSpec | None = None,
-    tol: float = 1e-9,
+    tol: float = SYM_TOL,
     rel_tol: float = RANK_TOL,
 ) -> VerificationReport:
     """Cross-verify the symbolic counting rule against the numerics.

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .framework import Framework, bbox_diagonal
-from .symmetry import SYM_TOL, PointGroup, symmetry_action
+from .symmetry import SYM_TOL, PointGroup, SymmetryAction, symmetry_action
 
 __all__ = ["render_svg"]
 
@@ -66,12 +66,12 @@ class _Canvas:
         return x, y
 
 
-def _fixed_edges(fw: Framework, group: PointGroup, center: np.ndarray, tol: float) -> set[int]:
+def _fixed_edges(action: SymmetryAction) -> set[int]:
     """Indices of bars left unshifted by at least one non-identity operation."""
     fixed: set[int] = set()
-    for act in symmetry_action(fw, group, center, tol).ops:
+    for act in action.ops:
         if act.op.kind != "identity":
-            fixed.update(np.flatnonzero(act.eperm == np.arange(fw.num_edges)).tolist())
+            fixed.update(np.flatnonzero(act.eperm == np.arange(act.eperm.size)).tolist())
     return fixed
 
 
@@ -122,8 +122,11 @@ def render_svg(
     ``stress`` is a coefficient per bar; ``mechanism`` a velocity per joint
     (shape (v, 2) or flat length 2v; for pinned frameworks, per internal
     joint).  When ``group`` is given, mirror lines and the rotation centre
-    are drawn and (with ``highlight_fixed``) unshifted bars are
-    emphasised.
+    are drawn and (with ``highlight_fixed``) the bars its action leaves
+    unshifted are emphasised.
+
+    Raises NotSymmetric when ``group`` does not hold, with or without
+    ``highlight_fixed``: its action is built whenever a group is given.
     """
     positions = fw.positions
     canvas = _Canvas(positions, width, height, margin)
@@ -141,16 +144,18 @@ def render_svg(
         if not np.all(np.isfinite(stress_vec)):
             raise ValueError("stress coefficients must be finite")
 
+    moving = np.flatnonzero(fw.velocity_blocks >= 0)
     velocity: np.ndarray | None = None
     if mechanism is not None:
-        moving = fw.internal_vertices if fw.is_pinned else list(range(fw.num_vertices))
         velocity = np.asarray(mechanism, dtype=float).reshape(len(moving), 2)
         if not np.all(np.isfinite(velocity)):
             raise ValueError("mechanism velocities must be finite")
 
     fixed: set[int] = set()
-    if group is not None and highlight_fixed:
-        fixed = _fixed_edges(fw, group, center, tol)
+    if group is not None:
+        action = symmetry_action(fw, group, center, tol)
+        if highlight_fixed:
+            fixed = _fixed_edges(action)
 
     parts: list[str] = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -192,7 +197,6 @@ def render_svg(
     parts.append("</g>")
 
     if velocity is not None:
-        moving = fw.internal_vertices if fw.is_pinned else list(range(fw.num_vertices))
         max_speed = float(np.linalg.norm(velocity, axis=1).max())
         if max_speed > 0:
             arrow_reach = 0.08 * bbox_diagonal(positions) / max_speed

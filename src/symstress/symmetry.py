@@ -235,14 +235,12 @@ def group_elements(family: str, n: int, mirror_angle: float = 0.0) -> PointGroup
         classes.append(
             ConjugacyClass(_rotation_class_label(n, j), "rotation", ops, step=j)
         )
-    if n % 2 == 0 and n >= 2:
+    if n % 2 == 0:
         classes.append(
             ConjugacyClass("C2", "rotation", (rotation_op(math.pi),), step=n // 2)
         )
     mirrors = [mirror_op(mirror_angle + k * math.pi / n) for k in range(n)]
-    if n == 1:
-        classes.append(ConjugacyClass("sigma", "mirror", tuple(mirrors)))
-    elif n % 2 == 1:
+    if n % 2 == 1:
         classes.append(ConjugacyClass("sigma", "mirror", tuple(mirrors)))
     else:
         ref_label, alt_label = ("sigma_h", "sigma_v") if n == 2 else ("sigma_v", "sigma_d")
@@ -628,10 +626,9 @@ def census(
             )
 
     ctr = action.center
-    v = len(fw.internal_vertices) if fw.is_pinned else fw.num_vertices
     return SymmetryCensus(
         group=group,
-        v=v,
+        v=int(np.count_nonzero(counted)),
         e=fw.num_edges,
         pinned=fw.is_pinned,
         fixed_vertices=tuple(per_op[0][0] for per_op in per_class),

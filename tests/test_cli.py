@@ -256,8 +256,9 @@ class TestExitCodes:
         assert report["checks"][0]["residual"] == 1.000000000139778e-06
 
     def test_render_under_a_group_that_is_not_a_symmetry(self, entry_file, tmp_path):
-        # An explicit group is taken as given; mapping the bars for the
-        # highlight finds that joint 0 has no image.
+        # An explicit group is taken as given; building its action, which
+        # render does for every group it draws, finds that joint 0 has no
+        # image.
         doc = json.loads(entry_file("fig9a").read_text())
         doc["vertices"][0]["x"] += 1e-6
         moved = tmp_path / "moved.json"
@@ -266,6 +267,25 @@ class TestExitCodes:
         assert res.returncode == 3
         assert res.stderr.startswith("render: not symmetric: ")
         assert "Traceback" not in res.stderr
+
+    def test_render_without_highlight_still_checks_the_group(self, entry_file):
+        # Only the highlight used to build the group's action, so this drew
+        # C3 overlays and exited 0.
+        res = run_cli("render", str(entry_file("fig3")), "--group", "Cn:3", "--no-highlight")
+        assert res.returncode == 3
+        assert res.stderr.startswith("render: not symmetric: ")
+        assert res.stdout == ""
+
+    def test_error_payloads_through_the_process_pool(self, entry_file, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("nonsense")
+        args = ("analyze", str(entry_file("fig3")), str(bad), "--format", "json")
+        serial = run_cli(*args)
+        parallel = run_cli(*args, "--jobs", "2")
+        assert serial.returncode == parallel.returncode == 2
+        assert serial.stdout == parallel.stdout
+        assert serial.stderr == parallel.stderr
+        assert [doc["kind"] for doc in json.loads(parallel.stdout)] == ["analysis", "error"]
 
     def test_coincident_joints_are_invalid_input(self, tmp_path):
         fw = Framework([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.0)], [(0, 1), (1, 2), (2, 3)])

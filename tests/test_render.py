@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from symstress import (
+    NotSymmetric,
     catalog,
+    group_elements,
     mechanism_basis,
     render_svg,
     resolve_group,
@@ -65,6 +67,12 @@ class TestRenderSvg:
         mech_group = svg.split('id="mechanism"', 1)[1].split("</g>", 1)[0]
         assert "<line" in mech_group
         assert 'r="2.5"' in mech_group
+
+    def test_group_that_does_not_hold_raises_without_highlight(self):
+        fw, _, center = _entry("fig3")  # Cs, not C3
+        for highlight in (True, False):
+            with pytest.raises(NotSymmetric):
+                render_svg(fw, group_elements("Cn", 3), center, highlight_fixed=highlight)
 
     def test_pins_drawn_as_squares(self):
         fw, group, center = _entry("quadgrid")
