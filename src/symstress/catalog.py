@@ -17,6 +17,7 @@ rank decisions unambiguous at the default tolerances.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from typing import Callable, Mapping
 
 import numpy as np
@@ -957,13 +958,19 @@ def generate(name: str, **params) -> CatalogEntry:
     """Build the named catalog entry.
 
     ``fig10`` accepts ``delta`` (apex offset from the special position,
-    default 0.0).  Raises :class:`UnknownEntry` for unknown names.
+    default 0.0).  Raises :class:`UnknownEntry` for unknown names and
+    TypeError for a parameter the entry does not accept.
     """
     try:
         builder = _BUILDERS[name]
     except KeyError:
         known = ", ".join(_BUILDERS)
         raise UnknownEntry(f"unknown catalog entry {name!r} (known: {known})") from None
+    accepted = list(inspect.signature(builder).parameters)
+    unknown = [key for key in params if key not in accepted]
+    if unknown:
+        accepts = f"accepts: {', '.join(accepted)}" if accepted else "accepts no parameters"
+        raise TypeError(f"unknown parameter {unknown[0]!r} for {name}; {name} {accepts}")
     return builder(**params)
 
 

@@ -35,7 +35,13 @@ from .errors import (
 )
 from .catalog import generate
 from .counting import _check_tolerance, analyze
-from .framework import Framework, check_planarity, framework_to_json, parse_framework_json
+from .framework import (
+    Framework,
+    check_planarity,
+    framework_to_json,
+    maxwell_count,
+    parse_framework_json,
+)
 from .numeric import RANK_TOL, mechanism_basis, self_stress_basis, verify
 from .render import render_svg
 from .symmetry import (
@@ -301,6 +307,7 @@ def _overlay_row(
 def _cmd_render(args: argparse.Namespace) -> int:
     try:
         fw, spec = _load(args.input, args.group)
+        maxwell_count(fw)  # rejects a single unpinned joint, as analyze and verify do
         group, center = resolve_group(spec, fw, tol=args.tol_sym)
         svg = render_svg(
             fw,

@@ -8,14 +8,19 @@ irrep, and checks the numerics against the symbolic decomposition.
 irrep's isotypic component of the velocity space (V_i) and of the bar space
 (E_i) come from small projectors, one per orbit type, and R maps V_i into
 E_i, so the rank splits into the ranks of the blocks E_i^H R V_i (Kangwai &
-Guest 2000; Schulze 2010).  Only singular values are taken, block by block.
+Guest 2000; Schulze 2010).  R also commutes with the reference mirror sigma,
+so a 2-D irrep's component splits into a sigma-even and a sigma-odd half
+whose blocks have the same singular values; the block route builds only the
+even halves, a quarter of the whole block's entries, and counts each of
+their ranks d_i times.  Only singular values are taken, block by block.
 The blocks are exact only when R commutes with the group action, so
 ``verify`` checks that first; when it fails, or when its residual could
 move a block singular value across the rank cutoff, ``verify`` falls back
 to one SVD of the whole matrix with all singular vectors, and classifies
-the self-stress and mechanism bases by irrep in the same adapted bases.
-``verify`` builds V_i, E_i and R's sparse rows once, before it picks a
-route, and both routes read them.
+the self-stress and mechanism bases by irrep in the whole components'
+bases, the even halves together with the odd halves.  ``verify`` builds the
+even halves of V_i and E_i and R's sparse rows once, before it picks a
+route, and the fallback adds the odd halves only when it runs.
 
 Conventions
 -----------
@@ -43,7 +48,9 @@ Conventions
   small block per orbit, equal on orbits with conjugate stabilisers (a type).
   One dense block and one ``eigh`` per type and irrep serve all its orbits,
   and no projector on the whole space is formed.  Tables with complex irreps
-  (Cn, n >= 3) give complex Hermitian projectors and complex blocks.
+  (Cn, n >= 3) give complex Hermitian projectors and complex blocks.  The
+  types of one orbit size are the distinct rows of their local tables,
+  found by a 1-D ``np.unique`` of one byte key per row.
 * Each block E_i^H R V_i is assembled from (row, column, value) triples:
   E_i's entry at a bar meets V_i's entries (one per vector and joint) at the
   bar's two joints.  The cost is O(entries of E_i x most entries at a joint),
@@ -190,9 +197,10 @@ def classify_by_irrep(
     pinned) or "edge" for bar-scalar vectors (length e).  Rows are
     orthonormalised first, and irrep i's dimension counts the singular
     values of B V_i, with V_i an orthonormal basis of its isotypic component
-    (the bases the block route uses).  They are the cosines of the principal
-    angles between span(B) and that component, 0 or 1 for an invariant span,
-    so they are counted against a 0.5 threshold.  The dimensions sum to the
+    (the block route's sigma-even half with the sigma-odd half).  They are
+    the cosines of the principal angles between span(B) and that component,
+    0 or 1 for an invariant span, so they are counted against a 0.5
+    threshold.  The dimensions sum to the
     basis size, else ClassMismatch is raised (the span was not invariant
     under the group).  A precomputed ``action`` of ``group`` on ``fw``
     replaces ``center`` and ``tol``.
@@ -216,7 +224,8 @@ def classify_by_irrep(
     if action is None:
         action = symmetry_action(fw, group, center, tol)
     B = _orthonormal_rows(np.asarray(basis, dtype=float), rel_tol)
-    return _classify(B, table, _isotypic(fw, action, table, space))
+    whole = _whole(fw, action, table, space, _isotypic(fw, action, table, space))
+    return _classify(B, table, whole)
 
 
 def intertwining_residual(
@@ -278,22 +287,36 @@ def _entries(parts: _Parts, f: int) -> tuple[int, tuple[np.ndarray, ...]]:
     return count, (point, vector, value)
 
 
+def _distinct_rows(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(tables, axis=0, return_inverse=True)`` for non-negative
+    integer tables, from a 1-D ``np.unique`` over one ``np.void`` per row.
+    Big-endian bytes of non-negative integers sort like the integers, so the
+    distinct rows come out in the same order, and the inverse is 1-D."""
+    rows = np.ascontiguousarray(tables, dtype=">i8").reshape(len(tables), -1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return tables[first], inverse
+
+
 def _isotypic_bases(perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray) -> list[_Parts]:
-    """Orthonormal bases of the isotypic components of a permutation action.
+    """Orthonormal bases of the images of projectors of a permutation action.
 
     The group permutes n points, each carrying an f-dimensional fibre:
     operation g (row g of ``perms``, shape (|G|, n)) sends coordinate (j, c)
-    to sum_a mats[g, a, c] (perms[g, j], a).  Row i of ``coeff`` holds
-    (d_i/|G|) conj(chi_i(g)) per operation, so sum_g coeff[i, g] rho(g) is
-    irrep i's projector.  It maps each orbit's coordinates to themselves.
+    to sum_a mats[g, a, c] (perms[g, j], a).  Row i of ``coeff`` holds one
+    coefficient per operation, such that sum_g coeff[i, g] rho(g) is an
+    orthogonal projector that commutes with the action: an irrep's projector,
+    (d_i/|G|) conj(chi_i(g)), or one half of it (see ``_isotypic``).  It
+    maps each orbit's coordinates to themselves.
     Members are labelled from the group action, so orbits with conjugate
     stabilisers share one local table (operation, member) -> image member,
     one dense block and one ``eigh``, types of one size in one batch; the
     eigenvectors with eigenvalue above 1/2 serve every orbit of the type.
 
-    Returns, per irrep, one (coords, values) pair per orbit type: row r of
-    both is one basis vector, values[r] at global coordinates coords[r]
-    (coordinate (j, a) is j * f + a; each point's f coordinates adjacent).
+    Returns, per row of ``coeff``, one (coords, values) pair per orbit type:
+    row r of both is one basis vector, values[r] at global coordinates
+    coords[r] (coordinate (j, a) is j * f + a; each point's f coordinates
+    adjacent).
     """
     n, f = perms.shape[1], mats.shape[-1]
     bases: list[_Parts] = [[] for _ in coeff]
@@ -310,13 +333,13 @@ def _isotypic_bases(perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray) -> l
         members = np.take_along_axis(members, np.argsort(reach, axis=1), axis=1)
         local[members] = np.arange(k)
         coords = (members[:, :, None] * f + np.arange(f)).reshape(-1, k * f)
-        tables, kind = np.unique(local[perms[:, members]].swapaxes(0, 1), axis=0, return_inverse=True)
+        tables, kind = _distinct_rows(local[perms[:, members]].swapaxes(0, 1))
         # rho(g) puts mats[g, a, c] at row (local image of l, a), column (l, c).
         moves = tables[:, :, None, :] == np.arange(k)[:, None]
         rho = np.einsum("tgml,gac->tgmalc", moves, mats).reshape(tables.shape[:2] + (k * f,) * 2)
         projector = np.einsum("ig,tgxy->itxy", coeff, rho)
         values, vectors = np.linalg.eigh(projector.reshape((-1,) + rho.shape[2:]))
-        orbits = [coords[kind.ravel() == t] for t in range(len(tables))]  # NumPy 2.0.0: kind 2-D
+        orbits = [coords[kind == t] for t in range(len(tables))]
         for (i, t), value, vector in zip(np.ndindex(projector.shape[:2]), values, vectors):
             kept = vector[:, value > CLASSIFY_THRESHOLD].T
             bases[i].append((np.repeat(orbits[t], len(kept), axis=0), np.tile(kept, (len(orbits[t]), 1))))
@@ -324,21 +347,56 @@ def _isotypic_bases(perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray) -> l
 
 
 def _isotypic(
-    fw: Framework, action: SymmetryAction, table: CharacterTable, space: str
+    fw: Framework, action: SymmetryAction, table: CharacterTable, space: str, parity: int = 1
 ) -> list[_Parts]:
-    """Per irrep, the ``_isotypic_bases`` parts of its isotypic component of
-    the velocity space (``space="velocity"``) or of the bar space ("edge")."""
+    """Per irrep, the ``_isotypic_bases`` parts of one parity half of its
+    isotypic component of the velocity space (``space="velocity"``) or of
+    the bar space ("edge").
+
+    The halves are the eigenspaces of rho(sigma) for the reference mirror
+    sigma, the first mirror in ``action.ops``: ``parity=1`` the sigma-even
+    half, ``parity=-1`` the sigma-odd one.  Only 2-D irreps (those of C_nv)
+    are split.  Their projector P_i commutes with rho(sigma), so P_i (1 +-
+    rho(sigma)) / 2 projects onto a half, with coefficient row (c_i(g) +-
+    c_i(g sigma)) / 2, and each half holds one of the two partners of every
+    copy of the irrep: dim V_i / 2.  A 1-D irrep's whole component is its
+    even half, and its odd half is empty.  The two halves' parts together
+    are a basis of the whole component.
+    """
     ops = action.ops
-    dims = np.array([ir.dim for ir in table.irreps], dtype=float)
+    mats = np.array([act.op.matrix for act in ops])
+    dims = np.array([ir.dim for ir in table.irreps])
     chars = table.as_matrix()[:, [act.class_index for act in ops]]
     coeff = np.conj(chars) * (dims / action.group.order)[:, None]
     if not any(ir.is_complex for ir in table.irreps):
         coeff = coeff.real
+    split = dims == 2
+    if split.any():
+        sigma = next(act.op.matrix for act in ops if act.op.kind == "mirror")
+        # The operation g sigma is the one whose matrix is mats[g] @ sigma.
+        times_sigma = np.abs(mats[:, None] - mats @ sigma).sum(axis=(2, 3)).argmin(axis=0)
+        coeff[split] = (coeff[split] + parity * coeff[split][:, times_sigma]) / 2
+    built = np.flatnonzero(split | (parity > 0))
+    bases: list[_Parts] = [[] for _ in table.irreps]
+    if not built.size:
+        return bases
     if space == "velocity":
         vperms = np.array([act.vperm for act in ops]).reshape(len(ops), fw.num_vertices)
-        return _isotypic_bases(_moving_perm(fw, vperms), np.array([act.op.matrix for act in ops]), coeff)
-    eperms = np.array([act.eperm for act in ops]).reshape(len(ops), fw.num_edges)
-    return _isotypic_bases(eperms, np.ones((len(ops), 1, 1)), coeff)
+        perms, fibre = _moving_perm(fw, vperms), mats
+    else:
+        perms = np.array([act.eperm for act in ops]).reshape(len(ops), fw.num_edges)
+        fibre = np.ones((len(ops), 1, 1))
+    for i, parts in zip(built, _isotypic_bases(perms, fibre, coeff[built])):
+        bases[i] = parts
+    return bases
+
+
+def _whole(
+    fw: Framework, action: SymmetryAction, table: CharacterTable, space: str, even: list[_Parts]
+) -> list[_Parts]:
+    """Per irrep, the parts of its whole isotypic component: the sigma-even
+    half ``even`` from ``_isotypic`` and the sigma-odd half."""
+    return [e + o for e, o in zip(even, _isotypic(fw, action, table, space, -1))]
 
 
 def _dim_in(B: np.ndarray, parts: _Parts) -> int:
@@ -429,21 +487,30 @@ def _block_counts(
 
     When R intertwines the action it maps V_i into E_i and nothing else, so
     rank_i = rank of the block, s_i = dim E_i - rank_i and m_i = dim V_i -
-    rank_i - t_i.  t_i = ``_dim_in`` of the rigid-body motions and V_i, the
-    dimension of their part in V_i; pinned frameworks have none, so t_i = 0.
+    rank_i - t_i, with t_i the dimension of the rigid-body motions' part in
+    V_i (pinned frameworks have none).  R also commutes with the reference
+    mirror sigma, so it maps each sigma-parity half of V_i into the same half
+    of E_i, and for a 2-D irrep the two halves' blocks have the same singular
+    values (Schur's lemma; Kangwai & Guest 2000).  ``velocity`` and ``bar``
+    are the sigma-even halves from ``_isotypic``, and only their blocks are
+    built: with d_i the irrep's dimension (a 1-D irrep's even half is its
+    whole component), rank_i = d_i rank_+, s_i = d_i (rows_+ - rank_+) and
+    m_i = d_i (cols_+ - rank_+ - t_+).  The motions span an invariant space,
+    so t_+ = ``_dim_in`` of the motions and the even half is t_i / d_i.
+
     ``_adapted_blocks`` builds the blocks one at a time from
     orbit-local triples: each entry of E_i at a bar meets V_i's entries at
     the bar's two joints, so a block costs O(entries of E_i x most entries
     at a joint) besides its rows x cols, and no e x cols array is formed.  Only
     singular values are computed; the rank cutoff is the full matrix's,
     rel_tol * sigma_max * max(e, cols) with sigma_max the largest block
-    singular value.
+    singular value, and the halves hold every singular value of R, each
+    counted once rather than d_i times.
 
-    ``velocity`` and ``bar`` are the isotypic bases V_i and E_i from
-    ``_isotypic`` and ``rows`` is R from ``rigidity_rows``, all built once
-    per ``verify``.  ``residual`` is the intertwining residual.  Returns
-    None when it is large enough that some rank decision could differ in R
-    itself.
+    ``velocity``, ``bar`` and ``rows`` (R from ``rigidity_rows``) are built
+    once per ``verify``.  ``residual`` is the intertwining residual.
+    Returns None when it is large enough that some rank decision could
+    differ in R itself.
     """
     blocks, d, n = rows
     sigmas, shapes = [], []
@@ -463,12 +530,13 @@ def _block_counts(
     slack = 4.0 * residual * np.sqrt(degree) * (1.0 + rel_tol * size)
     if any(np.any(np.abs(sv - cutoff) < slack) for sv in sigmas):
         return None
-    ranks = [int(np.sum(sv > cutoff)) for sv in sigmas]
     trivial = trivial_motion_basis(fw)
-    rigid = [_dim_in(trivial, parts) for parts in velocity]
-    labels = [ir.label for ir in table.irreps]
-    s_by = {lab: de - r for lab, (de, _), r in zip(labels, shapes, ranks)}
-    m_by = {lab: dv - r - t for lab, (_, dv), r, t in zip(labels, shapes, ranks, rigid)}
+    ranks, s_by, m_by = [], {}, {}
+    for ir, sv, (de, dv), parts in zip(table.irreps, sigmas, shapes, velocity):
+        r = int(np.sum(sv > cutoff))
+        ranks.append(ir.dim * r)
+        s_by[ir.label] = ir.dim * (de - r)
+        m_by[ir.label] = ir.dim * (dv - r - _dim_in(trivial, parts))
     return _Counts(sum(ranks), sum(s_by.values()), sum(m_by.values()), s_by, m_by)
 
 
@@ -477,9 +545,9 @@ def _full_counts(
 ) -> _Counts:
     """Counts from one SVD of the whole rigidity matrix, with its left kernel
     (the self-stresses), its kernel and the rigid-body motions classified by
-    irrep in the block route's bases ``velocity`` and ``bar``, built once per
-    ``verify``.  The SVD's bases and the motions are orthonormal, so they go
-    to ``_classify`` as they are.  m = dim ker R - (number of rigid-body
+    irrep in the whole components' bases ``velocity`` and ``bar`` (``_whole``
+    of the block route's even halves).  The SVD's bases and the motions are
+    orthonormal, so they go to ``_classify`` as they are.  m = dim ker R - (number of rigid-body
     motions), and m_i = k_i - t_i with k_i and t_i the kernel's and the
     motions' irrep dimensions, the block route's rule.  Valid whether or not
     R intertwines the action; ``verify`` uses it when intertwining fails."""
@@ -640,6 +708,8 @@ def verify(
     thr = RESIDUAL_TOL * _max_entry(*rows)
     counts = _block_counts(fw, table, velocity, bar, rows, rel_tol, res) if res <= thr else None
     if counts is None:
+        velocity = _whole(fw, action, table, "velocity", velocity)
+        bar = _whole(fw, action, table, "edge", bar)
         counts = _full_counts(fw, table, velocity, bar, rel_tol)
     s_count, m_count = counts.s, counts.m
     s_by, m_by = counts.s_by_irrep, counts.m_by_irrep

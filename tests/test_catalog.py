@@ -96,8 +96,11 @@ class TestParameters:
         assert moved.expected_s == 0 and moved.expected_m == 0
 
     def test_unknown_parameter_rejected(self):
-        with pytest.raises(TypeError):
+        # The message names the entry's parameters, not its builder.
+        with pytest.raises(TypeError, match="^unknown parameter 'delta' for fig3; fig3 accepts no"):
             catalog.generate("fig3", delta=1.0)
+        with pytest.raises(TypeError, match="^unknown parameter 'x' for fig10; fig10 accepts: delta$"):
+            catalog.generate("fig10", delta=0.0, x=1)
 
 
 class TestRelations:

@@ -37,6 +37,15 @@ class TestGen:
         assert res.returncode == 2
         assert "census-only" in res.stderr
 
+    @pytest.mark.parametrize(
+        "name, accepts", [("fig3", "fig3 accepts no parameters"), ("fig10", "fig10 accepts: delta")]
+    )
+    def test_gen_unknown_parameter_names_the_accepted_ones(self, tmp_path, name, accepts):
+        res = run_cli("gen", name, "--param", "x=1", "-o", str(tmp_path / "x.json"))
+        assert res.returncode == 2
+        assert res.stderr == f"gen: unknown parameter 'x' for {name}; {accepts}\n"
+        assert not (tmp_path / "x.json").exists()
+
     def test_gen_with_parameter(self, tmp_path):
         out = tmp_path / "moved.json"
         res = run_cli("gen", "fig10", "--param", "delta=0.05", "-o", str(out))
@@ -299,11 +308,13 @@ class TestExitCodes:
     def test_single_unpinned_joint_is_invalid_input(self, tmp_path):
         path = tmp_path / "onejoint.json"
         path.write_text(framework_to_json(Framework([(0.5, 1.0)], [])))
-        for command in ("analyze", "verify"):
+        message = "an unpinned framework needs at least two joints for the Maxwell count, got 1\n"
+        for command in ("analyze", "verify", "render"):
             res = run_cli(command, str(path))
             assert res.returncode == 2, command
-            assert "an unpinned framework needs at least two joints" in res.stderr
-            assert "Traceback" not in res.stderr
+            prefix = "render: " if command == "render" else f"{path}: "
+            assert res.stderr == prefix + message, command
+            assert res.stdout == ""
 
     def test_single_pinned_joint_verifies(self, tmp_path):
         path = tmp_path / "onepinned.json"

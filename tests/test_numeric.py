@@ -750,8 +750,9 @@ class TestBlockRoute:
     def test_isotypic_bases_are_orthonormal_and_complete(self, fw):
         group, center = detect_groups(fw)[0]
         action = symmetry_action(fw, group, center)
+        table = character_table(group)
         vectors = []
-        for parts in numeric._isotypic(fw, action, character_table(group), "velocity"):
+        for parts in _whole_isotypic(fw, action, table, "velocity"):
             for coords, values in parts:
                 dense = np.zeros((values.shape[0], 2 * fw.num_vertices), complex)
                 np.put_along_axis(dense, coords, values, axis=1)
@@ -825,8 +826,12 @@ class TestBasesOncePerVerify:
             }
             verify(fw, spec, **kwargs)
         assert spy["_full_counts"].called == full_route
-        # One velocity and one bar basis, whichever route counts.
-        assert spy["_isotypic"].call_count == 2
+        # (space, parity) of every call; parity defaults to 1.
+        built = [(*call.args[3:], 1)[:2] for call in spy["_isotypic"].call_args_list]
+        # The block route's sigma-even velocity and bar bases, and the full
+        # route's sigma-odd ones besides; no (space, parity) basis twice.
+        want = [("velocity", 1), ("edge", 1)] + [("velocity", -1), ("edge", -1)] * full_route
+        assert built == want
         assert not spy["classify_by_irrep"].called
 
 
@@ -872,15 +877,21 @@ def _orbit_by_orbit_bases(perms, mats, coeff):
     return bases
 
 
+def _dense_rows(parts, size):
+    """The basis vectors of ``_isotypic`` parts as dense rows of length size."""
+    count = sum(len(values) for _, values in parts)
+    dense = np.zeros((count, size), np.result_type(float, *[v for _, v in parts]))
+    start = 0
+    for coords, values in parts:
+        dense[np.arange(start, start + len(values))[:, None], coords] = values
+        start += len(values)
+    return dense
+
+
 def _projectors(parts_by_irrep, size):
     """Per irrep, V_i V_i^H from ``_isotypic`` parts, densely."""
     for parts in parts_by_irrep:
-        count = sum(len(values) for _, values in parts)
-        dense = np.zeros((count, size), np.result_type(float, *[v for _, v in parts]))
-        start = 0
-        for coords, values in parts:
-            dense[np.arange(start, start + len(values))[:, None], coords] = values
-            start += len(values)
+        dense = _dense_rows(parts, size)
         yield dense.T @ dense.conj()
 
 
@@ -950,6 +961,39 @@ def _orbit_types(perms):
     return len(orbits), len({frozenset(stabiliser[p] for p in orbit) for orbit in orbits})
 
 
+def _key_cases():
+    """(id, framework): the benchmark's C16v webs and renumbered C16v webs."""
+    for seed in (1, 2, 3):
+        yield f"ring-cnv-{seed}", _ring_cnv(seed)
+    for seed in (1, 2):
+        yield f"web-renumbered-{seed}", _renumbered(_web(), seed)
+
+
+def _assert_key_matches_unique_rows(fw, spec):
+    """Every orbit-size batch of both spaces' halves gets from
+    ``numeric._distinct_rows`` the types and the inverse that
+    ``np.unique(..., axis=0)`` gives."""
+    key = numeric._distinct_rows
+    batches = []
+
+    def checked(tables):
+        types, kind = key(tables)
+        want_types, want_kind = np.unique(tables, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(types, want_types)
+        assert kind.shape == (len(tables),)
+        np.testing.assert_array_equal(kind, want_kind.ravel())
+        batches.append(len(tables))
+        return types, kind
+
+    group, center = resolve_group(spec or GroupSpec("auto"), fw)
+    action = symmetry_action(fw, group, center)
+    table = character_table(group)
+    with mock.patch.object(numeric, "_distinct_rows", checked):
+        for space in ("velocity", "edge"):
+            _whole_isotypic(fw, action, table, space)
+    assert batches
+
+
 class TestBasesByOrbitType:
     @pytest.mark.parametrize("case", list(_agreement_cases()), ids=lambda c: c[0])
     def test_matches_orbit_by_orbit_reference(self, case):
@@ -990,25 +1034,10 @@ class TestBasesByOrbitType:
             assert (orbits, types) == {"velocity": (11, 3), "edge": (20, 3)}[space]
             assert matrices == irreps * types
 
-    def test_inverse_shaped_like_the_tables(self):
-        # NumPy 2.0.0 gave np.unique's inverse, with an axis, the shape
-        # (rows, 1, ...) of the input; earlier and later versions a 1-D one.
-        real = np.unique
-
-        def unique_2_0_0(a, **kwargs):
-            found = real(a, **kwargs)
-            if kwargs.get("axis") is None or not kwargs.get("return_inverse"):
-                return found
-            return (*found[:-1], found[-1].reshape((-1,) + (1,) * (np.ndim(a) - 1)))
-
-        fw = _wheel(6)
-        group, center = detect_groups(fw)[0]
-        action = symmetry_action(fw, group, center)
-        table = character_table(group)
-        with mock.patch.object(np, "unique", unique_2_0_0):
-            bases = numeric._isotypic(fw, action, table, "velocity")
-        reference = numeric._isotypic(fw, action, table, "velocity")
-        _assert_same_projectors(bases, reference, 2 * fw.num_vertices)
+    @pytest.mark.parametrize("case", list(_key_cases()), ids=lambda c: c[0])
+    def test_orbit_type_key_matches_unique_rows(self, case):
+        _, fw = case
+        _assert_key_matches_unique_rows(fw, None)
 
     @pytest.mark.parametrize("seed", [None, 1], ids=["as-built", "renumbered"])
     def test_verify_memory_peak(self, seed):
@@ -1025,6 +1054,137 @@ class TestBasesByOrbitType:
         finally:
             tracemalloc.stop()
         assert peak < 3e6
+
+
+# ---------------------------------------------------------------------------
+# Parity halves against the whole-block route: the block route before the
+# halves, which builds each irrep's whole isotypic component from the rows
+# (d_i/|G|) conj(chi_i(g)) and counts on the whole blocks E_i^H R V_i.
+# ---------------------------------------------------------------------------
+
+
+def _whole_isotypic(fw, action, table, space):
+    """Per irrep, the ``_isotypic`` parts of its whole isotypic component:
+    the sigma-even and the sigma-odd halves."""
+    return numeric._whole(fw, action, table, space, numeric._isotypic(fw, action, table, space))
+
+
+def _undivided_isotypic(fw, action, table, space):
+    """Per irrep, a basis of its whole isotypic component from its
+    projector's own coefficient rows."""
+    ops = action.ops
+    dims = np.array([ir.dim for ir in table.irreps], dtype=float)
+    chars = table.as_matrix()[:, [act.class_index for act in ops]]
+    coeff = np.conj(chars) * (dims / action.group.order)[:, None]
+    if not any(ir.is_complex for ir in table.irreps):
+        coeff = coeff.real
+    if space == "velocity":
+        vperms = np.array([act.vperm for act in ops]).reshape(len(ops), fw.num_vertices)
+        mats = np.array([act.op.matrix for act in ops])
+        return numeric._isotypic_bases(numeric._moving_perm(fw, vperms), mats, coeff)
+    eperms = np.array([act.eperm for act in ops]).reshape(len(ops), fw.num_edges)
+    return numeric._isotypic_bases(eperms, np.ones((len(ops), 1, 1)), coeff)
+
+
+def _whole_block_counts(fw, spec, rel_tol=numeric.RANK_TOL):
+    """(counts, sigma_max) from the whole blocks: rank_i is the block's rank,
+    s_i = dim E_i - rank_i and m_i = dim V_i - rank_i - t_i."""
+    group, center = resolve_group(spec or GroupSpec("auto"), fw)
+    action = symmetry_action(fw, group, center)
+    table = character_table(group)
+    velocity = _undivided_isotypic(fw, action, table, "velocity")
+    bar = _undivided_isotypic(fw, action, table, "edge")
+    blocks, d, n = rigidity_rows(fw, fw.velocity_blocks)
+    sigmas, shapes = [], []
+    for block in numeric._adapted_blocks(fw, velocity, bar, blocks, d):
+        sigmas.append(np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0))
+        shapes.append(block.shape)
+    top = max((float(sv[0]) for sv in sigmas if sv.size), default=0.0)
+    cutoff = numeric._cutoff(rel_tol, top, (max(fw.num_edges, 2 * n),))
+    ranks = [int(np.sum(sv > cutoff)) for sv in sigmas]
+    trivial = trivial_motion_basis(fw)
+    rigid = [numeric._dim_in(trivial, parts) for parts in velocity]
+    labels = [ir.label for ir in table.irreps]
+    s_by = {lab: de - r for lab, (de, _), r in zip(labels, shapes, ranks)}
+    m_by = {lab: dv - r - t for lab, (_, dv), r, t in zip(labels, shapes, ranks, rigid)}
+    counts = numeric._Counts(sum(ranks), sum(s_by.values()), sum(m_by.values()), s_by, m_by)
+    return counts, top
+
+
+def _assert_halves_match_whole_blocks(fw, spec):
+    """verify's counts, JSON report and sigma_max are the whole-block
+    route's."""
+    ref, ref_top = _whole_block_counts(fw, spec)
+    with mock.patch.object(numeric, "_cutoff", wraps=numeric._cutoff) as cutoff:
+        rep = verify(fw, spec)
+    # The block route's cutoff is the only one taken for a 1-tuple shape.
+    tops = [call.args[1] for call in cutoff.call_args_list if len(call.args[2]) == 1]
+    assert len(tops) == 1
+    assert abs(tops[0] - ref_top) <= 1e-12 * ref_top
+    got = (rep.rank, rep.s, rep.m, rep.s_by_irrep, rep.m_by_irrep)
+    assert got == (ref.rank, ref.s, ref.m, ref.s_by_irrep, ref.m_by_irrep)
+    with mock.patch.object(numeric, "_block_counts", return_value=ref):
+        whole = verify(fw, spec)
+    assert json.dumps(rep.to_dict()) == json.dumps(whole.to_dict())
+
+
+def _acted(fw, act, rows, space):
+    """rho(g) applied to dense rows: (g.u)_{perm(j)} = T u_j on velocities,
+    (g.w)_{eperm(b)} = w_b on bars."""
+    moved = np.zeros_like(rows)
+    if space == "velocity":
+        perm = numeric._moving_perm(fw, act.vperm)
+        moved.reshape(len(rows), -1, 2)[:, perm] = rows.reshape(len(rows), -1, 2) @ act.op.matrix.T
+    else:
+        moved[:, act.eperm] = rows
+    return moved
+
+
+def _assert_halves_are_mirror_eigenspaces(fw, spec):
+    """For a 2-D irrep, each half is fixed (even) or negated (odd) by the
+    first mirror in ``action.ops`` and holds half of the component; a 1-D
+    irrep's odd half is empty."""
+    group, center = resolve_group(spec or GroupSpec("auto"), fw)
+    action = symmetry_action(fw, group, center)
+    table = character_table(group)
+    mirror = next((act for act in action.ops if act.op.kind == "mirror"), None)
+    sizes = {"velocity": 2 * int(np.count_nonzero(fw.velocity_blocks >= 0)), "edge": fw.num_edges}
+    for space, size in sizes.items():
+        even, odd = (numeric._isotypic(fw, action, table, space, parity) for parity in (1, -1))
+        for ir, even_parts, odd_parts in zip(table.irreps, even, odd):
+            halves = [_dense_rows(parts, size) for parts in (even_parts, odd_parts)]
+            if ir.dim == 1:
+                assert len(halves[1]) == 0
+                continue
+            assert len(halves[0]) == len(halves[1])
+            for parity, rows in zip((1, -1), halves):
+                moved = _acted(fw, mirror, rows, space)
+                np.testing.assert_allclose(moved, parity * rows, rtol=0, atol=1e-12)
+
+
+def _parity_cases():
+    """(id, framework, group spec or None): the block route's agreement cases
+    and larger pinned C4v grids."""
+    yield from _agreement_cases()
+    for side in (9, 15):
+        yield f"grid-{side}x{side}", catalog._pinned_quad_grid(side, side), None
+
+
+class TestParityHalves:
+    @pytest.mark.parametrize("case", list(_parity_cases()), ids=lambda c: c[0])
+    def test_halves_match_whole_blocks(self, case):
+        _, fw, spec = case
+        _assert_halves_match_whole_blocks(fw, spec)
+
+    @pytest.mark.parametrize("case", list(_parity_cases()), ids=lambda c: c[0])
+    def test_halves_are_mirror_eigenspaces(self, case):
+        _, fw, spec = case
+        _assert_halves_are_mirror_eigenspaces(fw, spec)
+
+    def test_ring_cnv_halves_match_whole_blocks(self):
+        fw = _ring_cnv(1)
+        _assert_halves_match_whole_blocks(fw, None)
+        _assert_halves_are_mirror_eigenspaces(fw, None)
 
 
 # ---------------------------------------------------------------------------
@@ -1221,8 +1381,11 @@ class TestRigidMotionCounts:
         table = character_table(group)
         want = {label: dim * coeff for label, dim, coeff in _rigid_motions(group).terms}
         T = trivial_motion_basis(fw)
+        # The block route counts d_i times the motions' part in the even half.
         velocity = numeric._isotypic(fw, action, table, "velocity")
-        block = {ir.label: numeric._dim_in(T, parts) for ir, parts in zip(table.irreps, velocity)}
+        block = {
+            ir.label: ir.dim * numeric._dim_in(T, parts) for ir, parts in zip(table.irreps, velocity)
+        }
         assert block == want
         assert classify_by_irrep(fw, group, T, center) == want
 
@@ -1304,6 +1467,17 @@ class TestGeneratedFrameworks:
     @given(_symmetric_frameworks())
     def test_bases_match_orbit_by_orbit_reference(self, case):
         _assert_bases_match_reference(*case)
+
+    @GENERATED
+    @given(_symmetric_frameworks())
+    def test_halves_match_whole_blocks(self, case):
+        _assert_halves_match_whole_blocks(*case)
+        _assert_halves_are_mirror_eigenspaces(*case)
+
+    @GENERATED
+    @given(_symmetric_frameworks())
+    def test_orbit_type_key_matches_unique_rows(self, case):
+        _assert_key_matches_unique_rows(*case)
 
     @GENERATED
     @given(_symmetric_frameworks())
