@@ -12,13 +12,15 @@ Guest 2000; Schulze 2010).  R also commutes with the reference mirror sigma,
 so a 2-D irrep's component splits into a sigma-even and a sigma-odd half
 whose blocks have the same singular values; the block route builds only the
 even halves, a quarter of the whole block's entries, and counts each of
-their ranks d_i times.  Only singular values are taken, block by block.
-The blocks are exact only when R commutes with the group action, so
-``verify`` checks that first; when it fails, or when its residual could
-move a block singular value across the rank cutoff, ``verify`` falls back
-to one SVD of the whole matrix with all singular vectors, and classifies
-the self-stress and mechanism bases by irrep in the whole components'
-bases, the even halves together with the odd halves.  ``verify`` builds the
+their ranks d_i times.  Only singular values are taken, one SVD per
+connected component of a block's exact non-zeros: on an axis-aligned quad
+grid, one per path along a grid line.  The blocks are exact only when R
+commutes with the group action, so ``verify`` checks that first; when it
+fails, or when its residual could move a block singular value across the
+rank cutoff, ``verify`` falls back to one SVD of the whole matrix with all
+singular vectors, and classifies the self-stress and mechanism bases by
+irrep in the whole components' bases, the even halves together with the
+odd halves.  ``verify`` builds the
 even halves of V_i and E_i and R's sparse rows once, before it picks a
 route, and the fallback adds the odd halves only when it runs.
 
@@ -46,11 +48,23 @@ Conventions
 * The isotypic bases are built once per orbit type: each joint or bar
   orbit's coordinates are invariant, so an irrep's projector splits into one
   small block per orbit, equal on orbits with conjugate stabilisers (a type).
-  One dense block and one ``eigh`` per type and irrep serve all its orbits,
-  and no projector on the whole space is formed.  Tables with complex irreps
+  One dense block per type and irrep serves all its orbits, and no
+  projector on the whole space is formed.  Tables with complex irreps
   (Cn, n >= 3) give complex Hermitian projectors and complex blocks.  The
   types of one orbit size are the distinct rows of their local tables,
   found by a 1-D ``np.unique`` of one byte key per row.
+* Both the type blocks and the adapted blocks are split exactly into
+  connected components before they are diagonalised: a type block into the
+  pieces of its union pattern sum_g |rho(g)| != 0, one batched ``eigh`` per
+  piece width, and an adapted block into the components of the bipartite
+  graph of its non-zero entries, one batched SVD per component shape.
+  Only exact zeros separate, so the split changes no value beyond rounding.
+  When every operation matrix has a zero entry (axis-aligned C1, Cs, C2,
+  C2v, C4, C4v), the x and y velocities can fall into different pieces, and
+  then the adapted blocks of an axis-aligned quad grid split along its grid
+  lines.  Nothing is labelled where nothing can split: a group with a
+  zero-free operation matrix, or a block with fewer than ``_SPLIT_MIN`` rows
+  or columns.
 * Each block E_i^H R V_i is assembled from (row, column, value) triples:
   E_i's entry at a bar meets V_i's entries (one per vector and joint) at the
   bar's two joints.  The cost is O(entries of E_i x most entries at a joint),
@@ -91,13 +105,20 @@ CLASSIFY_THRESHOLD = 0.5
 # Residual bound for the intertwining and resolution-of-identity checks,
 # relative to the max-norm of the rigidity matrix (or to 1 for projectors).
 RESIDUAL_TOL = 1e-9
+# Blocks with fewer rows or columns than this take one dense SVD without
+# labelling their components (``_singular_values``).  Labelling costs about
+# 0.1 ms a block; below about 80 rows a pinned grid's dense block SVD costs
+# no more than its paths' together.
+_SPLIT_MIN = 96
 
 # One irrep's isotypic basis: (coords, values) pairs from ``_isotypic_bases``.
 _Parts = list[tuple[np.ndarray, np.ndarray]]
 
 
 def numeric_rank(matrix: np.ndarray, rel_tol: float = RANK_TOL) -> int:
-    """Numerical rank: singular values above rel_tol * s_max * max(shape)."""
+    """Numerical rank: singular values above rel_tol * s_max * max(shape).
+    ValueError for a ``rel_tol`` that is not a finite number >= 0."""
+    _check_tolerance("rel_tol", rel_tol)
     m = np.asarray(matrix, dtype=float)
     if m.size == 0:
         return 0
@@ -140,7 +161,9 @@ def trivial_motion_basis(fw: Framework) -> np.ndarray:
 
 def self_stress_basis(fw: Framework, rel_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal self-stress basis, shape (s, e): rows are bar-tension
-    assignments in equilibrium at every joint."""
+    assignments in equilibrium at every joint.  ValueError for a
+    ``rel_tol`` that is not a finite number >= 0."""
+    _check_tolerance("rel_tol", rel_tol)
     _, stresses, _ = _svd_spaces(rigidity_matrix_pinned(fw), rel_tol)
     return stresses
 
@@ -151,8 +174,10 @@ def mechanism_basis(fw: Framework, rel_tol: float = RANK_TOL) -> np.ndarray:
     Unpinned: kernel of the rigidity matrix intersected with the orthogonal
     complement of the rigid-body motions (computed in one SVD by stacking the
     motion rows as extra constraints).  Pinned: the kernel itself, as there
-    are no motion rows to stack.
+    are no motion rows to stack.  ValueError for a ``rel_tol`` that is not
+    a finite number >= 0.
     """
+    _check_tolerance("rel_tol", rel_tol)
     R = np.vstack([rigidity_matrix_pinned(fw), trivial_motion_basis(fw)])
     _, _, motions = _svd_spaces(R, rel_tol)
     return motions
@@ -203,8 +228,11 @@ def classify_by_irrep(
     threshold.  The dimensions sum to the
     basis size, else ClassMismatch is raised (the span was not invariant
     under the group).  A precomputed ``action`` of ``group`` on ``fw``
-    replaces ``center`` and ``tol``.
+    replaces ``center`` and ``tol``.  ValueError for a ``tol`` or
+    ``rel_tol`` that is not a finite number >= 0.
     """
+    _check_tolerance("tol", tol)
+    _check_tolerance("rel_tol", rel_tol)
     table = character_table(group)
     expected = 2 * int(np.count_nonzero(fw.velocity_blocks >= 0))
     if space == "velocity":
@@ -298,6 +326,52 @@ def _distinct_rows(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tables[first], inverse
 
 
+def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Connected-component labels of the graph on nodes 0..n-1 with edges
+    (u[k], v[k]): each node's label is the smallest node of its component.
+
+    Every node points at a smaller or equal one, and a root at itself.  Each
+    round hooks the larger root of every edge whose ends have different
+    roots onto the smaller one, then jumps pointers until every node points
+    at a root; no order other than the nodes' own enters."""
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        apart = lu != lv
+        if not apart.any():
+            return label
+        lu, lv = lu[apart], lv[apart]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+
+
+def _piecewise_eigh(projector: np.ndarray, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(projector)`` for a stack (rows, types, w, w) of
+    Hermitian matrices, each zero outside its type's ``pattern`` (types, w,
+    w), from one batched ``eigh`` per piece width.
+
+    A type's pieces are the connected components of its pattern, and each
+    matrix is the direct sum of its pieces' sub-matrices, so the pieces'
+    eigenpairs are its own: piece p's eigenvector b goes to column at[p][b]
+    of its type's eigenvector matrix, with exact zeros outside the rows
+    at[p], at[p] its coordinates in ascending order."""
+    types, w = pattern.shape[:2]
+    t, x, y = np.nonzero(pattern)
+    label = _components(t * w + x, t * w + y, types * w)
+    _, piece, width = np.unique(label, return_inverse=True, return_counts=True)
+    nodes = np.argsort(piece, kind="stable")
+    start = np.cumsum(width) - width
+    values = np.empty(projector.shape[:-1])
+    vectors = np.zeros_like(projector)
+    for size in np.unique(width):
+        at = nodes[start[width == size][:, None] + np.arange(size)]
+        kinds, at = at[:, :1] // w, at % w
+        index = (slice(None), kinds[:, :, None], at[:, :, None], at[:, None, :])
+        values[:, kinds, at], vectors[index] = np.linalg.eigh(projector[index])
+    return values, vectors
+
+
 def _isotypic_bases(perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray) -> list[_Parts]:
     """Orthonormal bases of the images of projectors of a permutation action.
 
@@ -309,9 +383,20 @@ def _isotypic_bases(perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray) -> l
     (d_i/|G|) conj(chi_i(g)), or one half of it (see ``_isotypic``).  It
     maps each orbit's coordinates to themselves.
     Members are labelled from the group action, so orbits with conjugate
-    stabilisers share one local table (operation, member) -> image member,
-    one dense block and one ``eigh``, types of one size in one batch; the
-    eigenvectors with eigenvalue above 1/2 serve every orbit of the type.
+    stabilisers share one local table (operation, member) -> image member
+    and one dense block; the eigenvectors with eigenvalue above 1/2 serve
+    every orbit of the type.
+
+    A type's block is split further into the connected components (pieces)
+    of its union pattern sum_g |rho(g)| != 0, each diagonalised on its own
+    and its eigenvectors written back at full orbit width with exact zeros
+    elsewhere; pieces of one width share one batched ``eigh``.  When every
+    operation matrix has an exact zero, as the axis-aligned operations of
+    C2v and C4v do, the x and y coordinates can fall into different pieces,
+    and the blocks of ``_adapted_blocks`` inherit the exact zeros.  When
+    some operation matrix has none, its images link every coordinate of an
+    orbit (a bar orbit's f = 1 included), each type is one piece, and no
+    pattern is labelled.
 
     Returns, per row of ``coeff``, one (coords, values) pair per orbit type:
     row r of both is one basis vector, values[r] at global coordinates
@@ -319,6 +404,7 @@ def _isotypic_bases(perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray) -> l
     adjacent).
     """
     n, f = perms.shape[1], mats.shape[-1]
+    split = bool((mats == 0).any(axis=(1, 2)).all())
     bases: list[_Parts] = [[] for _ in coeff]
     # Orbits {g(j)}, named by their smallest point and sized by their distinct
     # images, start at a point whose stabiliser depends only on the orbit's
@@ -338,8 +424,12 @@ def _isotypic_bases(perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray) -> l
         moves = tables[:, :, None, :] == np.arange(k)[:, None]
         rho = np.einsum("tgml,gac->tgmalc", moves, mats).reshape(tables.shape[:2] + (k * f,) * 2)
         projector = np.einsum("ig,tgxy->itxy", coeff, rho)
-        values, vectors = np.linalg.eigh(projector.reshape((-1,) + rho.shape[2:]))
+        if split:
+            values, vectors = _piecewise_eigh(projector, (rho != 0).any(axis=1))
+        else:
+            values, vectors = np.linalg.eigh(projector)
         orbits = [coords[kind == t] for t in range(len(tables))]
+        values, vectors = values.reshape(-1, k * f), vectors.reshape(-1, k * f, k * f)
         for (i, t), value, vector in zip(np.ndindex(projector.shape[:2]), values, vectors):
             kept = vector[:, value > CLASSIFY_THRESHOLD].T
             bases[i].append((np.repeat(orbits[t], len(kept), axis=0), np.tile(kept, (len(orbits[t]), 1))))
@@ -474,6 +564,41 @@ def _adapted_blocks(
         yield _scatter(at.ravel(), pair.ravel(), rows * cols).reshape(rows, cols)
 
 
+def _singular_values(block: np.ndarray) -> np.ndarray:
+    """The min(rows, cols) singular values of ``block``, in descending order.
+
+    Rows and columns joined by an exact non-zero (no threshold) form a
+    bipartite graph, and the block is block-diagonal up to a permutation of
+    rows and columns, one diagonal block per connected component, so its
+    singular values are the components' together.  Each component takes its
+    own SVD, components of one shape in one batch.  The values that a
+    component's non-square shape or an empty row or column leaves out are
+    exact zeros.  A block with fewer than ``_SPLIT_MIN`` rows or columns, or
+    of one component, takes one dense SVD.
+    """
+    rows, cols = block.shape
+    if min(rows, cols) < _SPLIT_MIN:
+        return np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0)
+    r, c = np.divmod(np.flatnonzero(block != 0), cols)
+    heads, piece = np.unique(_components(r, rows + c, rows + cols), return_inverse=True)
+    # Per component: its rows and its columns in ascending order, and its shape.
+    sides = (piece[:rows], piece[rows:])
+    members = [np.argsort(side, kind="stable") for side in sides]
+    shape = np.stack([np.bincount(side, minlength=len(heads)) for side in sides], axis=1)
+    full = shape.min(axis=1) > 0
+    if np.count_nonzero(full) == 1:
+        return np.linalg.svd(block, compute_uv=False)
+    starts = np.cumsum(shape, axis=0) - shape
+    sigmas = [np.zeros(min(rows, cols) - int(shape.min(axis=1).sum()))]
+    for nr, nc in np.unique(shape[full], axis=0):
+        same = np.flatnonzero((shape == (nr, nc)).all(axis=1))
+        sub_rows = members[0][starts[same, :1] + np.arange(nr)]
+        sub_cols = members[1][starts[same, 1:] + np.arange(nc)]
+        sub_blocks = block[sub_rows[:, :, None], sub_cols[:, None, :]]
+        sigmas.append(np.linalg.svd(sub_blocks, compute_uv=False).ravel())
+    return np.sort(np.concatenate(sigmas))[::-1]
+
+
 def _block_counts(
     fw: Framework,
     table: CharacterTable,
@@ -502,10 +627,13 @@ def _block_counts(
     orbit-local triples: each entry of E_i at a bar meets V_i's entries at
     the bar's two joints, so a block costs O(entries of E_i x most entries
     at a joint) besides its rows x cols, and no e x cols array is formed.  Only
-    singular values are computed; the rank cutoff is the full matrix's,
-    rel_tol * sigma_max * max(e, cols) with sigma_max the largest block
-    singular value, and the halves hold every singular value of R, each
-    counted once rather than d_i times.
+    singular values are computed, one SVD per connected component of a
+    block's exact non-zeros (``_singular_values``); a row or column with no
+    non-zero adds no singular value but still counts in rows_+ or cols_+.
+    The rank cutoff is the full matrix's, rel_tol * sigma_max * max(e,
+    cols) with sigma_max the largest block singular value, and the halves
+    hold every singular value of R, each counted once rather than d_i
+    times.
 
     ``velocity``, ``bar`` and ``rows`` (R from ``rigidity_rows``) are built
     once per ``verify``.  ``residual`` is the intertwining residual.
@@ -515,7 +643,7 @@ def _block_counts(
     blocks, d, n = rows
     sigmas, shapes = [], []
     for block in _adapted_blocks(fw, velocity, bar, blocks, d):
-        sigmas.append(np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0))
+        sigmas.append(_singular_values(block))
         shapes.append(block.shape)
 
     top = max((float(sv[0]) for sv in sigmas if sv.size), default=0.0)

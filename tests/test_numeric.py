@@ -274,6 +274,25 @@ class TestVerify:
             with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
                 analyze(entry.framework, entry.group, tol=value)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_rank_tolerance_is_rejected_by_every_public_function(self, value):
+        # Unchecked, fig3 (one self-stress, one mechanism) gave 9 self-stresses
+        # at rel_tol=nan and 12 mechanisms at rel_tol=inf.
+        entry = catalog.generate("fig3")
+        fw = entry.framework
+        group, center = resolve_group(entry.group, fw)
+        calls = [
+            lambda: numeric_rank(np.eye(3), value),
+            lambda: self_stress_basis(fw, value),
+            lambda: mechanism_basis(fw, value),
+            lambda: classify_by_irrep(fw, group, self_stress_basis(fw), center, "edge", rel_tol=value),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="rel_tol must be a finite number >= 0"):
+                call()
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            classify_by_irrep(fw, group, self_stress_basis(fw), center, "edge", tol=value)
+
     def test_single_pinned_joint_verifies(self):
         rep = verify(Framework([(0.5, 1.0)], [], pinned=[0]))
         assert rep.passed
@@ -1011,7 +1030,9 @@ class TestBasesByOrbitType:
     @pytest.mark.parametrize("seed", [None, 1, 2], ids=["as-built", "renumbered-1", "renumbered-2"])
     def test_one_eigh_per_orbit_type_and_irrep(self, seed):
         # Members are labelled from the group action, so renumbering the
-        # joints and bars leaves the number of types alone.
+        # joints and bars leaves the number of types alone.  The turn by
+        # 2 pi / 16 has no zero entry, so every type is one piece: one
+        # matrix per type and irrep, in whatever stacks eigh is handed.
         fw = _web() if seed is None else _renumbered(_web(), seed)
         group, center = detect_groups(fw)[0]
         action = symmetry_action(fw, group, center)
@@ -1025,14 +1046,31 @@ class TestBasesByOrbitType:
             orbits, types = _orbit_types(perm)
             with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
                 numeric._isotypic(fw, action, table, space)
-            matrices = sum(
-                call.args[0].shape[0] if call.args[0].ndim == 3 else 1
-                for call in eigh.call_args_list
-            )
+            matrices = sum(int(np.prod(call.args[0].shape[:-2])) for call in eigh.call_args_list)
             # Joints: the hub, and ring joints on a mirror of either class.
             # Bars: on no mirror, or across a mirror of either class.
             assert (orbits, types) == {"velocity": (11, 3), "edge": (20, 3)}[space]
             assert matrices == irreps * types
+
+    def test_one_eigh_per_piece_width(self):
+        # Every C2v operation matrix has an exact zero, so on the pinned
+        # 34x33 grid each velocity type splits into its x and its y
+        # coordinates: joints on the x axis (orbits of 2, width 4) and off
+        # both axes (orbits of 4, width 8) give one batched eigh each, over
+        # 4 irreps x 2 pieces.  A bar's fibre is 1-D, and a bar type (the
+        # middle bar of the x axis, bars on or across it, the others) is one
+        # piece of its full width.
+        fw = catalog._pinned_quad_grid(34, 33)
+        group, center = detect_groups(fw)[0]
+        action = symmetry_action(fw, group, center)
+        table = character_table(group)
+        shapes = {}
+        for space in ("velocity", "edge"):
+            with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+                numeric._isotypic(fw, action, table, space)
+            shapes[space] = [call.args[0].shape for call in eigh.call_args_list]
+        assert shapes["velocity"] == [(4, 2, 2, 2), (4, 2, 4, 4)]
+        assert [shape[-1] for shape in shapes["edge"]] == [1, 2, 4]
 
     @pytest.mark.parametrize("case", list(_key_cases()), ids=lambda c: c[0])
     def test_orbit_type_key_matches_unique_rows(self, case):
@@ -1260,6 +1298,175 @@ class TestBlockAssembly:
 
 
 # ---------------------------------------------------------------------------
+# Component split against the unsplit route: each orbit type's block
+# diagonalised whole, and each adapted block taken by one dense SVD.
+# ---------------------------------------------------------------------------
+
+
+def _whole_eigh(projector, pattern):
+    """``numeric._piecewise_eigh`` without the pieces: one ``eigh`` per
+    orbit type's block."""
+    return np.linalg.eigh(projector)
+
+
+def _dense_singular_values(block):
+    """``numeric._singular_values`` without the components."""
+    return np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0)
+
+
+UNSPLIT = {"_piecewise_eigh": _whole_eigh, "_singular_values": _dense_singular_values}
+# Every non-empty block is labelled, small ones included.
+ALWAYS_SPLIT = {"_SPLIT_MIN": 1}
+
+
+def _verify_with(fw, spec, patches):
+    """(verify's report, the singular values of every block it took) with
+    the module attributes in ``patches`` replaced."""
+    sigmas = []
+    with ExitStack() as stack:
+        for name, value in patches.items():
+            stack.enter_context(mock.patch.object(numeric, name, value))
+        values_of = numeric._singular_values
+
+        def recorded(block):
+            sigmas.append(values_of(block))
+            return sigmas[-1]
+
+        stack.enter_context(mock.patch.object(numeric, "_singular_values", recorded))
+        rep = verify(fw, spec)
+    return rep, sigmas
+
+
+def _assert_split_matches_unsplit(fw, spec, patches=ALWAYS_SPLIT):
+    """Counts, JSON report and every block's sorted singular values (within
+    1e-12 of the largest) are the unsplit route's; returns the split run's
+    singular values."""
+    rep, sigmas = _verify_with(fw, spec, patches)
+    ref, ref_sigmas = _verify_with(fw, spec, UNSPLIT)
+    _assert_same_report(rep, ref)
+    assert len(sigmas) == len(ref_sigmas)
+    top = max((float(sv[0]) for sv in ref_sigmas if sv.size), default=0.0)
+    for got, want in zip(sigmas, ref_sigmas):
+        assert got.shape == want.shape
+        assert np.all(np.diff(got) <= 0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * top)
+    return sigmas
+
+
+def _turned(fw, degrees):
+    """``fw`` turned about the origin."""
+    a = np.radians(degrees)
+    turn = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    return Framework(np.asarray(fw.positions) @ turn.T, fw.edges, fw.pinned)
+
+
+def _count_svd_matrices():
+    """A ``np.linalg.svd`` spy, and the number of matrices it was handed."""
+    svd = mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd)
+    return svd, lambda spy: sum(
+        int(np.prod(call.args[0].shape[:-2])) for call in spy.call_args_list
+    )
+
+
+class TestComponentSplit:
+    @pytest.mark.parametrize("case", list(_agreement_cases()), ids=lambda c: c[0])
+    def test_matches_unsplit_route(self, case):
+        _, fw, spec = case
+        _assert_split_matches_unsplit(fw, spec)
+
+    @pytest.mark.parametrize(
+        "cols, rows, group, paths", [(34, 33, "C2v", 134), (21, 21, "C4v", 53)], ids=["C2v", "C4v"]
+    )
+    def test_grid_takes_one_svd_per_grid_line(self, cols, rows, group, paths):
+        # Horizontal bars move only x-velocities and vertical bars only
+        # y-velocities, so each block splits into one path per orbit of grid
+        # lines that the irrep meets: 2 x 67 lines in all at 34x33 (C2v), and
+        # 53 at 21x21 (C4v), whose 42 lines fall into 11 orbits.  Merging
+        # components takes fewer SVDs, splitting a path more.
+        fw = catalog._pinned_quad_grid(cols, rows)
+        spy, matrices = _count_svd_matrices()
+        with spy as svd:
+            rep, sigmas = _verify_with(fw, None, {})
+        assert rep.group_name == group
+        assert len(sigmas) < matrices(svd) <= paths
+        _assert_split_matches_unsplit(fw, None, {})
+
+    def test_turned_grid_stays_whole(self):
+        # Turned by 30 degrees no bar is axis-aligned, so each block is one
+        # component and takes one dense SVD, with the unsplit route's counts.
+        grid = catalog._pinned_quad_grid(34, 33)
+        fw = _turned(grid, 30.0)
+        spy, matrices = _count_svd_matrices()
+        with spy as svd:
+            rep, sigmas = _verify_with(fw, None, {})
+        assert matrices(svd) == len(sigmas) == 4
+        want = verify(grid)
+        assert (rep.rank, rep.s, rep.m, rep.s_by_irrep) == (want.rank, want.s, want.m, want.s_by_irrep)
+        _assert_split_matches_unsplit(fw, None, {})
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_ring_cnv_counts_are_frozen(self, seed):
+        # The benchmark's C16v web under every seed its runs may use, with
+        # the default gate and with every block labelled.
+        workloads = _workloads()
+        fw = workloads.ring_cnv(seed)
+        for patches in ({}, ALWAYS_SPLIT):
+            rep, _ = _verify_with(fw, None, patches)
+            assert workloads.check_verification(workloads.FROZEN["ring-cnv"], rep) == []
+
+    @pytest.mark.parametrize("link", [1e-300, 5e-324, -1e-20])
+    def test_any_non_zero_links_components(self, link):
+        # Two random blocks joined by one entry, however small: one
+        # component, so one SVD sees the linking entry.
+        rng = np.random.default_rng(7)
+        block = np.zeros((70, 66))
+        block[:40, :30] = rng.standard_normal((40, 30))
+        block[40:, 30:] = rng.standard_normal((30, 36))
+        block[5, 50] = link
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            sv = numeric._singular_values(block)
+        assert any((call.args[0] == link).any() for call in svd.call_args_list)
+        np.testing.assert_allclose(sv, _dense_singular_values(block), rtol=0, atol=1e-12 * sv[0])
+
+    def test_permuted_block_diagonal_matrix(self):
+        # Components of several shapes (tall, wide, square), an empty row and
+        # an empty column, in shuffled rows and columns: the dense SVD's
+        # values, the structural zeros exact.
+        rng = np.random.default_rng(3)
+        shapes = [(5, 3), (3, 5), (4, 4), (5, 3), (1, 1)]
+        block = np.zeros((sum(r for r, _ in shapes) + 1, sum(c for _, c in shapes) + 1))
+        r0 = c0 = 0
+        for r, c in shapes:
+            block[r0:r0 + r, c0:c0 + c] = rng.standard_normal((r, c))
+            r0, c0 = r0 + r, c0 + c
+        block = block[rng.permutation(block.shape[0])][:, rng.permutation(block.shape[1])]
+        with mock.patch.object(numeric, "_SPLIT_MIN", 1):
+            sv = numeric._singular_values(block)
+        want = _dense_singular_values(block)
+        assert sv.shape == want.shape == (17,)
+        np.testing.assert_allclose(sv, want, rtol=0, atol=1e-12 * sv[0])
+        # 3 + 3 + 4 + 3 + 1 values from the components, 3 exact zeros.
+        assert np.count_nonzero(sv == 0.0) == 3
+
+    def test_pieces_follow_exact_zeros(self):
+        # A type whose pattern links its two halves only through an entry of
+        # 1e-300 is one piece; without it, two.
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, 3, 3))
+        matrix = np.zeros((6, 6))
+        matrix[:3, :3], matrix[3:, 3:] = a + a.T, b + b.T
+        for link, widths in ((1e-300, [6]), (0.0, [3])):
+            linked = matrix.copy()
+            linked[0, 5] = linked[5, 0] = link
+            with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+                values, vectors = numeric._piecewise_eigh(linked[None, None], (linked != 0)[None])
+            assert [call.args[0].shape[-1] for call in eigh.call_args_list] == widths
+            np.testing.assert_allclose(
+                (vectors * values[..., None, :]) @ vectors.swapaxes(-1, -2), linked[None, None], atol=1e-12
+            )
+
+
+# ---------------------------------------------------------------------------
 # Classification against a class-sum reference: each irrep's projector on the
 # whole space, applied to the basis as per-class sums of the transformed
 # basis rows, independent of the isotypic bases both verify routes share.
@@ -1473,6 +1680,11 @@ class TestGeneratedFrameworks:
     def test_halves_match_whole_blocks(self, case):
         _assert_halves_match_whole_blocks(*case)
         _assert_halves_are_mirror_eigenspaces(*case)
+
+    @GENERATED
+    @given(_symmetric_frameworks())
+    def test_split_matches_unsplit_route(self, case):
+        _assert_split_matches_unsplit(*case)
 
     @GENERATED
     @given(_symmetric_frameworks())
