@@ -68,7 +68,13 @@ Conventions
 * Each block E_i^H R V_i is assembled from (row, column, value) triples:
   E_i's entry at a bar meets V_i's entries (one per vector and joint) at the
   bar's two joints.  The cost is O(entries of E_i x most entries at a joint),
-  and no dense intermediate (V_i or R V_i) is formed.
+  and no dense intermediate (V_i or R V_i) is formed.  Nor is the rows x
+  cols block itself on the split path (at least ``_SPLIT_MIN`` rows and
+  columns): its triples are summed per entry, its components labelled from
+  the non-zero sums, and each component's sub-block filled from its own
+  sums, bitwise the entries a dense scatter would give.  A smaller block is
+  scattered densely, and a block of one component is filled densely from
+  its sums.
 """
 
 from __future__ import annotations
@@ -536,11 +542,13 @@ class _Counts:
 
 def _adapted_blocks(
     fw: Framework, velocity: list[_Parts], bar: list[_Parts], blocks: np.ndarray, d: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Yield, per irrep i, the block E_i^H R V_i, scattered from (row,
-    column, value) triples by one ``bincount``.  ``velocity`` and ``bar``
-    are the isotypic bases from ``_isotypic``; ``blocks`` and ``d`` are R's
-    rows from ``rigidity_rows``."""
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Yield, per irrep i, the block E_i^H R V_i as (rows, cols, at,
+    values): entry at[k] of the flat rows x cols block gains values[k],
+    duplicates summed in the order given (``_singular_values``).  Some
+    triples are exact zeros, padding included.  ``velocity`` and ``bar`` are
+    the isotypic bases from ``_isotypic``; ``blocks`` and ``d`` are R's rows
+    from ``rigidity_rows``."""
     n = int(np.count_nonzero(fw.velocity_blocks >= 0))
     # Pinned ends read the zero row n of the per-joint tables below.
     first, second = np.where(blocks < 0, n, blocks).T
@@ -561,40 +569,58 @@ def _adapted_blocks(
         at = (row * cols)[:, None] + np.hstack([at_col[j1], at_col[j2]])
         ends = np.hstack([at_val[j1], -at_val[j2]])
         pair = np.einsum("ba,bka->bk", weight.conj() * d[bars], ends)
-        yield _scatter(at.ravel(), pair.ravel(), rows * cols).reshape(rows, cols)
+        yield rows, cols, at.ravel(), pair.ravel()
 
 
-def _singular_values(block: np.ndarray) -> np.ndarray:
-    """The min(rows, cols) singular values of ``block``, in descending order.
+def _singular_values(rows: int, cols: int, at: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The min(rows, cols) singular values, in descending order, of the
+    rows x cols block whose flat entry at[k] gains values[k].
 
-    Rows and columns joined by an exact non-zero (no threshold) form a
+    A block with fewer than ``_SPLIT_MIN`` rows or columns is scattered
+    densely by one ``bincount`` and takes one SVD.  A larger one is never
+    formed whole.  Its entries are the sums of the non-zero triples at each
+    flat index, added in the order given as ``bincount`` adds them, so each
+    is bitwise the dense block's; ``+0.0`` and ``-0.0`` triples change no
+    sum.  Rows and columns joined by a non-zero sum (no threshold) form a
     bipartite graph, and the block is block-diagonal up to a permutation of
     rows and columns, one diagonal block per connected component, so its
-    singular values are the components' together.  Each component takes its
-    own SVD, components of one shape in one batch.  The values that a
-    component's non-square shape or an empty row or column leaves out are
-    exact zeros.  A block with fewer than ``_SPLIT_MIN`` rows or columns, or
-    of one component, takes one dense SVD.
+    singular values are the components' together.  A block of one component
+    is filled densely from its sums and takes one SVD; otherwise each
+    component's sums are scattered into a zero sub-block, its rows and
+    columns in ascending order, and components of one shape take one batched
+    SVD.  The values that a component's non-square shape or an empty row or
+    column leaves out are exact zeros.
     """
-    rows, cols = block.shape
     if min(rows, cols) < _SPLIT_MIN:
+        block = _scatter(at, values, rows * cols).reshape(rows, cols)
         return np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0)
-    r, c = np.divmod(np.flatnonzero(block != 0), cols)
+    live = values != 0
+    keys, inverse = np.unique(at[live], return_inverse=True)
+    sums = _scatter(inverse, values[live], len(keys))
+    keys, sums = keys[sums != 0], sums[sums != 0]
+    r, c = np.divmod(keys, cols)
     heads, piece = np.unique(_components(r, rows + c, rows + cols), return_inverse=True)
-    # Per component: its rows and its columns in ascending order, and its shape.
+    # Per component: its shape, and each row's and column's index in it.
     sides = (piece[:rows], piece[rows:])
-    members = [np.argsort(side, kind="stable") for side in sides]
     shape = np.stack([np.bincount(side, minlength=len(heads)) for side in sides], axis=1)
     full = shape.min(axis=1) > 0
     if np.count_nonzero(full) == 1:
-        return np.linalg.svd(block, compute_uv=False)
-    starts = np.cumsum(shape, axis=0) - shape
+        block = np.zeros(rows * cols, dtype=sums.dtype)
+        block[keys] = sums
+        return np.linalg.svd(block.reshape(rows, cols), compute_uv=False)
+    local = [np.empty(rows, dtype=np.intp), np.empty(cols, dtype=np.intp)]
+    for index, side, size in zip(local, sides, shape.T):
+        start = np.repeat(np.cumsum(size) - size, size)
+        index[np.argsort(side, kind="stable")] = np.arange(len(side)) - start
+    part = piece[r]
+    slot = np.empty(len(heads), dtype=np.intp)
     sigmas = [np.zeros(min(rows, cols) - int(shape.min(axis=1).sum()))]
     for nr, nc in np.unique(shape[full], axis=0):
         same = np.flatnonzero((shape == (nr, nc)).all(axis=1))
-        sub_rows = members[0][starts[same, :1] + np.arange(nr)]
-        sub_cols = members[1][starts[same, 1:] + np.arange(nc)]
-        sub_blocks = block[sub_rows[:, :, None], sub_cols[:, None, :]]
+        slot[same] = np.arange(len(same))
+        mine = (shape[part] == (nr, nc)).all(axis=1)
+        sub_blocks = np.zeros((len(same), nr, nc), dtype=sums.dtype)
+        sub_blocks[slot[part[mine]], local[0][r[mine]], local[1][c[mine]]] = sums[mine]
         sigmas.append(np.linalg.svd(sub_blocks, compute_uv=False).ravel())
     return np.sort(np.concatenate(sigmas))[::-1]
 
@@ -623,13 +649,15 @@ def _block_counts(
     m_i = d_i (cols_+ - rank_+ - t_+).  The motions span an invariant space,
     so t_+ = ``_dim_in`` of the motions and the even half is t_i / d_i.
 
-    ``_adapted_blocks`` builds the blocks one at a time from
-    orbit-local triples: each entry of E_i at a bar meets V_i's entries at
-    the bar's two joints, so a block costs O(entries of E_i x most entries
-    at a joint) besides its rows x cols, and no e x cols array is formed.  Only
-    singular values are computed, one SVD per connected component of a
-    block's exact non-zeros (``_singular_values``); a row or column with no
-    non-zero adds no singular value but still counts in rows_+ or cols_+.
+    ``_adapted_blocks`` yields the blocks one at a time as orbit-local
+    triples: each entry of E_i at a bar meets V_i's entries at the bar's two
+    joints, so a block costs O(entries of E_i x most entries at a joint),
+    and no e x cols array is formed.  Each block's shape (rows_+, cols_+)
+    comes with its triples.  Only singular values are computed, one SVD per
+    connected component of a block's exact non-zeros (``_singular_values``,
+    which forms the rows x cols block only when it is small or of one
+    component); a row or column with no non-zero adds no singular value but
+    still counts in rows_+ or cols_+.
     The rank cutoff is the full matrix's, rel_tol * sigma_max * max(e,
     cols) with sigma_max the largest block singular value, and the halves
     hold every singular value of R, each counted once rather than d_i
@@ -643,8 +671,8 @@ def _block_counts(
     blocks, d, n = rows
     sigmas, shapes = [], []
     for block in _adapted_blocks(fw, velocity, bar, blocks, d):
-        sigmas.append(_singular_values(block))
-        shapes.append(block.shape)
+        sigmas.append(_singular_values(*block))
+        shapes.append(block[:2])
 
     top = max((float(sv[0]) for sv in sigmas if sv.size), default=0.0)
     size = max(fw.num_edges, 2 * n)

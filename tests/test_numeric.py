@@ -1,6 +1,7 @@
 """Numeric rank engine: bases, symmetry classification, verification."""
 
 import functools
+import gc
 import importlib.util
 import json
 import math
@@ -1124,6 +1125,22 @@ def _undivided_isotypic(fw, action, table, space):
     return numeric._isotypic_bases(eperms, np.ones((len(ops), 1, 1)), coeff)
 
 
+def _densify(rows, cols, at, values):
+    """The dense rows x cols block of ``numeric._adapted_blocks``' (rows,
+    cols, at, values) triples, from one ``bincount`` per real part."""
+    if np.iscomplexobj(values):
+        flat = np.bincount(at, values.real, rows * cols) + 1j * np.bincount(at, values.imag, rows * cols)
+    else:
+        flat = np.bincount(at, values, rows * cols)
+    return flat.reshape(rows, cols)
+
+
+def _triples(block):
+    """A dense block as (rows, cols, at, values) triples, one per entry,
+    zeros included."""
+    return (*block.shape, np.arange(block.size), block.ravel())
+
+
 def _whole_block_counts(fw, spec, rel_tol=numeric.RANK_TOL):
     """(counts, sigma_max) from the whole blocks: rank_i is the block's rank,
     s_i = dim E_i - rank_i and m_i = dim V_i - rank_i - t_i."""
@@ -1134,7 +1151,8 @@ def _whole_block_counts(fw, spec, rel_tol=numeric.RANK_TOL):
     bar = _undivided_isotypic(fw, action, table, "edge")
     blocks, d, n = rigidity_rows(fw, fw.velocity_blocks)
     sigmas, shapes = [], []
-    for block in numeric._adapted_blocks(fw, velocity, bar, blocks, d):
+    for triples in numeric._adapted_blocks(fw, velocity, bar, blocks, d):
+        block = _densify(*triples)
         sigmas.append(np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0))
         shapes.append(block.shape)
     top = max((float(sv[0]) for sv in sigmas if sv.size), default=0.0)
@@ -1255,6 +1273,12 @@ def _dense_blocks(fw, velocity, bar, blocks, d):
         yield np.concatenate(rows) if rows else np.zeros((0, cols))
 
 
+def _dense_triples(fw, velocity, bar, blocks, d):
+    """``_dense_blocks`` as ``numeric._adapted_blocks`` yields blocks."""
+    for block in _dense_blocks(fw, velocity, bar, blocks, d):
+        yield _triples(block)
+
+
 def _assert_blocks_match_dense(fw, spec):
     group, center = resolve_group(spec or GroupSpec("auto"), fw)
     action = symmetry_action(fw, group, center)
@@ -1263,7 +1287,7 @@ def _assert_blocks_match_dense(fw, spec):
     velocity = numeric._isotypic(fw, action, table, "velocity")
     bar = numeric._isotypic(fw, action, table, "edge")
     pairs = zip_longest(
-        numeric._adapted_blocks(fw, velocity, bar, blocks, d),
+        (_densify(*triples) for triples in numeric._adapted_blocks(fw, velocity, bar, blocks, d)),
         _dense_blocks(fw, velocity, bar, blocks, d),
     )
     atol = 1e-13 * numeric._max_entry(blocks, d, n)
@@ -1272,7 +1296,7 @@ def _assert_blocks_match_dense(fw, spec):
         assert np.iscomplexobj(block) == np.iscomplexobj(ref_block)
         np.testing.assert_allclose(block, ref_block, rtol=0, atol=atol)
     # Counts and per-irrep counts from the dense blocks are verify's own.
-    with mock.patch.object(numeric, "_adapted_blocks", _dense_blocks):
+    with mock.patch.object(numeric, "_adapted_blocks", _dense_triples):
         ref = verify(fw, spec)
     _assert_same_report(verify(fw, spec), ref)
 
@@ -1296,6 +1320,19 @@ class TestBlockAssembly:
             tracemalloc.stop()
         assert peak < 4e6
 
+    def test_verify_memory_peak_48x47(self):
+        # No block is formed whole on the split path: the dense blocks
+        # peaked at 23.3 MB here, the triples at 3.2 MB.
+        fw = catalog._pinned_quad_grid(48, 47)
+        verify(fw)
+        tracemalloc.start()
+        try:
+            verify(fw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 # ---------------------------------------------------------------------------
 # Component split against the unsplit route: each orbit type's block
@@ -1309,8 +1346,10 @@ def _whole_eigh(projector, pattern):
     return np.linalg.eigh(projector)
 
 
-def _dense_singular_values(block):
-    """``numeric._singular_values`` without the components."""
+def _dense_singular_values(rows, cols, at, values):
+    """``numeric._singular_values`` without the components: one SVD of the
+    dense block."""
+    block = _densify(rows, cols, at, values)
     return np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0)
 
 
@@ -1328,8 +1367,8 @@ def _verify_with(fw, spec, patches):
             stack.enter_context(mock.patch.object(numeric, name, value))
         values_of = numeric._singular_values
 
-        def recorded(block):
-            sigmas.append(values_of(block))
+        def recorded(*block):
+            sigmas.append(values_of(*block))
             return sigmas[-1]
 
         stack.enter_context(mock.patch.object(numeric, "_singular_values", recorded))
@@ -1423,10 +1462,10 @@ class TestComponentSplit:
         block[:40, :30] = rng.standard_normal((40, 30))
         block[40:, 30:] = rng.standard_normal((30, 36))
         block[5, 50] = link
-        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-            sv = numeric._singular_values(block)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, mock.patch.object(numeric, "_SPLIT_MIN", 1):
+            sv = numeric._singular_values(*_triples(block))
         assert any((call.args[0] == link).any() for call in svd.call_args_list)
-        np.testing.assert_allclose(sv, _dense_singular_values(block), rtol=0, atol=1e-12 * sv[0])
+        np.testing.assert_allclose(sv, _dense_singular_values(*_triples(block)), rtol=0, atol=1e-12 * sv[0])
 
     def test_permuted_block_diagonal_matrix(self):
         # Components of several shapes (tall, wide, square), an empty row and
@@ -1441,8 +1480,8 @@ class TestComponentSplit:
             r0, c0 = r0 + r, c0 + c
         block = block[rng.permutation(block.shape[0])][:, rng.permutation(block.shape[1])]
         with mock.patch.object(numeric, "_SPLIT_MIN", 1):
-            sv = numeric._singular_values(block)
-        want = _dense_singular_values(block)
+            sv = numeric._singular_values(*_triples(block))
+        want = _dense_singular_values(*_triples(block))
         assert sv.shape == want.shape == (17,)
         np.testing.assert_allclose(sv, want, rtol=0, atol=1e-12 * sv[0])
         # 3 + 3 + 4 + 3 + 1 values from the components, 3 exact zeros.
@@ -1464,6 +1503,162 @@ class TestComponentSplit:
             np.testing.assert_allclose(
                 (vectors * values[..., None, :]) @ vectors.swapaxes(-1, -2), linked[None, None], atol=1e-12
             )
+
+
+# ---------------------------------------------------------------------------
+# Triples against the dense split: each block scattered densely by one
+# bincount, its exact non-zeros labelled, and each component's sub-block
+# gathered from the dense block, rows and columns ascending.
+# ---------------------------------------------------------------------------
+
+
+def _dense_split(rows, cols, at, values):
+    """(the matrices handed to ``np.linalg.svd``, the sorted singular values)
+    of the route that scatters each block densely and then splits it."""
+    block = _densify(rows, cols, at, values)
+    if not block.size:
+        return [], np.zeros(0)
+    if min(rows, cols) < numeric._SPLIT_MIN:
+        return [block], np.linalg.svd(block, compute_uv=False)
+    r, c = np.divmod(np.flatnonzero(block != 0), cols)
+    heads, piece = np.unique(numeric._components(r, rows + c, rows + cols), return_inverse=True)
+    sides = (piece[:rows], piece[rows:])
+    members = [np.argsort(side, kind="stable") for side in sides]
+    shape = np.stack([np.bincount(side, minlength=len(heads)) for side in sides], axis=1)
+    full = shape.min(axis=1) > 0
+    if np.count_nonzero(full) == 1:
+        return [block], np.linalg.svd(block, compute_uv=False)
+    starts = np.cumsum(shape, axis=0) - shape
+    stacks, sigmas = [], [np.zeros(min(rows, cols) - int(shape.min(axis=1).sum()))]
+    for nr, nc in np.unique(shape[full], axis=0):
+        same = np.flatnonzero((shape == (nr, nc)).all(axis=1))
+        sub_rows = members[0][starts[same, :1] + np.arange(nr)]
+        sub_cols = members[1][starts[same, 1:] + np.arange(nc)]
+        stacks.append(block[sub_rows[:, :, None], sub_cols[:, None, :]])
+        sigmas.append(np.linalg.svd(stacks[-1], compute_uv=False).ravel())
+    return stacks, np.sort(np.concatenate(sigmas))[::-1]
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _assert_triples_match_dense_split(rows, cols, at, values):
+    """``numeric._singular_values`` hands ``np.linalg.svd`` bitwise the
+    dense split's matrices, in the same order, and returns bitwise its
+    singular values."""
+    want_stacks, want = _dense_split(rows, cols, at, values)
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        got = numeric._singular_values(rows, cols, at, values)
+    stacks = [call.args[0] for call in svd.call_args_list]
+    assert len(stacks) == len(want_stacks)
+    for stack, want_stack in zip(stacks, want_stacks):
+        _assert_bitwise_equal(stack, want_stack)
+    _assert_bitwise_equal(got, want)
+    return stacks
+
+
+def _linked_pair(extra):
+    """Two random blocks, 40 x 30 and 30 x 36, as triples of every entry,
+    and the triples ``extra`` at row 5, column 50, in the given order."""
+    rng = np.random.default_rng(7)
+    block = np.zeros((70, 66))
+    block[:40, :30] = rng.standard_normal((40, 30))
+    block[40:, 30:] = rng.standard_normal((30, 36))
+    rows, cols, at, values = _triples(block)
+    return rows, cols, np.append(at, [5 * cols + 50] * len(extra)), np.append(values, extra)
+
+
+def _grid_blocks(fw, spec):
+    """The triples of every adapted block of ``fw`` under ``spec``."""
+    group, center = resolve_group(spec or GroupSpec("auto"), fw)
+    action = symmetry_action(fw, group, center)
+    table = character_table(group)
+    blocks, d, _ = rigidity_rows(fw, fw.velocity_blocks)
+    velocity = numeric._isotypic(fw, action, table, "velocity")
+    bar = numeric._isotypic(fw, action, table, "edge")
+    return list(numeric._adapted_blocks(fw, velocity, bar, blocks, d))
+
+
+TWO = [(30, 36), (40, 30)]
+ONE = [(70, 66)]
+
+
+class TestTriples:
+    @pytest.mark.parametrize(
+        "extra, shapes",
+        [
+            ((0.75, -0.75), TWO),
+            ((2e-300, -1e-300), ONE),
+            ((0.0,), TWO),
+            ((-0.0, 0.0), TWO),
+            ((1e-300, 0.5, -0.5), TWO),
+            ((-0.5, 0.5, 1e-300), ONE),
+        ],
+        ids=["cancel", "sum-1e-300", "padding", "signed-zeros", "absorbed", "kept"],
+    )
+    def test_summed_triples_link_components(self, extra, shapes):
+        # Components follow the sums of the triples at each entry, added in
+        # the order given as bincount adds them, and not the triples: x and
+        # -x link nothing, a sum of 1e-300 links, zero padding links
+        # nothing, and 1e-300 + 0.5 - 0.5 is 0 in that order but 1e-300 in
+        # the order -0.5 + 0.5 + 1e-300.
+        with mock.patch.object(numeric, "_SPLIT_MIN", 1):
+            stacks = _assert_triples_match_dense_split(*_linked_pair(extra))
+        assert [stack.shape[-2:] for stack in stacks] == shapes
+
+    def test_permuted_block_diagonal_matrix_bitwise(self):
+        # Shuffled components of several shapes, with empty rows and columns,
+        # every entry the sum of three triples in shuffled order.
+        rng = np.random.default_rng(11)
+        block = np.zeros((40, 44))
+        for r0, c0, r, c in ((0, 0, 9, 7), (9, 7, 7, 9), (16, 16, 8, 8), (24, 24, 9, 7), (33, 31, 6, 12)):
+            block[r0:r0 + r, c0:c0 + c] = rng.standard_normal((r, c))
+        block = block[rng.permutation(40)][:, rng.permutation(44)]
+        parts = rng.standard_normal((3,) + block.shape) * (block != 0)
+        rows, cols, at, values = _triples(block)
+        order = rng.permutation(3 * block.size)
+        triples = rows, cols, np.tile(at, 3)[order], parts.reshape(3, -1).ravel()[order]
+        with mock.patch.object(numeric, "_SPLIT_MIN", 1):
+            stacks = _assert_triples_match_dense_split(*triples)
+        assert [stack.shape for stack in stacks] == [(1, 6, 12), (1, 7, 9), (1, 8, 8), (2, 9, 7)]
+
+    @pytest.mark.parametrize(
+        "cols, rows, spec",
+        [
+            (34, 33, None),
+            (21, 21, None),
+            (21, 21, GroupSpec("Cn", 4)),
+            (21, 21, GroupSpec("C1")),
+        ],
+        ids=["34x33-C2v", "21x21-C4v", "21x21-C4", "21x21-C1"],
+    )
+    def test_grid_blocks_match_dense_split(self, cols, rows, spec):
+        # Every sub-block is bitwise the dense block's, and so is every
+        # block's sorted singular values; the blocks are complex under C4.
+        blocks = _grid_blocks(catalog._pinned_quad_grid(cols, rows), spec)
+        for triples in blocks:
+            stacks = _assert_triples_match_dense_split(*triples)
+            # Split along the grid lines: a stack of sub-blocks, no whole block.
+            assert all(stack.ndim == 3 for stack in stacks)
+            assert sum(len(stack) for stack in stacks) > 1
+        assert np.iscomplexobj(blocks[0][3]) == (spec is not None and spec.family == "Cn")
+
+
+def test_repeated_verify_calls_give_the_same_report():
+    # State that outlives a call, such as a cache keyed by id() or a buffer
+    # used after it was freed, would change a later report.  Each call gets a
+    # freshly built framework, so freed ids come back.
+    builds = (lambda: _ring_cnv(1), lambda: catalog._pinned_quad_grid(34, 33))
+    first = [None, None]
+    for _ in range(20):
+        for k, build in enumerate(builds):
+            gc.collect()
+            report = json.dumps(verify(build()).to_dict())
+            first[k] = first[k] or report
+            assert report == first[k]
 
 
 # ---------------------------------------------------------------------------
