@@ -282,6 +282,67 @@ def _range_pairs(starts: np.ndarray, counts: np.ndarray, block: int = 16_384):
         k = stop
 
 
+def _strip_candidates(lo: np.ndarray, hi: np.ndarray, points: np.ndarray):
+    """Candidate pairs for boxes ``lo[k] .. hi[k]`` (closed, one row per
+    box) and ``points``, as two generators of index-array pairs: (box,
+    point) pairs and (box, box) pairs, about 16 384 at a time
+    (``_range_pairs``).  Every pair that overlaps in x and y comes out
+    exactly once, and every pair that comes out overlaps in x.
+
+    The y-range is cut into ns strips.  A box is entered in each strip its
+    y-range touches and starts in the strip of its lowest y; a point lies
+    in one strip.  Entries and points are sorted by strip, then by x.  In
+    each strip a starter meets the later entries, and any other entry the
+    later starters, whose lowest x is at most its highest x; a box meets
+    the points of each of its strips with x in its x-range.  Of two boxes
+    that overlap in y, the strip where the higher-starting one starts is
+    touched by the other, since strips grow with y, and a pair meets in no
+    other strip.  ns = 1 is a plain x-sweep."""
+    e = len(lo)
+    y0 = float(lo[:, 1].min())
+    span = float(hi[:, 1].max()) - y0
+    total = float((hi[:, 1] - lo[:, 1]).sum())
+    ratio = e * span / total if total > 0 else 0.0
+    ns = min(math.isqrt(e) + 1, max(1, int(ratio))) if math.isfinite(ratio) else 1
+
+    def strip(y: np.ndarray) -> np.ndarray:
+        if ns == 1:
+            return np.zeros(len(y), dtype=np.intp)
+        return np.clip(np.floor((y - y0) / (span / ns)), 0, ns - 1).astype(np.intp)
+
+    # Each box's rank in x, the rank past the last box starting at or
+    # before its highest x, and its first strip and strip count.
+    order = np.argsort(lo[:, 0], kind="stable")
+    reach = np.searchsorted(lo[order, 0], hi[order, 0], "right")
+    first = strip(lo[order, 1])
+    count = strip(hi[order, 1]) - first + 1
+    # One entry per (strip, box), keyed strip * e + rank: distinct integers.
+    rank = np.repeat(np.arange(e), count)
+    s = first[rank] + np.arange(rank.size) - np.repeat(np.cumsum(count) - count, count)
+    key = np.sort(s * e + rank)
+    s, rank = np.divmod(key, e)
+    starter = s == first[rank]
+    starts, bars = key[starter], order[rank]
+    # Members: entries k + 1 .. of a starter k, or starters (indices past n)
+    # of any other entry, up to the first key beyond the entry's x-range.
+    n, stop = key.size, s * e + reach[rank]
+    begin = np.where(starter, np.arange(1, n + 1), n + np.searchsorted(starts, key, "right"))
+    end = np.where(starter, np.searchsorted(key, stop, "left"), n + np.searchsorted(starts, stop, "left"))
+    members = np.concatenate([bars, bars[starter]])
+
+    # Points keyed strip * v + rank in x, searched over each entry's x-range.
+    v = len(points)
+    porder = np.argsort(points[:, 0], kind="stable")
+    px = points[porder, 0]
+    pkey = np.sort(strip(points[porder, 1]) * v + np.arange(v))
+    left = np.searchsorted(pkey, s * v + np.searchsorted(px, lo[bars, 0], "left"), "left")
+    right = np.searchsorted(pkey, s * v + np.searchsorted(px, hi[bars, 0], "right"), "left")
+
+    joint_bar = ((bars[k], porder[pkey[m] % v]) for k, m in _range_pairs(left, right - left))
+    bar_bar = ((bars[k], members[m]) for k, m in _range_pairs(begin, end - begin))
+    return joint_bar, bar_bar
+
+
 def check_planarity(
     fw: Framework, tol: float = GEOM_TOL
 ) -> list[tuple[str, Any, Any]]:
@@ -299,13 +360,20 @@ def check_planarity(
     theory only needs joint positions and incidences.  Tolerance is relative
     to the bounding-box diagonal.
 
-    The predicates run only on pairs whose boxes overlap: sort on x, then
-    filter on y (sweep and prune).  A bar's box is its bounding box widened
-    by the absolute tolerance and a rounding allowance.  The cost is
-    O((v + e) log(v + e) + c) for c candidate pairs, and c never exceeds the
-    v·e + e(e - 1)/2 pairs of an all-pairs scan.  At tol below rounding
-    level (tol = 0) that scan also reports rounding-noise crossings of
-    collinear bars with disjoint boxes; these are not candidates here.
+    The predicates run only on pairs whose boxes overlap.  A bar's box is
+    its bounding box widened by the absolute tolerance and a rounding
+    allowance.  Candidates come from a sweep on x run inside horizontal
+    strips, then a filter on y (``_strip_candidates``): each bar is entered
+    in every strip its box touches and starts in the strip of its lowest
+    y, each joint lies in one strip, and two bars are paired only in the
+    strip where the later of them starts.  The strip count is about the
+    y-span over the mean box height, at most sqrt(e) + 1, so a bar has
+    about two entries at most; with one strip this is a plain x-sweep.
+    The cost is O((v + e) log(v + e) + entries + c) for c candidate pairs,
+    and c never exceeds the x-sweep's count, itself at most the v·e +
+    e(e - 1)/2 pairs of an all-pairs scan.  At tol below rounding level
+    (tol = 0) that scan also reports rounding-noise crossings of collinear
+    bars with disjoint boxes; these are not candidates here.
     """
     p = fw.positions
     e = fw.num_edges
@@ -324,15 +392,12 @@ def check_planarity(
     pad = tol_abs + 4 * np.finfo(float).eps * (tol_abs + np.abs(p).max())
     lo, hi = np.minimum(pa, pb) - pad, np.maximum(pa, pb) + pad
     hits: dict[str, list[np.ndarray]] = {"vertex_on_edge": [], "crossing": []}
+    joint_bar, bar_bar = _strip_candidates(lo, hi, p)
 
     # Joint in the interior of a foreign bar: distance to the segment below
     # tol_abs with the projection parameter strictly inside (0, 1) and the
     # joint not within tolerance of either endpoint.
-    jorder = np.argsort(p[:, 0], kind="stable")
-    first = np.searchsorted(p[jorder, 0], lo[:, 0], "left")
-    last = np.searchsorted(p[jorder, 0], hi[:, 0], "right")
-    for ei, k in _range_pairs(first, last - first):
-        vi = jorder[k]
+    for ei, vi in joint_bar:
         keep = (lo[ei, 1] <= p[vi, 1]) & (p[vi, 1] <= hi[ei, 1]) & (vi != a[ei]) & (vi != b[ei])
         vi, ei = vi[keep], ei[keep]
         t = ((p[vi] - pa[ei]) * d[ei]).sum(axis=1) / (lengths[ei] ** 2)
@@ -348,10 +413,8 @@ def check_planarity(
         r = pt - origin
         return (dvec[:, 0] * r[:, 1] - dvec[:, 1] * r[:, 0]) / ln
 
-    order = np.argsort(lo[:, 0], kind="stable")
-    after = np.arange(1, e + 1)
-    for k, m in _range_pairs(after, np.searchsorted(lo[order, 0], hi[order, 0], "right") - after):
-        ia, ib = np.minimum(order[k], order[m]), np.maximum(order[k], order[m])
+    for one, other in bar_bar:
+        ia, ib = np.minimum(one, other), np.maximum(one, other)
         keep = (lo[ia, 1] <= hi[ib, 1]) & (lo[ib, 1] <= hi[ia, 1])
         keep &= (a[ia] != a[ib]) & (a[ia] != b[ib]) & (b[ia] != a[ib]) & (b[ia] != b[ib])
         ia, ib = ia[keep], ib[keep]

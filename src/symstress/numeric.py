@@ -67,10 +67,11 @@ Conventions
   or columns.
 * Each block E_i^H R V_i is assembled from (row, column, value) triples:
   E_i's entry at a bar meets V_i's entries (one per vector and joint) at the
-  bar's two joints.  The cost is O(entries of E_i x most entries at a joint),
-  and no dense intermediate (V_i or R V_i) is formed.  Nor is the rows x
-  cols block itself on the split path (at least ``_SPLIT_MIN`` rows and
-  columns): its triples are summed per entry, its components labelled from
+  bar's two joints, and the triples whose value is an exact zero (about
+  half on an axis-aligned grid) are dropped.  The cost is O(entries of E_i
+  x most entries at a joint), and no dense intermediate (V_i or R V_i) is
+  formed.  Nor is the rows x cols block itself on the split path (at least
+  ``_SPLIT_MIN`` rows and columns): its triples are summed per entry, its components labelled from
   the non-zero sums, and each component's sub-block filled from its own
   sums, bitwise the entries a dense scatter would give.  A smaller block is
   scattered densely, and a block of one component is filled densely from
@@ -545,8 +546,10 @@ def _adapted_blocks(
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Yield, per irrep i, the block E_i^H R V_i as (rows, cols, at,
     values): entry at[k] of the flat rows x cols block gains values[k],
-    duplicates summed in the order given (``_singular_values``).  Some
-    triples are exact zeros, padding included.  ``velocity`` and ``bar`` are
+    duplicates summed in the order given (``_singular_values``).  Triples
+    whose value is an exact zero, the padding among them, are dropped: a
+    ``bincount`` sum starts at +0.0 and is never -0.0, so a +0.0 or -0.0
+    term changes no entry.  ``velocity`` and ``bar`` are
     the isotypic bases from ``_isotypic``; ``blocks`` and ``d`` are R's rows
     from ``rigidity_rows``."""
     n = int(np.count_nonzero(fw.velocity_blocks >= 0))
@@ -568,8 +571,9 @@ def _adapted_blocks(
         j1, j2 = first[bars], second[bars]
         at = (row * cols)[:, None] + np.hstack([at_col[j1], at_col[j2]])
         ends = np.hstack([at_val[j1], -at_val[j2]])
-        pair = np.einsum("ba,bka->bk", weight.conj() * d[bars], ends)
-        yield rows, cols, at.ravel(), pair.ravel()
+        pair = np.einsum("ba,bka->bk", weight.conj() * d[bars], ends).ravel()
+        live = pair != 0
+        yield rows, cols, at.ravel()[live], pair[live]
 
 
 def _singular_values(rows: int, cols: int, at: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -578,12 +582,11 @@ def _singular_values(rows: int, cols: int, at: np.ndarray, values: np.ndarray) -
 
     A block with fewer than ``_SPLIT_MIN`` rows or columns is scattered
     densely by one ``bincount`` and takes one SVD.  A larger one is never
-    formed whole.  Its entries are the sums of the non-zero triples at each
-    flat index, added in the order given as ``bincount`` adds them, so each
-    is bitwise the dense block's; ``+0.0`` and ``-0.0`` triples change no
-    sum.  Rows and columns joined by a non-zero sum (no threshold) form a
-    bipartite graph, and the block is block-diagonal up to a permutation of
-    rows and columns, one diagonal block per connected component, so its
+    formed whole.  Its entries are the sums of the triples at each flat
+    index, added in the order given as ``bincount`` adds them, so each is
+    bitwise the dense block's.  Rows and columns joined by a non-zero sum
+    (no threshold) form a bipartite graph, and the block is block-diagonal
+    up to a permutation of rows and columns, one diagonal block per connected component, so its
     singular values are the components' together.  A block of one component
     is filled densely from its sums and takes one SVD; otherwise each
     component's sums are scattered into a zero sub-block, its rows and
@@ -594,9 +597,8 @@ def _singular_values(rows: int, cols: int, at: np.ndarray, values: np.ndarray) -
     if min(rows, cols) < _SPLIT_MIN:
         block = _scatter(at, values, rows * cols).reshape(rows, cols)
         return np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0)
-    live = values != 0
-    keys, inverse = np.unique(at[live], return_inverse=True)
-    sums = _scatter(inverse, values[live], len(keys))
+    keys, inverse = np.unique(at, return_inverse=True)
+    sums = _scatter(inverse, values, len(keys))
     keys, sums = keys[sums != 0], sums[sums != 0]
     r, c = np.divmod(keys, cols)
     heads, piece = np.unique(_components(r, rows + c, rows + cols), return_inverse=True)

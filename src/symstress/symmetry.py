@@ -715,6 +715,18 @@ def _divisors_desc(n: int) -> list[int]:
     return [d for d in range(n, 1, -1) if n % d == 0]
 
 
+def _radius_shells(radii: np.ndarray, joints: np.ndarray, tol_abs: float) -> tuple[int, list[int]]:
+    """Radius shells of ``joints``: sorted by radius, a new shell starts
+    where a radius exceeds the one before it by more than tol_abs.
+    Rotations and mirrors permute each shell.  Returns the gcd of the shell
+    sizes and the first smallest shell, as joint indices by radius."""
+    order = joints[np.argsort(radii[joints])]
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(radii[order]) > tol_abs) + 1, [order.size]])
+    sizes = np.diff(bounds)
+    k = int(np.argmin(sizes))
+    return math.gcd(*sizes.tolist()), order[bounds[k] : bounds[k + 1]].tolist()
+
+
 def detect_groups(
     fw: Framework, tol: float = SYM_TOL
 ) -> list[tuple[PointGroup, np.ndarray]]:
@@ -747,18 +759,8 @@ def detect_groups(
     if off_center.size == 0:
         return [(group_elements("Cn", 1), center)]
 
-    # Radius shells: rotations and mirrors permute each shell.
-    order_idx = off_center[np.argsort(radii[off_center])]
-    shells: list[list[int]] = [[int(order_idx[0])]]
-    for idx in order_idx[1:]:
-        if radii[idx] - radii[shells[-1][-1]] > tol_abs:
-            shells.append([])
-        shells[-1].append(int(idx))
-
     # Maximal rotation order divides every shell size.
-    g = 0
-    for shell in shells:
-        g = math.gcd(g, len(shell))
+    g, shell = _radius_shells(radii, off_center, tol_abs)
     bars = _BarLookup(fw)
     gen = _Generated(fw, center, tol)
     rot_order = 1
@@ -771,7 +773,6 @@ def detect_groups(
 
     # Candidate mirror axes from the smallest shell: an axis either passes
     # through a shell joint or bisects a pair of them.
-    shell = min(shells, key=len)
     angles = [math.atan2(offsets[i, 1], offsets[i, 0]) for i in shell]
     cand_angles: list[float] = []
     for ai in range(len(angles)):

@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from symstress import (
     rigidity_matrix_pinned,
     save_framework,
 )
-from symstress.framework import GEOM_TOL, _range_pairs
+import symstress.framework as framework
+from symstress.framework import GEOM_TOL, _range_pairs, _strip_candidates
 
 TRIANGLE = Framework([(0.0, 0.0), (2.0, 0.0), (1.0, 1.5)], [(0, 1), (1, 2), (2, 0)])
 SQUARE = Framework(
@@ -469,6 +471,161 @@ class TestPlanarityAgainstAllPairs:
         assert _all_pairs_planarity(fw, 0.0) == [("crossing", 0, 1)]
         assert check_planarity(fw, 0.0) == []
         assert check_planarity(fw) == _all_pairs_planarity(fw) == []
+
+
+# ---------------------------------------------------------------------------
+# Candidates from the strip sweep: every pair of overlapping boxes once, and
+# no more candidates than the plain x-sweep forms.
+# ---------------------------------------------------------------------------
+
+
+def _lattice_framework(rng, size=6):
+    """Joints on the integer lattice 0..size, some at half steps, and random
+    bars among them, so that joints and box edges fall on strip boundaries
+    and boxes touch exactly."""
+    pos = np.unique(rng.integers(0, 2 * size + 1, (int(rng.integers(4, 40)), 2)) / 2.0, axis=0)
+    pairs = [(i, j) for i in range(len(pos)) for j in range(i + 1, len(pos))]
+    m = int(rng.integers(1, min(len(pairs), 2 * len(pos)) + 1))
+    return Framework(pos, [pairs[k] for k in rng.choice(len(pairs), m, replace=False)])
+
+
+def _horizontal_bars(rng):
+    """Bars on five horizontal lines, with joints of other bars inside
+    them: every box is one line high."""
+    x = rng.uniform(0, 10, (5, 12))
+    pos = np.stack([x.ravel(), np.repeat(np.arange(5.0), 12)], axis=1)
+    edges = [(12 * r + i, 12 * r + j) for r in range(5) for i, j in rng.integers(0, 12, (8, 2)) if i != j]
+    return Framework(pos, sorted({(min(i, j), max(i, j)) for i, j in edges}))
+
+
+def _full_height_bars(n=60):
+    """n vertical bars from y = 0 to y = 1, crossed by one horizontal bar,
+    and a joint on every fifth bar."""
+    x = np.arange(n, dtype=float)
+    pos = np.vstack([np.stack([x, np.zeros(n)], 1), np.stack([x, np.ones(n)], 1), [(-1, 0.5), (n, 0.5)]])
+    pos = np.vstack([pos, np.stack([x[::5], np.full(len(x[::5]), 0.25)], 1)])
+    return Framework(pos, [(i, n + i) for i in range(n)] + [(2 * n, 2 * n + 1)])
+
+
+def _hub(spokes=64):
+    """A joint at the centre with a spoke to each rim joint, the rim, and
+    chords that cross the spokes."""
+    ang = 2 * np.pi * np.arange(spokes) / spokes
+    pos = np.vstack([[(0.0, 0.0)], np.stack([np.cos(ang), np.sin(ang)], 1)])
+    edges = [(0, 1 + i) for i in range(spokes)] + [(1 + i, 1 + (i + 1) % spokes) for i in range(spokes)]
+    edges += [(1 + i, 1 + (i + spokes // 4) % spokes) for i in range(0, spokes, 3)]
+    return Framework(pos, edges)
+
+
+STRIP_CASES = {
+    "single-bar": lambda: Framework([(0.0, 0.0), (2.0, 1.0), (1.0, 0.5), (3.0, 0.0)], [(0, 1)]),
+    "horizontal": lambda: _horizontal_bars(np.random.default_rng(3)),
+    "full-height": _full_height_bars,
+    "hub": _hub,
+    "zero-span": lambda: Framework([(0.0, 0.0)] * 4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "grid-24x23": lambda: catalog._pinned_quad_grid(24, 23),
+}
+
+
+def _x_sweep_count(lo, hi, points):
+    """Candidates of the plain x-sweep: each box with the points in its
+    x-range, and each box with the boxes after it in x whose lowest x is at
+    most its highest."""
+    px = np.sort(points[:, 0])
+    joints = np.searchsorted(px, hi[:, 0], "right") - np.searchsorted(px, lo[:, 0], "left")
+    order = np.argsort(lo[:, 0], kind="stable")
+    reach = np.searchsorted(lo[order, 0], hi[order, 0], "right")
+    return int(joints.sum() + (reach - np.arange(1, len(lo) + 1)).sum())
+
+
+def _candidate_counts(fw, tol=GEOM_TOL):
+    """(pairs ``_range_pairs`` yields inside check_planarity, the x-sweep's
+    count on the same boxes)."""
+    yielded = []
+
+    def counted(starts, counts, *args):
+        yielded.append(int(np.sum(counts)))
+        return _range_pairs(starts, counts, *args)
+
+    with mock.patch.object(framework, "_range_pairs", counted), mock.patch.object(
+        framework, "_strip_candidates", wraps=_strip_candidates
+    ) as strips:
+        check_planarity(fw, tol)
+    return sum(yielded), _x_sweep_count(*strips.call_args.args)
+
+
+def _brute_force_candidates(lo, hi, points):
+    """Every (box, point) pair with the point in the box, and every pair of
+    boxes i < j that overlap, closed on every side."""
+    inside = (lo[:, None, :] <= points[None]) & (points[None] <= hi[:, None, :])
+    overlap = np.triu((lo[:, None, :] <= hi[None]).all(axis=2) & (lo[None] <= hi[:, None, :]).all(axis=2), 1)
+    return set(zip(*np.nonzero(inside.all(axis=2)))), set(zip(*np.nonzero(overlap)))
+
+
+def _assert_strip_candidates(lo, hi, points):
+    """``_strip_candidates`` yields each overlapping pair once, only pairs
+    that overlap in x, and never a box with itself."""
+    joint_bar, bar_bar = _strip_candidates(lo, hi, points)
+    jb = [(int(k), int(m)) for ks, ms in joint_bar for k, m in zip(ks, ms)]
+    bb = [(int(min(k, m)), int(max(k, m))) for ks, ms in bar_bar for k, m in zip(ks, ms)]
+    assert len(set(jb)) == len(jb) and len(set(bb)) == len(bb)
+    assert all(lo[k, 0] <= points[m, 0] <= hi[k, 0] for k, m in jb)
+    assert all(k != m and lo[k, 0] <= hi[m, 0] and lo[m, 0] <= hi[k, 0] for k, m in bb)
+    want_jb, want_bb = _brute_force_candidates(lo, hi, points)
+    assert {(k, m) for k, m in jb if lo[k, 1] <= points[m, 1] <= hi[k, 1]} == want_jb
+    assert {(k, m) for k, m in bb if lo[k, 1] <= hi[m, 1] and lo[m, 1] <= hi[k, 1]} == want_bb
+    return jb, bb
+
+
+class TestStrips:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_lattice_frameworks(self, seed):
+        fw = _lattice_framework(np.random.default_rng(seed))
+        for tol in (GEOM_TOL, 1e-3, 0.0):
+            assert check_planarity(fw, tol) == _all_pairs_planarity(fw, tol)
+
+    @pytest.mark.parametrize("name", list(STRIP_CASES))
+    def test_cases_against_all_pairs(self, name):
+        fw = STRIP_CASES[name]()
+        for tol in (GEOM_TOL, 1e-3, 0.0):
+            assert check_planarity(fw, tol) == _all_pairs_planarity(fw, tol)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_lattice_boxes(self, seed):
+        # Integer boxes and points: strip boundaries fall on box edges and
+        # points, and boxes touch exactly on both axes.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        corner = rng.integers(0, 12, (n, 2)).astype(float)
+        size = rng.integers(0, 4, (n, 2)) * (rng.random((n, 2)) < 0.8) + rng.integers(0, 13, (n, 2)) * (rng.random((n, 2)) < 0.1)
+        points = rng.integers(-1, 14, (int(rng.integers(1, 50)), 2)).astype(float)
+        _assert_strip_candidates(corner, corner + size, points)
+
+    def test_touching_boxes(self):
+        # Two boxes that meet only in one corner, and a point at it.
+        lo = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 0.0], [0.0, 5.0]])
+        hi = np.array([[1.0, 1.0], [2.0, 2.0], [6.0, 6.0], [6.0, 6.0]])
+        jb, bb = _assert_strip_candidates(lo, hi, np.array([[1.0, 1.0]]))
+        assert {(0, 1), (2, 3)} <= set(bb) and {(0, 0), (1, 0)} <= set(jb)
+
+    @pytest.mark.parametrize("name", list(STRIP_CASES))
+    def test_no_more_candidates_than_the_x_sweep(self, name):
+        fw = STRIP_CASES[name]()
+        for tol in (GEOM_TOL, 1e-3, 0.0):
+            strips, sweep = _candidate_counts(fw, tol)
+            assert strips <= sweep
+            if name in ("full-height", "zero-span"):
+                assert strips == sweep  # one strip
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_frameworks_take_no_more_candidates(self, seed):
+        fw = _random_framework(np.random.default_rng(seed))
+        strips, sweep = _candidate_counts(fw)
+        assert strips <= sweep
+
+    def test_pinned_grid_takes_a_tenth_of_the_candidates(self):
+        strips, sweep = _candidate_counts(catalog._pinned_quad_grid(34, 33))
+        assert strips <= sweep / 10
 
 
 class TestJsonIO:

@@ -1582,6 +1582,28 @@ def _grid_blocks(fw, spec):
     return list(numeric._adapted_blocks(fw, velocity, bar, blocks, d))
 
 
+def _blocks_with_zero_triples(fw, velocity, bar, blocks, d):
+    """``numeric._adapted_blocks`` keeping the exact-zero triples, padding
+    included, as the blocks were yielded before those were dropped."""
+    n = int(np.count_nonzero(fw.velocity_blocks >= 0))
+    first, second = np.where(blocks < 0, n, blocks).T
+    for v_parts, e_parts in zip(velocity, bar):
+        cols, (joint, col, value) = numeric._entries(v_parts, 2)
+        rows, (bars, row, weight) = numeric._entries(e_parts, 1)
+        order = np.argsort(joint, kind="stable")
+        joint, col, value = joint[order], col[order], value[order]
+        count = np.bincount(joint, minlength=n)
+        slot = np.arange(joint.size) - (np.cumsum(count) - count)[joint]
+        at_col = np.zeros((n + 1, int(count.max(initial=0))), dtype=np.intp)
+        at_val = np.zeros(at_col.shape + (2,), dtype=value.dtype)
+        at_col[joint, slot], at_val[joint, slot] = col, value
+        j1, j2 = first[bars], second[bars]
+        at = (row * cols)[:, None] + np.hstack([at_col[j1], at_col[j2]])
+        ends = np.hstack([at_val[j1], -at_val[j2]])
+        pair = np.einsum("ba,bka->bk", weight.conj() * d[bars], ends)
+        yield rows, cols, at.ravel(), pair.ravel()
+
+
 TWO = [(30, 36), (40, 30)]
 ONE = [(70, 66)]
 
@@ -1645,6 +1667,39 @@ class TestTriples:
             assert all(stack.ndim == 3 for stack in stacks)
             assert sum(len(stack) for stack in stacks) > 1
         assert np.iscomplexobj(blocks[0][3]) == (spec is not None and spec.family == "Cn")
+
+    @pytest.mark.parametrize(
+        "make, spec",
+        [
+            (lambda: catalog._pinned_quad_grid(34, 33), None),
+            (lambda: catalog._pinned_quad_grid(21, 21), None),
+            (lambda: catalog._pinned_quad_grid(21, 21), GroupSpec("Cn", 4)),
+            (lambda: catalog._pinned_quad_grid(21, 21), GroupSpec("C1")),
+            (lambda: _ring_cnv(1), None),
+        ],
+        ids=["34x33-C2v", "21x21-C4v", "21x21-C4", "21x21-C1", "ring-cnv"],
+    )
+    def test_zero_triples_are_dropped(self, make, spec):
+        # The blocks come without exact-zero triples, and every block's
+        # singular values are bitwise those of the triples with the zeros,
+        # through the split and through the dense split.
+        fw = make()
+        group, center = resolve_group(spec or GroupSpec("auto"), fw)
+        action = symmetry_action(fw, group, center)
+        table = character_table(group)
+        blocks, d, _ = rigidity_rows(fw, fw.velocity_blocks)
+        bases = [numeric._isotypic(fw, action, table, space) for space in ("velocity", "edge")]
+        dropped = 0
+        for got, want in zip_longest(
+            numeric._adapted_blocks(fw, *bases, blocks, d), _blocks_with_zero_triples(fw, *bases, blocks, d)
+        ):
+            assert got[:2] == want[:2] and np.all(got[3] != 0)
+            dropped += want[3].size - got[3].size
+            sv = numeric._singular_values(*got)
+            _assert_bitwise_equal(sv, numeric._singular_values(*want))
+            _assert_bitwise_equal(sv, _dense_split(*want)[1])
+        assert dropped > 0
+
 
 
 def test_repeated_verify_calls_give_the_same_report():

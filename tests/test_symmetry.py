@@ -1,5 +1,6 @@
 """Point groups, permutation matching, censuses, and group detection."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -248,6 +249,68 @@ class TestDetection:
         with mock.patch.object(symmetry, "_BarLookup", wraps=symmetry._BarLookup) as lookup:
             detect_groups(fw)
         assert lookup.call_count == 1
+
+
+
+def _loop_shells(radii, joints, tol_abs):
+    """Reference for ``symmetry._radius_shells``: a new shell wherever a
+    joint's radius exceeds the previous joint's, in sorted order, by more
+    than tol_abs; the gcd of the sizes and the first smallest shell."""
+    order_idx = joints[np.argsort(radii[joints])]
+    shells = [[int(order_idx[0])]]
+    for idx in order_idx[1:]:
+        if radii[idx] - radii[shells[-1][-1]] > tol_abs:
+            shells.append([])
+        shells[-1].append(int(idx))
+    g = 0
+    for shell in shells:
+        g = math.gcd(g, len(shell))
+    return g, min(shells, key=len)
+
+
+class TestRadiusShells:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: catalog.generate(name).framework for name in ("fig3", "fig9a", "fig12b", "quadgrid")]
+        + [lambda: catalog._pinned_quad_grid(24, 23), lambda: catalog._pinned_quad_grid(34, 33)],
+        ids=["fig3", "fig9a", "fig12b", "quadgrid", "grid-24x23", "grid-34x33"],
+    )
+    def test_detection_shells_match_the_loop(self, make):
+        with mock.patch.object(symmetry, "_radius_shells", wraps=symmetry._radius_shells) as shells:
+            detect_groups(make())
+        (args, _), = shells.call_args_list
+        assert symmetry._radius_shells(*args) == _loop_shells(*args)
+
+    def test_rings(self):
+        # n joints on each of several circles: every shell is one ring.
+        for n, rings in ((16, (1.0, 2.0, 3.5)), (6, (0.5, 0.75)), (5, (1.0,))):
+            ang = np.tile(2 * np.pi * np.arange(n) / n, len(rings))
+            radii = np.hypot(*(np.repeat(rings, n) * np.stack([np.cos(ang), np.sin(ang)])))
+            joints = np.arange(radii.size)
+            got = symmetry._radius_shells(radii, joints, 1e-9)
+            assert got == _loop_shells(radii, joints, 1e-9)
+            assert got[0] == n and len(got[1]) == n
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_radii(self, seed):
+        # Radii on a grid of step tol_abs (gaps of exactly tol_abs and of
+        # two), or free, over a random subset of the joints.
+        rng = np.random.default_rng(seed)
+        tol_abs = 0.25
+        radii = rng.integers(1, 12, 60) * tol_abs if seed % 2 else rng.uniform(0.5, 4.0, 60)
+        joints = np.sort(rng.choice(60, int(rng.integers(1, 61)), replace=False))
+        assert symmetry._radius_shells(radii, joints, tol_abs) == _loop_shells(radii, joints, tol_abs)
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_gap_at_the_tolerance(self, step):
+        # A gap of exactly tol_abs keeps one shell; one ulp more splits it.
+        tol_abs = 0.25
+        outer = 1.25 if step == 0 else np.nextafter(1.25, step * np.inf)
+        radii = np.array([1.0, 2.0, outer, 1.0, outer, 2.0])
+        joints = np.arange(radii.size)
+        got = symmetry._radius_shells(radii, joints, tol_abs)
+        assert got == _loop_shells(radii, joints, tol_abs)
+        assert got == ((2, [0, 3]) if step == 1 else (2, [1, 5]))
 
 
 class TestGroupSpec:
