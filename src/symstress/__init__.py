@@ -56,6 +56,7 @@ from .symmetry import (
     make_census,
     mirror_op,
     parse_group_arg,
+    resolve_action,
     resolve_group,
     rotation_op,
     symmetry_action,
@@ -117,7 +118,7 @@ __all__ = [
     "census", "make_census", "detect_groups", "vertex_permutation",
     "edge_permutation", "SymmetryAction", "OperationAction", "symmetry_action",
     "parse_group_arg", "group_spec_from_json",
-    "group_spec_to_json", "resolve_group", "SYM_TOL",
+    "group_spec_to_json", "resolve_group", "resolve_action", "SYM_TOL",
     # representation theory
     "Irrep", "CharacterTable", "IrrepDecomposition", "character_table",
     "reducible_character", "decomposition_from_counts", "reduce", "trig_sum",

@@ -50,7 +50,7 @@ from .symmetry import (
     group_spec_from_json,
     group_spec_to_json,
     parse_group_arg,
-    resolve_group,
+    resolve_action,
 )
 
 EXIT_OK = 0
@@ -308,11 +308,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
     try:
         fw, spec = _load(args.input, args.group)
         maxwell_count(fw)  # rejects a single unpinned joint, as analyze and verify do
-        group, center = resolve_group(spec, fw, tol=args.tol_sym)
+        action = resolve_action(spec, fw, tol=args.tol_sym)
+        shown = action.group.order > 1
         svg = render_svg(
             fw,
-            group=group if group.order > 1 else None,
-            center=center,
+            group=action.group if shown else None,
             stress=_overlay_row(
                 self_stress_basis, fw, args.stress, "stress", "self-stresses", args.tol_rank
             ),
@@ -321,7 +321,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
             ),
             highlight_fixed=not args.no_highlight,
             title=args.title,
-            tol=args.tol_sym,
+            action=action if shown else None,
         )
     except _CAUGHT as exc:
         code, prefix = _failure(exc)

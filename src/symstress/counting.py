@@ -37,8 +37,7 @@ from .symmetry import (
     SymmetryAction,
     SymmetryCensus,
     census,
-    resolve_group,
-    symmetry_action,
+    resolve_action,
 )
 
 __all__ = [
@@ -461,13 +460,12 @@ def _analysis(
     _check_tolerance("tol", tol)
     maxwell_count(fw)
     spec = group if group is not None else GroupSpec("auto")
-    pg, center = resolve_group(spec, fw, tol)
-    action = symmetry_action(fw, pg, center, tol)
+    action = resolve_action(spec, fw, tol)
     report = analyze_census(
-        census(fw, pg, action=action),
+        census(fw, action.group, action=action),
         detected=spec.is_auto,
         num_pinned=len(fw.pinned),
-        center=(float(center[0]), float(center[1])),
+        center=(float(action.center[0]), float(action.center[1])),
     )
     return report, action
 

@@ -21,9 +21,10 @@ the decimal separator is always "." regardless of locale.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -57,11 +58,14 @@ class Framework:
     positions : (v, 2) float array of joint coordinates (made read-only).
     edges     : bars as vertex index pairs, kept in input order.
     pinned    : indices of pinned (grounded) joints.
+    ends      : the bars as a read-only int64 (e, 2) array, derived from
+                ``edges`` once so array code never converts the tuple.
     """
 
     positions: np.ndarray
     edges: tuple[tuple[int, int], ...]
     pinned: frozenset[int] = frozenset()
+    ends: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         pos = np.array(self.positions, dtype=float, copy=True)
@@ -87,6 +91,10 @@ class Framework:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
         object.__setattr__(self, "edges", edges)
+        ends = np.fromiter(itertools.chain.from_iterable(edges), np.int64, 2 * len(edges))
+        ends = ends.reshape(-1, 2)
+        ends.setflags(write=False)
+        object.__setattr__(self, "ends", ends)
 
         pins = frozenset(int(i) for i in self.pinned)
         for i in pins:
@@ -164,7 +172,7 @@ def rigidity_rows(
     """The rigidity matrix in sparse form, with joint i's two velocity columns
     in block blocks[i] (-1: no columns): each bar's two endpoint blocks, its
     entries d = p_i - p_j (-d at the second joint), and the number of blocks."""
-    ends = np.array(fw.edges, dtype=int).reshape(-1, 2)
+    ends = fw.ends
     d = fw.positions[ends[:, 0]] - fw.positions[ends[:, 1]]
     return blocks[ends], d, int(np.count_nonzero(blocks >= 0))
 
@@ -382,7 +390,7 @@ def check_planarity(
     scale = bbox_diagonal(p)
     tol_abs = tol * (scale if scale > 0 else 1.0)
 
-    a, b = np.array(fw.edges).T
+    a, b = fw.ends.T
     pa, pb = p[a], p[b]
     d = pb - pa
     lengths = np.hypot(d[:, 0], d[:, 1])

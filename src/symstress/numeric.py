@@ -287,7 +287,7 @@ def intertwining_residual(
     """
     if action is None:
         action = symmetry_action(fw, group, center, tol)
-    ends = np.array(fw.edges, dtype=int).reshape(-1, 2)
+    ends = fw.ends
     moving = ~fw.pinned_mask[ends].all(axis=1)
     if not moving.any():
         return 0.0

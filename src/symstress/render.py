@@ -116,6 +116,8 @@ def render_svg(
     margin: float = 40.0,
     title: str | None = None,
     tol: float = SYM_TOL,
+    *,
+    action: SymmetryAction | None = None,
 ) -> str:
     """Render a framework as deterministic SVG 1.1 text.
 
@@ -126,10 +128,14 @@ def render_svg(
     unshifted are emphasised.
 
     Raises NotSymmetric when ``group`` does not hold, with or without
-    ``highlight_fixed``: its action is built whenever a group is given.
+    ``highlight_fixed``: its action is built whenever a group is given.  A
+    precomputed ``action`` of ``group`` on ``fw`` replaces ``center`` and
+    ``tol``.
     """
     positions = fw.positions
     canvas = _Canvas(positions, width, height, margin)
+    if action is not None:
+        center = action.center
     if center is None:
         center = fw.centroid()
     center = np.asarray(center, dtype=float)
@@ -153,7 +159,8 @@ def render_svg(
 
     fixed: set[int] = set()
     if group is not None:
-        action = symmetry_action(fw, group, center, tol)
+        if action is None:
+            action = symmetry_action(fw, group, center, tol)
         if highlight_fixed:
             fixed = _fixed_edges(action)
 

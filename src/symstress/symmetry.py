@@ -28,7 +28,11 @@ Conventions
   within the tolerance of the joint it is sent to.  The composition is
   trusted only when no two joints are within twice the tolerance of each
   other (the crowding guard); otherwise, and wherever the check fails, an
-  operation is matched directly.
+  operation is matched directly.  Bar permutations are composed the same
+  way, so only directly matched operations look their bars up.
+* ``resolve_action`` is the front end ``analyze``, ``verify`` and ``render``
+  share: for an auto-detected group, the generators detection matched feed
+  the action, so each is matched once per call.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ __all__ = [
     "group_spec_from_json",
     "group_spec_to_json",
     "resolve_group",
+    "resolve_action",
 ]
 
 # Default relative tolerance for matching joints to their symmetry images.
@@ -340,7 +345,7 @@ class _BarLookup:
 
     def __init__(self, fw: Framework) -> None:
         self.v = fw.num_vertices
-        self.ends = np.array(fw.edges, dtype=np.int64).reshape(-1, 2)
+        self.ends = fw.ends
         keys = self._keys(self.ends)
         self.rows = np.argsort(keys, kind="stable")
         self.keys = keys[self.rows]
@@ -395,19 +400,29 @@ class SymmetryAction:
     ops: tuple[OperationAction, ...]
 
 
-class _Generated:
-    """Joint permutations composed from those of two generators: the
-    rotation r by 2 pi / n and a reference mirror s.  ``rotation(j)`` is the
-    permutation of r^j and ``reflection(k)`` that of the mirror r^k s.
+# An operation's (joint permutation, bar permutation).
+_Perms = tuple[np.ndarray, np.ndarray]
 
-    A composed permutation is accepted for an operation only when every
-    joint's image lies within the matching tolerance of the joint it is sent
-    to, by the float formula ``vertex_permutation`` uses, and when no two
-    joints are crowded: every gap between their sorted projections on
+
+class _Generated:
+    """Joint and bar permutations composed from those of two generators: the
+    rotation r by 2 pi / n and a reference mirror s.  ``rotation(j)`` gives
+    the pair of r^j and ``reflection(k)`` that of the mirror r^k s; the
+    joint and bar permutations of a product ab are a's indexed by b's.
+
+    A composed pair is accepted for an operation only when every joint's
+    image lies within the matching tolerance of the joint it is sent to, by
+    the float formula ``vertex_permutation`` uses, and when no two joints
+    are crowded: every gap between their sorted projections on
     ``_MATCH_DIRECTION`` exceeds twice the matching window.  Then no image
-    has two joints within the tolerance, so an accepted permutation is the
-    one ``vertex_permutation`` would return.  It is a bijection that keeps
-    pins on pins and bars on bars because the generators' permutations are.
+    has two joints within the tolerance, so an accepted joint permutation is
+    the one ``vertex_permutation`` would return.  It is a bijection that
+    keeps pins on pins, and its bar permutation is the one the bar lookup
+    would find, because the generators' permutations are and do.
+
+    Detection seeds an instance with the generators it matched (``rotations``
+    beyond the identity and ``mirror``); ``_act`` checks each seed like any
+    composed pair before it uses it.
     """
 
     def __init__(self, fw: Framework, center: np.ndarray, tol: float) -> None:
@@ -419,35 +434,66 @@ class _Generated:
         magnitude = 2 * float(np.abs(pos).max(initial=0.0))
         window = self.tol_abs + 8 * np.finfo(float).eps * magnitude
         self.uncrowded = bool(np.all(np.diff(proj) > 2 * window))
-        # rotations[j] is r^j's permutation; r's is appended once matched.
-        self.rotations: list[np.ndarray] = [np.arange(fw.num_vertices)]
-        self.mirror: np.ndarray | None = None
+        # rotations[j] is r^j's pair; r's is appended once matched.
+        self.rotations: list[_Perms] = [(np.arange(fw.num_vertices), np.arange(fw.num_edges))]
+        self.mirror: _Perms | None = None
 
-    def rotation(self, j: int) -> np.ndarray | None:
-        """The permutation of r^j, or None while r's is unknown."""
+    def rotation(self, j: int) -> _Perms | None:
+        """The pair of r^j, or None while r's is unknown."""
         if len(self.rotations) < 2:
             return self.rotations[0] if j == 0 else None
+        r_v, r_e = self.rotations[1]
         while len(self.rotations) <= j:
-            self.rotations.append(self.rotations[1][self.rotations[-1]])
+            last_v, last_e = self.rotations[-1]
+            self.rotations.append((r_v[last_v], r_e[last_e]))
         return self.rotations[j]
 
-    def reflection(self, k: int) -> np.ndarray | None:
-        """The permutation of r^k s, or None while r's or s's is unknown."""
+    def reflection(self, k: int) -> _Perms | None:
+        """The pair of r^k s, or None while r's or s's is unknown."""
         rot = self.rotation(k)
-        return None if rot is None or self.mirror is None else rot[self.mirror]
+        if rot is None or self.mirror is None:
+            return None
+        return rot[0][self.mirror[0]], rot[1][self.mirror[1]]
 
-    def accepts(self, op: SymmetryOperation, perm: np.ndarray | None) -> bool:
-        if perm is None or not self.uncrowded:
+    def accepts(self, op: SymmetryOperation, perms: _Perms | None) -> bool:
+        if perms is None or not self.uncrowded:
             return False
         pos = self.fw.positions
-        d = np.sqrt(((apply_op(op, pos, self.center) - pos[perm]) ** 2).sum(axis=1))
+        d = np.sqrt(((apply_op(op, pos, self.center) - pos[perms[0]]) ** 2).sum(axis=1))
         return bool(np.all(d <= self.tol_abs))
 
-    def permutation(self, op: SymmetryOperation, perm: np.ndarray | None) -> np.ndarray:
-        """``perm`` if accepted for ``op``, else ``vertex_permutation``'s."""
-        if self.accepts(op, perm):
-            return perm  # type: ignore[return-value]
-        return vertex_permutation(self.fw, op, self.center, self.tol)
+    def matched(self, op: SymmetryOperation, perms: _Perms | None, bars: _BarLookup) -> _Perms:
+        """``perms`` if accepted for ``op``; else ``vertex_permutation``'s
+        joint permutation and the bar permutation ``bars`` finds for it."""
+        if self.accepts(op, perms):
+            return perms  # type: ignore[return-value]
+        vperm = vertex_permutation(self.fw, op, self.center, self.tol)
+        return vperm, bars.permutation(vperm)
+
+
+def _act(group: PointGroup, gen: _Generated, bars: _BarLookup) -> SymmetryAction:
+    """``group``'s action about ``gen.center``: ``symmetry_action`` with the
+    generators ``gen`` may already hold.  A seeded generator that fails
+    ``gen.accepts`` is matched directly instead, and the rotation powers
+    composed from a replaced r are dropped."""
+    n = group.n
+    ops = []
+    for idx, cls in enumerate(group.classes):
+        for op in cls.operations:
+            if op.kind == "mirror":
+                k = round((op.angle - group.mirror_angle) % math.pi * n / math.pi) % n
+                if k == 0:  # the reference mirror s
+                    perms = gen.mirror = gen.matched(op, gen.mirror, bars)
+                else:
+                    perms = gen.matched(op, gen.reflection(k), bars)
+            else:
+                j = round(op.angle * n / (2 * math.pi)) % n
+                seed = gen.rotation(j)
+                perms = gen.matched(op, seed, bars)
+                if j == 1 and perms is not seed:  # r itself, matched directly
+                    gen.rotations[1:] = [perms]
+            ops.append(OperationAction(idx, op, *perms))
+    return SymmetryAction(group, gen.center, tuple(ops))
 
 
 def symmetry_action(
@@ -458,35 +504,19 @@ def symmetry_action(
 ) -> SymmetryAction:
     """Compute every operation's joint and bar permutation once.
 
-    Only the generators are matched joint by joint (``vertex_permutation``):
-    the rotation by 2 pi / n and the reference mirror, the first rotation and
-    the first mirror in canonical class order.  Every other operation's joint
-    permutation is composed from theirs and accepted by one vectorised
-    displacement check (see ``_Generated``); when the check fails, or when
-    two joints are too close for it to decide, that operation is matched
-    directly.  Raises NotSymmetric at the first operation, in canonical
-    order, that is not a symmetry of the framework, with the message direct
-    matching gives.
+    Only the generators are matched joint by joint (``vertex_permutation``)
+    and have their bars looked up: the rotation by 2 pi / n and the
+    reference mirror, the first rotation and the first mirror in canonical
+    class order.  Every other operation's joint and bar permutations are
+    composed from theirs, and accepted by one vectorised displacement check
+    (see ``_Generated``); when the check fails, or when two joints are too
+    close for it to decide, that operation is matched directly.  Raises
+    NotSymmetric at the first operation, in canonical order, that is not a
+    symmetry of the framework, with the message direct matching gives.
+    ``resolve_action`` gives the same action for a group spec.
     """
     ctr = fw.centroid() if center is None else np.asarray(center, dtype=float)
-    bars = _BarLookup(fw)
-    gen = _Generated(fw, ctr, tol)
-    n = group.n
-    ops = []
-    for idx, cls in enumerate(group.classes):
-        for op in cls.operations:
-            if op.kind == "mirror":
-                k = round((op.angle - group.mirror_angle) % math.pi * n / math.pi) % n
-                vperm = gen.permutation(op, gen.reflection(k))
-                if gen.mirror is None and k == 0:
-                    gen.mirror = vperm
-            else:
-                j = round(op.angle * n / (2 * math.pi)) % n
-                vperm = gen.permutation(op, gen.rotation(j))
-                if len(gen.rotations) == 1 and j == 1:
-                    gen.rotations.append(vperm)
-            ops.append(OperationAction(idx, op, vperm, bars.permutation(vperm)))
-    return SymmetryAction(group, ctr, tuple(ops))
+    return _act(group, _Generated(fw, ctr, tol), _BarLookup(fw))
 
 
 @dataclass(frozen=True)
@@ -701,12 +731,12 @@ def make_census(
 
 def _matched(
     fw: Framework, bars: _BarLookup, op: SymmetryOperation, center: np.ndarray, tol: float
-) -> np.ndarray | None:
-    """The joint permutation of ``op`` if it is a symmetry, else None."""
+) -> _Perms | None:
+    """The joint and bar permutations of ``op`` if it is a symmetry, else
+    None."""
     try:
         vperm = vertex_permutation(fw, op, center, tol)
-        bars.permutation(vperm)
-        return vperm
+        return vperm, bars.permutation(vperm)
     except NotSymmetric:
         return None
 
@@ -727,48 +757,39 @@ def _radius_shells(radii: np.ndarray, joints: np.ndarray, tol_abs: float) -> tup
     return math.gcd(*sizes.tolist()), order[bounds[k] : bounds[k + 1]].tolist()
 
 
-def detect_groups(
-    fw: Framework, tol: float = SYM_TOL
-) -> list[tuple[PointGroup, np.ndarray]]:
-    """Detect point groups of the framework about its joint centroid.
+# A detected group as the arguments of ``group_elements``: (family, n, mirror angle).
+_GroupKey = tuple[str, int, float]
 
-    Returns candidate (group, centre) pairs sorted maximal-first: descending
-    group order, C_nv before C_n at equal order, then ascending reference
-    mirror angle.  The trivial group C_1 is always last.  Only the centroid
-    is tried as a centre; a framework symmetric about a different point only
-    (possible when extra massless joints shift the centroid) must be given
-    its group explicitly.
 
-    Rotation orders are tested by direct matching, largest first.  So is
-    each candidate mirror axis up to the first that holds, m0.  A later
-    candidate within the angular tolerance of m0 + k pi / N, for the
-    rotation order N found, first tries the permutation composed from the
-    rotation's and m0's, accepted by the displacement check and crowding
-    guard of ``symmetry_action``; any other candidate, or one whose composed
-    permutation fails the check, is matched directly.  The list is the one
-    direct matching of every candidate gives.
+def _detect(fw: Framework, tol: float) -> tuple[list[_GroupKey], _Generated, _BarLookup]:
+    """``detect_groups`` without building the groups: the sorted keys of the
+    listed groups, a ``_Generated`` about the centroid, and the bar lookup.
+
+    The ``_Generated`` holds the generators detection matched when they are
+    those of the first group, the rotation by 2 pi / n and its reference
+    mirror (for C_nv); otherwise it is fresh.
     """
     center = fw.centroid()
     pos = fw.positions
     scale = bbox_diagonal(pos)
     tol_abs = tol * (scale if scale > 0 else 1.0)
+    bars = _BarLookup(fw)
+    gen = _Generated(fw, center, tol)
 
     offsets = pos - center
     radii = np.hypot(offsets[:, 0], offsets[:, 1])
     off_center = np.where(radii > tol_abs)[0]
     if off_center.size == 0:
-        return [(group_elements("Cn", 1), center)]
+        return [("Cn", 1, 0.0)], gen, bars
 
     # Maximal rotation order divides every shell size.
     g, shell = _radius_shells(radii, off_center, tol_abs)
-    bars = _BarLookup(fw)
-    gen = _Generated(fw, center, tol)
     rot_order = 1
     for cand in _divisors_desc(g):
-        vperm = _matched(fw, bars, rotation_op(2 * math.pi / cand), center, tol)
-        if vperm is not None:
+        perms = _matched(fw, bars, rotation_op(2 * math.pi / cand), center, tol)
+        if perms is not None:
             rot_order = cand
-            gen.rotations.append(vperm)
+            gen.rotations.append(perms)
             break
 
     # Candidate mirror axes from the smallest shell: an axis either passes
@@ -798,10 +819,10 @@ def detect_groups(
             ):
                 mirrors.append(a)
                 continue
-        vperm = _matched(fw, bars, op, center, tol)
-        if vperm is not None:
+        perms = _matched(fw, bars, op, center, tol)
+        if perms is not None:
             if not mirrors:
-                gen.mirror = vperm
+                gen.mirror = perms
             mirrors.append(a)
 
     # Enumerate subgroups from the verified generators.  With rotation order
@@ -809,35 +830,59 @@ def detect_groups(
     # (sorted ascending), and the C_nv subgroups for n | N are generated by
     # the rotation through 2*pi/n together with any one of the first N/n
     # axes; axes beyond that repeat subgroups already listed.
-    entries: list[tuple[tuple[float, int, float], PointGroup]] = []
+    entries: list[tuple[tuple[float, int, float], _GroupKey]] = []
     for n_div in _divisors_desc(rot_order):
-        entries.append(
-            ((-float(n_div), 1, 0.0), group_elements("Cn", n_div))
-        )
+        entries.append(((-float(n_div), 1, 0.0), ("Cn", n_div, 0.0)))
     if mirrors:
         if len(mirrors) == rot_order:
             for n_div in _divisors_desc(rot_order) + [1]:
                 for r in range(rot_order // n_div):
                     ref = mirrors[r]
-                    entries.append(
-                        (
-                            (-2.0 * n_div, 0, ref),
-                            group_elements("Cnv", n_div, ref),
-                        )
-                    )
+                    entries.append(((-2.0 * n_div, 0, ref), ("Cnv", n_div, ref)))
         else:
             for ref in mirrors:
-                entries.append(((-2.0, 0, ref), group_elements("Cnv", 1, ref)))
-    entries.append(((-1.0, 1, 0.0), group_elements("Cn", 1)))
+                entries.append(((-2.0, 0, ref), ("Cnv", 1, ref)))
+    entries.append(((-1.0, 1, 0.0), ("Cn", 1, 0.0)))
     entries.sort(key=lambda item: item[0])
-    result = []
-    seen_names: set[tuple[str, float]] = set()
-    for _, grp in entries:
-        key = (grp.name, round(grp.mirror_angle, 9))
-        if key not in seen_names:
-            seen_names.add(key)
-            result.append((grp, center))
-    return result
+    # (family, n) fixes the group's name: keep the first key per name and
+    # reference axis, as deduplicating the built groups did.
+    keys: list[_GroupKey] = []
+    seen: set[tuple[str, int, float]] = set()
+    for _, (family, n, ref) in entries:
+        name = (family, n, round(ref % math.pi, 9))
+        if name not in seen:
+            seen.add(name)
+            keys.append((family, n, ref))
+    family, n, ref = keys[0]
+    if n != rot_order or (family == "Cnv" and ref != mirrors[0]):
+        gen = _Generated(fw, center, tol)
+    return keys, gen, bars
+
+
+def detect_groups(
+    fw: Framework, tol: float = SYM_TOL
+) -> list[tuple[PointGroup, np.ndarray]]:
+    """Detect point groups of the framework about its joint centroid.
+
+    Returns candidate (group, centre) pairs sorted maximal-first: descending
+    group order, C_nv before C_n at equal order, then ascending reference
+    mirror angle.  The trivial group C_1 is always last.  Only the centroid
+    is tried as a centre; a framework symmetric about a different point only
+    (possible when extra massless joints shift the centroid) must be given
+    its group explicitly.
+
+    Rotation orders are tested by direct matching, largest first.  So is
+    each candidate mirror axis up to the first that holds, m0.  A later
+    candidate within the angular tolerance of m0 + k pi / N, for the
+    rotation order N found, first tries the permutation composed from the
+    rotation's and m0's, accepted by the displacement check and crowding
+    guard of ``symmetry_action``; any other candidate, or one whose composed
+    permutation fails the check, is matched directly.  The list is the one
+    direct matching of every candidate gives.  Every listed group is built;
+    ``resolve_group`` and ``resolve_action`` build only the first.
+    """
+    keys, gen, _ = _detect(fw, tol)
+    return [(group_elements(*key), gen.center) for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -954,15 +999,17 @@ def resolve_group(
 ) -> tuple[PointGroup, np.ndarray]:
     """Turn a GroupSpec into a concrete (PointGroup, centre) pair.
 
-    "auto" requires a framework and returns the maximal detected group.
-    A declared C_n or C_nv with more rotations than the framework has joints
-    raises NotSymmetric before its n classes are built (see
+    "auto" requires a framework and returns the maximal detected group,
+    the first of ``detect_groups``' list, and builds no other.  A declared
+    C_n or C_nv with more rotations than the framework has joints raises
+    NotSymmetric before its n classes are built (see
     ``_require_few_rotations``).
     """
     if spec.is_auto:
         if fw is None:
             raise ValueError("group 'auto' needs a framework to detect from")
-        return detect_groups(fw, tol)[0]
+        keys, gen, _ = _detect(fw, tol)
+        return group_elements(*keys[0]), gen.center
     if spec.center is not None:
         center = np.asarray(spec.center, dtype=float)
     elif fw is not None:
@@ -981,6 +1028,21 @@ def resolve_group(
     else:
         group = group_elements("Cnv", spec.n, ang)
     return group, center
+
+
+def resolve_action(spec: GroupSpec, fw: Framework, tol: float = SYM_TOL) -> SymmetryAction:
+    """The action on ``fw`` of the group ``spec`` names: equal, operation by
+    operation, to ``symmetry_action(fw, *resolve_group(spec, fw, tol), tol)``.
+
+    For "auto" the generators detection matched, the rotation by 2 pi / n
+    and the reference mirror, and its bar lookup feed the action, so each
+    generator is matched once per call; only the first detected group is
+    built.  A declared group is resolved and acted on as those two calls do.
+    """
+    if not spec.is_auto:
+        return symmetry_action(fw, *resolve_group(spec, fw, tol), tol)
+    keys, gen, bars = _detect(fw, tol)
+    return _act(group_elements(*keys[0]), gen, bars)
 
 
 def _require_few_rotations(fw: Framework, n: int, center: np.ndarray, tol: float) -> None:

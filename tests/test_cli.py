@@ -285,6 +285,13 @@ class TestExitCodes:
         assert res.stderr.startswith("render: not symmetric: ")
         assert res.stdout == ""
 
+    def test_render_checks_the_group_before_the_overlay(self, entry_file):
+        # The group's action is resolved first, so a group that does not
+        # hold wins over an out-of-range stress index.
+        res = run_cli("render", str(entry_file("fig3")), "--group", "Cn:3", "--stress", "99")
+        assert res.returncode == 3
+        assert res.stderr.startswith("render: not symmetric: ")
+
     def test_error_payloads_through_the_process_pool(self, entry_file, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("nonsense")

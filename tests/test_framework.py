@@ -70,6 +70,21 @@ class TestConstruction:
         with pytest.raises(DimensionMismatch):
             Framework([(0.0, 0.0)], [], pinned=[3])
 
+    def test_ends_are_the_edges_as_an_array(self):
+        fw = catalog._pinned_quad_grid(6, 5)
+        assert fw.ends.dtype == np.int64
+        assert np.array_equal(fw.ends, np.array(fw.edges, dtype=np.int64))
+        assert fw.ends.shape == (fw.num_edges, 2)
+
+    def test_ends_are_read_only(self):
+        with pytest.raises(ValueError):
+            TRIANGLE.ends[0, 0] = 2
+
+    def test_ends_without_bars(self):
+        fw = Framework([(0.0, 0.0), (1.0, 0.0)], [])
+        assert fw.ends.shape == (0, 2)
+        assert fw.ends.dtype == np.int64
+
     def test_internal_vertices_ascending(self):
         fw = Framework(np.zeros((4, 2)) + np.arange(4)[:, None], [], pinned=[2, 0])
         assert fw.internal_vertices == (1, 3)

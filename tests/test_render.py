@@ -9,6 +9,7 @@ from symstress import (
     group_elements,
     mechanism_basis,
     render_svg,
+    resolve_action,
     resolve_group,
     self_stress_basis,
 )
@@ -73,6 +74,16 @@ class TestRenderSvg:
         for highlight in (True, False):
             with pytest.raises(NotSymmetric):
                 render_svg(fw, group_elements("Cn", 3), center, highlight_fixed=highlight)
+
+    @pytest.mark.parametrize("name", ["fig3", "fig6a", "fig9a", "quadgrid"])
+    def test_precomputed_action_draws_the_same(self, name):
+        e = catalog.generate(name)
+        fw, group, center = _entry(name)
+        action = resolve_action(e.group, fw)
+        assert render_svg(fw, group, action=action) == render_svg(fw, group, center)
+        assert render_svg(fw, group, action=action, highlight_fixed=False) == render_svg(
+            fw, group, center, highlight_fixed=False
+        )
 
     def test_pins_drawn_as_squares(self):
         fw, group, center = _entry("quadgrid")

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import symstress.symmetry as symmetry
 from symstress import (
@@ -12,6 +13,7 @@ from symstress import (
     Framework,
     GroupSpec,
     NotSymmetric,
+    affine_map,
     analyze,
     catalog,
     census,
@@ -22,11 +24,21 @@ from symstress import (
     make_census,
     mirror_op,
     parse_group_arg,
+    resolve_action,
     resolve_group,
     vertex_permutation,
 )
 from symstress.framework import _range_pairs
 from symstress.symmetry import apply_op, symmetry_action
+from test_numeric import (
+    GENERATED,
+    _chiral_ring,
+    _count_matchings,
+    _crowded_square,
+    _direct_detect_groups,
+    _ring_cnv,
+    _symmetric_frameworks,
+)
 
 SQUARE = Framework(
     [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)],
@@ -433,3 +445,155 @@ class TestMoreRotationsThanJoints:
         fw = Framework([(0.5, 1.0)], [], pinned=[0])
         group, center = resolve_group(spec, fw)
         assert census(fw, group, center=center).freedom_number == 0
+
+
+# ---------------------------------------------------------------------------
+# resolve_action: detection's matched generators feed the action.
+# ---------------------------------------------------------------------------
+
+
+def _turned(fw, degrees):
+    t = math.radians(degrees)
+    return affine_map(fw, [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+def _action_cases():
+    """(id, framework, group spec): every geometric catalog entry auto and
+    declared, pinned grids, rings, and a crowded square."""
+    for name in catalog.names():
+        entry = catalog.generate(name)
+        if entry.framework is not None:
+            yield name, entry.framework, GroupSpec("auto")
+            if entry.group is not None:
+                yield f"{name}-declared", entry.framework, entry.group
+    for cols, rows in ((24, 23), (34, 33), (21, 21)):
+        yield f"grid-{cols}x{rows}", catalog._pinned_quad_grid(cols, rows), GroupSpec("auto")
+    yield "grid-34x33-turned", _turned(catalog._pinned_quad_grid(34, 33), 30), GroupSpec("auto")
+    for seed in range(1, 6):
+        yield f"ring-cnv-{seed}", _ring_cnv(seed), GroupSpec("auto")
+    yield "chiral-ring-8", _chiral_ring(8), GroupSpec("auto")
+    yield "crowded-square", _crowded_square(0.5), GroupSpec("auto")
+    yield "crowded-square-C4v", _crowded_square(0.5), GroupSpec("Cnv", 4, center=(0.0, 0.0))
+
+
+def _assert_same_action(fw, spec):
+    got = resolve_action(spec, fw)
+    want = symmetry_action(fw, *resolve_group(spec, fw))
+    assert got.group == want.group
+    assert got.group.class_labels() == want.group.class_labels()
+    assert np.array_equal(got.center, want.center)
+    assert len(got.ops) == len(want.ops)
+    bars = symmetry._BarLookup(fw)
+    for a, b in zip(got.ops, want.ops):
+        assert a.class_index == b.class_index
+        assert np.array_equal(a.op.matrix, b.op.matrix)
+        assert np.array_equal(a.vperm, b.vperm)
+        assert np.array_equal(a.eperm, b.eperm)
+        assert np.array_equal(a.eperm, bars.permutation(a.vperm))
+
+
+def _listed(groups):
+    return [
+        (g.name, g.mirror_angle, g.class_labels(), g.class_sizes(), c.tolist()) for g, c in groups
+    ]
+
+
+def _count_calls(name, fn, *args):
+    with mock.patch.object(symmetry, name, wraps=getattr(symmetry, name)) as spy:
+        fn(*args)
+    return spy.call_count
+
+
+class TestResolveAction:
+    @pytest.mark.parametrize("case", list(_action_cases()), ids=lambda c: c[0])
+    def test_same_as_resolving_then_acting(self, case):
+        _, fw, spec = case
+        _assert_same_action(fw, spec)
+
+    @GENERATED
+    @given(_symmetric_frameworks())
+    def test_generated_frameworks(self, case):
+        fw, spec = case
+        _assert_same_action(fw, spec)
+        _assert_same_action(fw, GroupSpec("auto"))
+
+    @pytest.mark.parametrize(
+        "case", [c for c in _action_cases() if c[2].is_auto], ids=lambda c: c[0]
+    )
+    def test_detected_list_is_unchanged(self, case):
+        """The list the enumeration built group by group, kept with direct
+        matching in ``test_numeric._direct_detect_groups``."""
+        _, fw, _ = case
+        assert _listed(detect_groups(fw)) == _listed(_direct_detect_groups(fw, SYM_TOL))
+        assert _listed([resolve_group(GroupSpec("auto"), fw)]) == _listed(detect_groups(fw)[:1])
+
+    @pytest.mark.parametrize(
+        "make, matchings",
+        [(lambda: catalog._pinned_quad_grid(34, 33), 2), (lambda: _ring_cnv(1), 2), (lambda: SQUARE, 2)],
+        ids=["grid-pinned", "ring-cnv", "square"],
+    )
+    def test_generators_matched_once_per_analyze(self, make, matchings):
+        fw = make()
+        assert _count_calls("vertex_permutation", detect_groups, fw) == matchings
+        assert _count_calls("vertex_permutation", analyze, fw) == matchings
+        assert _count_calls("_BarLookup", analyze, fw) == 1
+
+    def test_only_the_used_group_is_built(self):
+        fw = _ring_cnv(1)
+        assert _count_calls("group_elements", detect_groups, fw) == 36
+        assert _count_calls("group_elements", analyze, fw) == 1
+        assert _count_calls("group_elements", resolve_group, GroupSpec("auto"), fw) == 1
+
+
+def _seeded(fw, group, center, r_power, mirror_index, cached):
+    """A ``_Generated`` for ``group`` seeded with the pairs of r^r_power and
+    of the group's mirror ``mirror_index`` in canonical order (0 is the
+    reference mirror), taken from ``symmetry_action``, with the rotation
+    powers up to ``cached`` composed from that seed."""
+    ops = symmetry_action(fw, group, center).ops
+    n = group.n
+    rotation = next(a for a in ops if a.op.kind == "rotation" and round(a.op.angle * n / (2 * math.pi)) == r_power)
+    mirror = [a for a in ops if a.op.kind == "mirror"][mirror_index]
+    gen = symmetry._Generated(fw, center, SYM_TOL)
+    gen.rotations.append((rotation.vperm, rotation.eperm))
+    gen.mirror = (mirror.vperm, mirror.eperm)
+    gen.rotation(cached)
+    return gen
+
+
+class TestSeeds:
+    """``_act`` uses a seeded generator only when it passes the check."""
+
+    def _act(self, gen, group, monkeypatch):
+        calls = _count_matchings(monkeypatch)
+        action = symmetry._act(group, gen, symmetry._BarLookup(gen.fw))
+        return action, calls
+
+    def _assert_same(self, got, fw, group, center):
+        want = symmetry_action(fw, group, center)
+        for a, b in zip(got.ops, want.ops, strict=True):
+            assert np.array_equal(a.vperm, b.vperm) and np.array_equal(a.eperm, b.eperm)
+
+    def test_right_seeds_are_used(self, monkeypatch):
+        fw = _ring_cnv(1)
+        group, center = resolve_group(GroupSpec("auto"), fw)
+        action, calls = self._act(_seeded(fw, group, center, 1, 0, 5), group, monkeypatch)
+        assert calls == []
+        self._assert_same(action, fw, group, center)
+
+    def test_wrong_seeds_are_matched_again(self, monkeypatch):
+        fw = _ring_cnv(1)
+        group, center = resolve_group(GroupSpec("auto"), fw)
+        # r seeded with r^3, s with another mirror, and r^2 .. r^5 cached
+        # from the wrong r: each generator is matched once, every other
+        # operation composed from the matched ones.
+        action, calls = self._act(_seeded(fw, group, center, 3, 1, 5), group, monkeypatch)
+        assert calls == ["rotation", "mirror"]
+        self._assert_same(action, fw, group, center)
+
+    @pytest.mark.parametrize("spacing", [0.5, 6.0])
+    def test_crowded_seeds_are_never_accepted(self, spacing, monkeypatch):
+        fw, group, center = _crowded_square(spacing), group_elements("Cnv", 4), np.zeros(2)
+        action, calls = self._act(_seeded(fw, group, center, 1, 0, 3), group, monkeypatch)
+        assert len(calls) == 8
+        self._assert_same(action, fw, group, center)
