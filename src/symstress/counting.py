@@ -25,6 +25,7 @@ from .errors import (
 )
 from .framework import Framework, maxwell_count
 from .reptheory import (
+    CharacterTable,
     IrrepDecomposition,
     character_table,
     decomposition_from_counts,
@@ -68,8 +69,12 @@ def closed_form(cen: SymmetryCensus) -> IrrepDecomposition:
     combinations outside the tables, e.g. a centre joint together with a
     centred bar) raises UnsupportedGroup.
     """
+    return _closed_form(cen, character_table(cen.group))
+
+
+def _closed_form(cen: SymmetryCensus, table: CharacterTable) -> IrrepDecomposition:
+    """``closed_form`` with the census group's character table given."""
     group = cen.group
-    table = character_table(group)
     k = cen.freedom_number
     n = group.n
     fam = group.family
@@ -201,10 +206,16 @@ def cross_check(
 
     Returns ``(reduction, closed)`` with ``closed`` None when unsupported.
     """
-    table = character_table(cen.group)
+    return _cross_check(cen, character_table(cen.group))
+
+
+def _cross_check(
+    cen: SymmetryCensus, table: CharacterTable
+) -> tuple[IrrepDecomposition, IrrepDecomposition | None]:
+    """``cross_check`` with the census group's character table given."""
     reduced = reduce(reducible_character(cen), table)
     try:
-        closed = closed_form(cen)
+        closed = _closed_form(cen, table)
     except UnsupportedGroup:
         return reduced, None
     if closed.to_dict() != reduced.to_dict():
@@ -383,11 +394,21 @@ def analyze_census(
     center: tuple[float, float] | None = None,
 ) -> AnalysisReport:
     """Build an analysis report from a census alone (no coordinates needed)."""
+    return _census_report(cen, character_table(cen.group), detected, num_pinned, center)
+
+
+def _census_report(
+    cen: SymmetryCensus,
+    table: CharacterTable,
+    detected: bool,
+    num_pinned: int | None,
+    center: tuple[float, float] | None,
+) -> AnalysisReport:
+    """``analyze_census`` with the census group's character table given."""
     group = cen.group
-    table = character_table(group)
     ch = reducible_character(cen)
     notices: list[str] = []
-    reduced, closed = cross_check(cen)
+    reduced, closed = _cross_check(cen, table)
     if closed is None:
         notices.append(
             f"no closed-form case table for {group.name} with this census; "
@@ -453,21 +474,24 @@ def _check_tolerance(name: str, value: float) -> float:
 
 def _analysis(
     fw: Framework, group: GroupSpec | None, tol: float
-) -> tuple[AnalysisReport, SymmetryAction]:
+) -> tuple[AnalysisReport, SymmetryAction, CharacterTable]:
     """The front end ``analyze`` and ``verify`` share: resolve the group,
-    compute its action on ``fw`` once, and report the census's counts.
-    ValueError for a ``tol`` that is not a finite number >= 0."""
+    compute its action on ``fw`` and its character table once, and report
+    the census's counts.  ValueError for a ``tol`` that is not a finite
+    number >= 0."""
     _check_tolerance("tol", tol)
     maxwell_count(fw)
     spec = group if group is not None else GroupSpec("auto")
     action = resolve_action(spec, fw, tol)
-    report = analyze_census(
+    table = character_table(action.group)
+    report = _census_report(
         census(fw, action.group, action=action),
+        table,
         detected=spec.is_auto,
         num_pinned=len(fw.pinned),
         center=(float(action.center[0]), float(action.center[1])),
     )
-    return report, action
+    return report, action, table
 
 
 def analyze(
@@ -487,7 +511,7 @@ def analyze(
     """
     from .framework import check_planarity  # local import, cheap call site
 
-    report, _ = _analysis(fw, group, tol)
+    report, _, _ = _analysis(fw, group, tol)
     if planarity:
         report = replace(report, planarity_violations=len(check_planarity(fw)))
     return report

@@ -6,22 +6,23 @@ irrep, and checks the numerics against the symbolic decomposition.
 
 ``verify`` counts from symmetry-adapted blocks.  Orthonormal bases of each
 irrep's isotypic component of the velocity space (V_i) and of the bar space
-(E_i) come from small projectors, one per orbit type, and R maps V_i into
-E_i, so the rank splits into the ranks of the blocks E_i^H R V_i (Kangwai &
-Guest 2000; Schulze 2010).  R also commutes with the reference mirror sigma,
-so a 2-D irrep's component splits into a sigma-even and a sigma-odd half
-whose blocks have the same singular values; the block route builds only the
-even halves, a quarter of the whole block's entries, and counts each of
-their ranks d_i times.  Only singular values are taken, one SVD per
-connected component of a block's exact non-zeros: on an axis-aligned quad
-grid, one per path along a grid line.  The blocks are exact only when R
-commutes with the group action, so ``verify`` checks that first; when it
-fails, or when its residual could move a block singular value across the
-rank cutoff, ``verify`` falls back to one SVD of the whole matrix with all
-singular vectors, and classifies the self-stress and mechanism bases by
-irrep in the whole components' bases, the even halves together with the
-odd halves.  ``verify`` builds the
-even halves of V_i and E_i and R's sparse rows once, before it picks a
+(E_i) come from a few columns of its projector per orbit type, and R maps
+V_i into E_i, so the rank splits into the ranks of the blocks E_i^H R V_i
+(Kangwai & Guest 2000; Schulze 2010).  R also commutes with the reference
+mirror sigma, so a 2-D irrep's component splits into a sigma-even and a
+sigma-odd half whose blocks have the same singular values; the block route
+builds only the even halves, a quarter of the whole block's entries, and
+counts each of their ranks d_i times.  Only singular values are taken, one
+SVD per connected component of a block's exact non-zeros: on an
+axis-aligned quad grid, one per path along a grid line.  The blocks are
+exact only when R commutes with the group action, so ``verify`` checks that
+first; when it fails, or when its residual could move a block singular
+value across the rank cutoff, ``verify`` falls back to one SVD of the whole
+matrix with all singular vectors, and classifies the self-stress and
+mechanism bases by irrep in the whole components' bases, the even halves
+together with the odd halves.  The rigid-body motions are counted per irrep
+on both routes from their character, tr M_g + det M_g.  ``verify`` builds
+the even halves of V_i and E_i and R's sparse rows once, before it picks a
 route, and the fallback adds the odd halves only when it runs.
 
 Conventions
@@ -37,35 +38,43 @@ Conventions
   the two actions, which is checked explicitly as part of verification.
 * ``verify`` shares ``analyze``'s front end, which computes the group's
   :class:`~symstress.symmetry.SymmetryAction` (every operation's joint and
-  bar permutation) once for the census; ``verify`` hands the same action to
-  the intertwining check and the adapted bases.  Called alone, each of those
-  builds its own.
-  The intertwining check works on the bar list, so it costs O(|G| * e).
+  bar permutation, stacked) and its character table once; ``verify`` hands
+  the same action and table to the intertwining check and the adapted
+  bases.  Called alone, each of those builds its own action.  The
+  intertwining check works on the bar list and every operation at once, so
+  it costs O(|G| * e) in one pass.
 * The irrep projectors sum to the identity on any representation exactly
   when the character table's columns satisfy sum_i d_i conj(chi_i(g)) =
   |G| delta_{g,E}, so the projector check tests that identity on the table
   and never touches the framework.
-* The isotypic bases are built once per orbit type: each joint or bar
-  orbit's coordinates are invariant, so an irrep's projector splits into one
-  small block per orbit, equal on orbits with conjugate stabilisers (a type).
-  One dense block per type and irrep serves all its orbits, and no
-  projector on the whole space is formed.  Tables with complex irreps
-  (Cn, n >= 3) give complex Hermitian projectors and complex blocks.  The
-  types of one orbit size are the distinct rows of their local tables,
-  found by a 1-D ``np.unique`` of one byte key per row.
-* Both the type blocks and the adapted blocks are split exactly into
-  connected components before they are diagonalised: a type block into the
-  pieces of its union pattern sum_g |rho(g)| != 0, one batched ``eigh`` per
-  piece width, and an adapted block into the components of the bipartite
-  graph of its non-zero entries, one batched SVD per component shape.
-  Only exact zeros separate, so the split changes no value beyond rounding.
-  When every operation matrix has a zero entry (axis-aligned C1, Cs, C2,
-  C2v, C4, C4v), the x and y velocities can fall into different pieces, and
-  then the adapted blocks of an axis-aligned quad grid split along its grid
-  lines.  Nothing is labelled where nothing can split: a group with a
-  zero-free operation matrix, or a block with fewer than ``_SPLIT_MIN`` rows
-  or columns.
-* Each block E_i^H R V_i is assembled from (row, column, value) triples:
+* The isotypic bases are built once per orbit type, and no projector is
+  formed: each joint or bar orbit's coordinates are invariant, so an
+  irrep's projector P_i maps each orbit to itself, the same way on orbits
+  with conjugate stabilisers (a type).  Its image on an orbit is spanned by
+  the columns of the orbit's first member, and for a half of a 2-D irrep
+  those of the member the rotation r by 2 pi / n reaches too (the transfer
+  operators of Fassler & Stiefel 1992): at most 2f columns, each scattered
+  from its |G| entries.  On each piece (below) P_i's trace there, an exact
+  integer, says how many vectors to keep, and a Gram ``eigh`` of at most
+  2f x 2f orthonormalises them.  Tables with complex irreps (Cn, n >= 3)
+  give complex columns.  The types of one orbit size are the distinct
+  stabilisers of the orbits' first members, found by a 1-D ``np.unique``
+  of one byte key per orbit.
+* Both the type's columns and the adapted blocks are split exactly into
+  connected components: a type's coordinates into the pieces of its union
+  pattern sum_g |rho(g)| != 0, whose columns are orthonormalised together,
+  one batched Gram ``eigh`` per Gram width, and an adapted block into the
+  components of the bipartite graph of its non-zero entries, one batched
+  SVD per component shape.  Only exact zeros separate, so the split changes
+  no value beyond rounding.  When every operation matrix has a zero entry
+  (axis-aligned C1, Cs, C2, C2v, C4, C4v), the x and y velocities can fall
+  into different pieces, and then the adapted blocks of an axis-aligned
+  quad grid split along its grid lines.  Nothing is labelled where nothing
+  can split: a group with a zero-free operation matrix, or a block with
+  fewer than ``_SPLIT_MIN`` rows or columns.
+* Each block E_i^H R V_i is assembled from (row, column, value) triples,
+  from per-joint tables of every irrep built in one pass, with the x and y
+  values in separate tables:
   E_i's entry at a bar meets V_i's entries (one per vector and joint) at the
   bar's two joints, and the triples whose value is an exact zero (about
   half on an axis-aligned grid) are dropped.  The cost is O(entries of E_i
@@ -80,6 +89,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
@@ -291,16 +301,24 @@ def intertwining_residual(
     moving = ~fw.pinned_mask[ends].all(axis=1)
     if not moving.any():
         return 0.0
-    d = fw.positions[ends[:, 0]] - fw.positions[ends[:, 1]]
+    x, y = fw.positions[:, 0], fw.positions[:, 1]
+    dx, dy = x[ends[:, 0]] - x[ends[:, 1]], y[ends[:, 0]] - y[ends[:, 1]]
+    # Every operation at once, on the moving bars, x and y kept apart; d of
+    # the image bar is negated where g sends i to its second joint.
+    image = action.eperms[:, moving]
+    starts = np.ascontiguousarray(ends[:, 0])
+    flip = starts[image] != action.vperms[:, starts[moving]]
+    ix, iy = dx[image], dy[image]
+    np.negative(ix, out=ix, where=flip)
+    np.negative(iy, out=iy, where=flip)
+    # (ix, iy) @ T as two products and a sum, so every BLAS gives the same floats
+    T = action.matrices[:, :, :, None]
     worst = 0.0
-    for act in action.ops:
-        T = act.op.matrix
-        image = act.eperm
-        sign = np.where(ends[image, 0] == act.vperm[ends[:, 0]], 1.0, -1.0)
-        x = sign[:, None] * d[image]
-        # x @ T as two products and a sum, so every BLAS gives the same floats
-        x_t = x[:, :1] * T[0] + x[:, 1:] * T[1]
-        worst = max(worst, float(np.max(np.abs(x_t - d)[moving])))
+    for a, d_a in enumerate((dx, dy)):
+        deviation = ix * T[:, 0, a]
+        deviation += iy * T[:, 1, a]
+        deviation -= d_a[moving]
+        worst = max(worst, float(np.abs(deviation).max()))
     return worst
 
 
@@ -311,26 +329,33 @@ def _scatter(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(at, values, size)
 
 
-def _entries(parts: _Parts, f: int) -> tuple[int, tuple[np.ndarray, ...]]:
-    """The number of basis vectors in ``_isotypic_bases`` parts with fibre f,
-    and their entries as (point, vector, f values) arrays."""
-    shapes = np.array([values.shape for _, values in parts], dtype=int).reshape(-1, 2)
-    count = int(shapes[:, 0].sum())
-    vector = np.repeat(np.arange(count), np.repeat(shapes[:, 1] // f, shapes[:, 0]))
-    point = np.concatenate([c[:, ::f].ravel() // f for c, _ in parts] + [np.zeros(0, dtype=np.intp)])
-    value = np.concatenate([v.reshape(-1, f) for _, v in parts] + [np.zeros((0, f))])
-    return count, (point, vector, value)
+def _entries(bases: list[_Parts], f: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Per irrep, the number of basis vectors in its ``_isotypic_bases``
+    parts with fibre f; and the entries of every irrep, irrep by irrep, as
+    (irrep, point, vector, f values) arrays, vectors numbered within their
+    irrep."""
+    parts = [(i, coords, values) for i, irrep in enumerate(bases) for coords, values in irrep]
+    shapes = np.array([values.shape for _, _, values in parts], dtype=np.intp).reshape(-1, 2)
+    owner = np.repeat(np.array([i for i, _, _ in parts], dtype=np.intp), shapes[:, 0])
+    count = np.bincount(owner, minlength=len(bases))
+    vector = np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
+    per_vector = np.repeat(shapes[:, 1] // f, shapes[:, 0])
+    point = np.concatenate([c[:, ::f].ravel() // f for _, c, _ in parts] + [np.zeros(0, dtype=np.intp)])
+    value = np.concatenate([v.reshape(-1, f) for _, _, v in parts] + [np.zeros((0, f))])
+    return count, (np.repeat(owner, per_vector), point, np.repeat(vector, per_vector), value)
 
 
-def _distinct_rows(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(tables, axis=0, return_inverse=True)`` for non-negative
-    integer tables, from a 1-D ``np.unique`` over one ``np.void`` per row.
-    Big-endian bytes of non-negative integers sort like the integers, so the
-    distinct rows come out in the same order, and the inverse is 1-D."""
-    rows = np.ascontiguousarray(tables, dtype=">i8").reshape(len(tables), -1)
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first of each distinct row of a non-negative integer
+    array, and each row's distinct-row number: ``np.unique(rows, axis=0,
+    return_index=True, return_inverse=True)`` without the rows, from a 1-D
+    ``np.unique`` over one ``np.void`` per row.  Big-endian bytes of
+    non-negative integers sort like the integers, so the distinct rows come
+    out in the same order, and the inverse is 1-D."""
+    flat = np.ascontiguousarray(rows, dtype=">i8").reshape(len(rows), -1)
+    keys = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return tables[first], inverse
+    return first, inverse
 
 
 def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -353,59 +378,65 @@ def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
             label = jumped
 
 
-def _piecewise_eigh(projector: np.ndarray, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(projector)`` for a stack (rows, types, w, w) of
-    Hermitian matrices, each zero outside its type's ``pattern`` (types, w,
-    w), from one batched ``eigh`` per piece width.
+def _pieces(tables: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Piece labels, numbered from 0, of the coordinates of orbit types: the
+    connected components of each type's union pattern sum_g |rho(g)| != 0.
 
-    A type's pieces are the connected components of its pattern, and each
-    matrix is the direct sum of its pieces' sub-matrices, so the pieces'
-    eigenpairs are its own: piece p's eigenvector b goes to column at[p][b]
-    of its type's eigenvector matrix, with exact zeros outside the rows
-    at[p], at[p] its coordinates in ascending order."""
-    types, w = pattern.shape[:2]
-    t, x, y = np.nonzero(pattern)
-    label = _components(t * w + x, t * w + y, types * w)
-    _, piece, width = np.unique(label, return_inverse=True, return_counts=True)
-    nodes = np.argsort(piece, kind="stable")
-    start = np.cumsum(width) - width
-    values = np.empty(projector.shape[:-1])
-    vectors = np.zeros_like(projector)
-    for size in np.unique(width):
-        at = nodes[start[width == size][:, None] + np.arange(size)]
-        kinds, at = at[:, :1] // w, at % w
-        index = (slice(None), kinds[:, :, None], at[:, :, None], at[:, None, :])
-        values[:, kinds, at], vectors[index] = np.linalg.eigh(projector[index])
-    return values, vectors
+    ``tables`` (types, |G|, k) holds each type's local table (operation,
+    member) -> image member, and coordinate (l, a) of type t is node
+    (t * k + l) * f + a.  rho(g) links (l, a) to (g(l), b) wherever
+    mats[g, b, a] is not an exact zero."""
+    types, _, k = tables.shape
+    f = mats.shape[-1]
+    g, b, a = np.nonzero(mats)
+    base = np.arange(types)[:, None, None] * k
+    src = (base + np.arange(k)) * f + a[:, None]
+    dst = (base + tables[:, g]) * f + b[:, None]
+    label = _components(np.broadcast_to(src, dst.shape).ravel(), dst.ravel(), types * k * f)
+    return np.unique(label, return_inverse=True)[1]
 
 
-def _isotypic_bases(perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray) -> list[_Parts]:
+def _isotypic_bases(perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray, partner: bool) -> list[_Parts]:
     """Orthonormal bases of the images of projectors of a permutation action.
 
     The group permutes n points, each carrying an f-dimensional fibre:
     operation g (row g of ``perms``, shape (|G|, n)) sends coordinate (j, c)
     to sum_a mats[g, a, c] (perms[g, j], a).  Row i of ``coeff`` holds one
-    coefficient per operation, such that sum_g coeff[i, g] rho(g) is an
+    coefficient per operation, such that P_i = sum_g coeff[i, g] rho(g) is an
     orthogonal projector that commutes with the action: an irrep's projector,
     (d_i/|G|) conj(chi_i(g)), or one half of it (see ``_isotypic``).  It
     maps each orbit's coordinates to themselves.
     Members are labelled from the group action, so orbits with conjugate
-    stabilisers share one local table (operation, member) -> image member
-    and one dense block; the eigenvectors with eigenvalue above 1/2 serve
-    every orbit of the type.
+    stabilisers share one local table (operation, member) -> image member;
+    the vectors built for one orbit of a type serve every orbit of it.
 
-    A type's block is split further into the connected components (pieces)
-    of its union pattern sum_g |rho(g)| != 0, each diagonalised on its own
-    and its eigenvectors written back at full orbit width with exact zeros
-    elsewhere; pieces of one width share one batched ``eigh``.  When every
-    operation matrix has an exact zero, as the axis-aligned operations of
-    C2v and C4v do, the x and y coordinates can fall into different pieces,
-    and the blocks of ``_adapted_blocks`` inherit the exact zeros.  When
-    some operation matrix has none, its images link every coordinate of an
-    orbit (a bar orbit's f = 1 included), each type is one piece, and no
-    pattern is labelled.
+    The image of P_i on an orbit is spanned by a few of its columns, the
+    transfer-operator construction (Fassler & Stiefel 1992; Kangwai & Guest
+    2000).  For a 1-D irrep P_i rho(g) = chi_i(g) P_i, so the columns
+    P_i e_(0, a) of the orbit's first member 0 and each fibre coordinate a
+    span it.  For the sigma-even half of a C_nv irrep E_k, the transfer
+    operator P_11 with P_11 rho(g) = D_11(g) P_11 + D_12(g) P_12, the columns
+    of members 0 and r(0) do, r the rotation by 2 pi / n, because D_12(r) =
+    -sin(2 pi k / n) != 0; the sigma-odd half likewise.  With ``partner``
+    every row takes both members' columns, r being operation 1.  Each
+    column is scattered from its |G| entries, coeff[i, g] mats[g][:, a] at
+    member g(m), for every row and type at once.
 
-    Returns, per row of ``coeff``, one (coords, values) pair per orbit type:
+    A type's coordinates split into the connected components (pieces) of
+    its union pattern (``_pieces``) when every operation matrix has an
+    exact zero, as the axis-aligned operations of C1, Cs, C2, C2v, C4 and
+    C4v do; otherwise each type is one piece.  P_i maps each piece to
+    itself, so a column lies in the piece of the coordinate it comes from,
+    and every piece holds a coordinate of member 0.  On each piece P_i has
+    rank round(sum_g coeff[i, g] tr_p rho(g)), its trace there, read from
+    the members g fixes; that many vectors are kept, from the top
+    eigenpairs (lambda, u) of the Gram matrix of the piece's columns C (at
+    most 2f x 2f), as C u / sqrt(lambda): orthonormal, and with exact zeros
+    outside the piece, so the blocks of ``_adapted_blocks`` inherit them.
+    No eigenvalue is compared with a threshold.  Gram matrices of one width
+    share one batched ``eigh``.
+
+    Returns, per row of ``coeff``, one (coords, values) pair per orbit size:
     row r of both is one basis vector, values[r] at global coordinates
     coords[r] (coordinate (j, a) is j * f + a; each point's f coordinates
     adjacent).
@@ -413,34 +444,90 @@ def _isotypic_bases(perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray) -> l
     n, f = perms.shape[1], mats.shape[-1]
     split = bool((mats == 0).any(axis=(1, 2)).all())
     bases: list[_Parts] = [[] for _ in coeff]
-    # Orbits {g(j)}, named by their smallest point and sized by their distinct
-    # images, start at a point whose stabiliser depends only on the orbit's
-    # type; member l is the l-th point the operations reach from there.
+    # Orbits {g(j)}, named by their smallest point and of size |G| / |stabiliser|,
+    # start at the member whose stabiliser, as packed bits, sorts first, so
+    # the start's stabiliser depends only on the orbit's type; member l is the
+    # l-th point the operations reach from there.
+    fixed = perms == np.arange(n)
+    stabiliser = np.packbits(fixed, axis=0)
     name = perms.min(axis=0)
-    size = 1 + np.count_nonzero(np.diff(np.sort(perms, axis=0), axis=0), axis=0)
-    order = np.lexsort((*(perms == np.arange(n)), name))
+    size = len(perms) // np.count_nonzero(fixed, axis=0)
+    order = np.lexsort((*stabiliser, name))
     local = np.empty(n, dtype=np.intp)
+    fibre = np.arange(f)
     for k in np.unique(size):
         members = order[size[order] == k].reshape(-1, k)
         reach = np.argmax(perms[:, members[:, :1]] == members, axis=0)
         members = np.take_along_axis(members, np.argsort(reach, axis=1), axis=1)
         local[members] = np.arange(k)
-        coords = (members[:, :, None] * f + np.arange(f)).reshape(-1, k * f)
-        tables, kind = _distinct_rows(local[perms[:, members]].swapaxes(0, 1))
-        # rho(g) puts mats[g, a, c] at row (local image of l, a), column (l, c).
-        moves = tables[:, :, None, :] == np.arange(k)[:, None]
-        rho = np.einsum("tgml,gac->tgmalc", moves, mats).reshape(tables.shape[:2] + (k * f,) * 2)
-        projector = np.einsum("ig,tgxy->itxy", coeff, rho)
-        if split:
-            values, vectors = _piecewise_eigh(projector, (rho != 0).any(axis=1))
-        else:
-            values, vectors = np.linalg.eigh(projector)
-        orbits = [coords[kind == t] for t in range(len(tables))]
-        values, vectors = values.reshape(-1, k * f), vectors.reshape(-1, k * f, k * f)
-        for (i, t), value, vector in zip(np.ndindex(projector.shape[:2]), values, vectors):
-            kept = vector[:, value > CLASSIFY_THRESHOLD].T
-            bases[i].append((np.repeat(orbits[t], len(kept), axis=0), np.tile(kept, (len(orbits[t]), 1))))
+        coords = (members[:, :, None] * f + fibre).reshape(-1, k * f)
+        # The start's stabiliser fixes the orbit's local table.
+        first, kind = _distinct_rows(stabiliser[:, members[:, 0]].T)
+        tables = local[perms[:, members[first]]].swapaxes(0, 1)
+        types, width = len(first), k * f
+        piece = _pieces(tables, mats) if split else np.repeat(np.arange(types), width)
+        pieces = int(piece.max()) + 1
+        t, g, l = np.nonzero(tables == np.arange(k))
+        at = g[:, None] * pieces + piece[(t * k + l)[:, None] * f + fibre]
+        trace = np.bincount(at.ravel(), mats[g][:, fibre, fibre].ravel(), len(mats) * pieces)
+        rank = np.rint((coeff @ trace.reshape(len(mats), pieces)).real)
+        row, kept_type, kept = _transfer_vectors(tables, mats, coeff, piece, rank, partner)
+        # Each kept vector serves every orbit of its type, row by row.
+        by_row = np.argsort(row, kind="stable")
+        count = np.bincount(kind, minlength=types)
+        copies = count[kept_type[by_row]]
+        total = np.cumsum(copies)
+        orbit = np.argsort(kind, kind="stable")[
+            np.repeat(np.cumsum(count)[kept_type[by_row]] - total, copies) + np.arange(copies.sum())
+        ]
+        coords, kept = coords[orbit], kept[by_row][np.repeat(np.arange(len(by_row)), copies)]
+        ends = np.cumsum(np.bincount(row, count[kept_type], len(coeff)).astype(np.intp))
+        for i, (lo, hi) in enumerate(zip([0, *ends[:-1].tolist()], ends.tolist())):
+            if hi > lo:
+                bases[i].append((coords[lo:hi], kept[lo:hi]))
     return bases
+
+
+def _transfer_vectors(
+    tables: np.ndarray, mats: np.ndarray, coeff: np.ndarray, piece: np.ndarray, rank: np.ndarray, partner: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orthonormal vectors ``_isotypic_bases`` keeps for the orbit types
+    of one size, ``tables`` (types, |G|, k): ``rank[i, p]`` of them for row i
+    of ``coeff`` on piece p (``piece`` labels each type's k * f
+    coordinates), from the columns of member 0, and of r(0) with
+    ``partner``.  Returns per vector its row of ``coeff``, its type, and its
+    values at the type's coordinates."""
+    types, _, k = tables.shape
+    f = mats.shape[-1]
+    width, cols = k * f, f * (1 + partner)
+    fibres = np.tile(np.arange(f), 1 + partner)
+    # Column c of type t comes from coordinate (source[t, c], fibres[c]), and
+    # gains coeff[i, g] mats[g][:, fibres[c]] at the member g sends it to.
+    source = np.zeros((types, cols), dtype=np.intp)
+    if partner:
+        source[:, f:] = tables[:, 1, :1]
+    image = np.take_along_axis(tables, source[:, None, :], axis=2)[..., None] * f + np.arange(f)
+    slot = np.arange(len(coeff) * types).reshape(-1, types, 1, 1, 1) * cols
+    at = (slot + np.arange(cols)[:, None]) * width + image
+    entries = coeff[:, None, :, None, None] * mats[:, :, fibres].swapaxes(1, 2)
+    shape = (len(coeff), types, cols, width)
+    columns = _scatter(at.ravel(), np.broadcast_to(entries, at.shape).ravel(), math.prod(shape)).reshape(shape)
+    gram = columns.conj() @ columns.swapaxes(-1, -2)
+    # The columns of each piece, pieces of one column count together.
+    owner = piece[(np.arange(types)[:, None] * k + source) * f + fibres].ravel()
+    by_piece = np.argsort(owner, kind="stable")
+    sizes = np.bincount(owner, minlength=rank.shape[1])
+    found = []
+    for q in np.unique(sizes):
+        mine = np.flatnonzero(sizes == q)
+        flat = by_piece[(np.cumsum(sizes) - sizes)[mine][:, None] + np.arange(q)]
+        kinds, col = flat[:, 0] // cols, flat % cols
+        values, vectors = np.linalg.eigh(gram[:, kinds[:, None, None], col[:, :, None], col[:, None, :]])
+        i, p, j = np.nonzero(np.arange(q) >= q - rank[:, mine, None])
+        chosen = columns[i[:, None], kinds[p][:, None], col[p]]
+        kept = np.einsum("nc,ncx->nx", vectors[i, p, :, j], chosen) / np.sqrt(values[i, p, j])[:, None]
+        found.append((i, kinds[p], kept))
+    return tuple(np.concatenate(parts) for parts in zip(*found))  # type: ignore[return-value]
 
 
 def _isotypic(
@@ -451,25 +538,25 @@ def _isotypic(
     the bar space ("edge").
 
     The halves are the eigenspaces of rho(sigma) for the reference mirror
-    sigma, the first mirror in ``action.ops``: ``parity=1`` the sigma-even
-    half, ``parity=-1`` the sigma-odd one.  Only 2-D irreps (those of C_nv)
-    are split.  Their projector P_i commutes with rho(sigma), so P_i (1 +-
-    rho(sigma)) / 2 projects onto a half, with coefficient row (c_i(g) +-
-    c_i(g sigma)) / 2, and each half holds one of the two partners of every
-    copy of the irrep: dim V_i / 2.  A 1-D irrep's whole component is its
-    even half, and its odd half is empty.  The two halves' parts together
-    are a basis of the whole component.
+    sigma, the first mirror of the action, after its n rotations:
+    ``parity=1`` the sigma-even half, ``parity=-1`` the sigma-odd one.
+    Only 2-D irreps (those of C_nv) are split.  Their projector P_i
+    commutes with rho(sigma), so P_i (1 +- rho(sigma)) / 2 projects onto a
+    half, with coefficient row (c_i(g) +- c_i(g sigma)) / 2, and each half
+    holds one of the two partners of every copy of the irrep: dim V_i / 2.
+    A 1-D irrep's whole component is its even half, and its odd half is
+    empty.  The two halves' parts together are a basis of the whole
+    component.
     """
-    ops = action.ops
-    mats = np.array([act.op.matrix for act in ops])
+    mats = action.matrices
     dims = np.array([ir.dim for ir in table.irreps])
-    chars = table.as_matrix()[:, [act.class_index for act in ops]]
+    chars = table.as_matrix()[:, action.classes]
     coeff = np.conj(chars) * (dims / action.group.order)[:, None]
     if not any(ir.is_complex for ir in table.irreps):
         coeff = coeff.real
     split = dims == 2
     if split.any():
-        sigma = next(act.op.matrix for act in ops if act.op.kind == "mirror")
+        sigma = mats[action.group.n]
         # The operation g sigma is the one whose matrix is mats[g] @ sigma.
         times_sigma = np.abs(mats[:, None] - mats @ sigma).sum(axis=(2, 3)).argmin(axis=0)
         coeff[split] = (coeff[split] + parity * coeff[split][:, times_sigma]) / 2
@@ -478,12 +565,10 @@ def _isotypic(
     if not built.size:
         return bases
     if space == "velocity":
-        vperms = np.array([act.vperm for act in ops]).reshape(len(ops), fw.num_vertices)
-        perms, fibre = _moving_perm(fw, vperms), mats
+        perms, fibre = _moving_perm(fw, action.vperms), mats
     else:
-        perms = np.array([act.eperm for act in ops]).reshape(len(ops), fw.num_edges)
-        fibre = np.ones((len(ops), 1, 1))
-    for i, parts in zip(built, _isotypic_bases(perms, fibre, coeff[built])):
+        perms, fibre = action.eperms, np.ones((len(mats), 1, 1))
+    for i, parts in zip(built, _isotypic_bases(perms, fibre, coeff[built], bool(split.any()))):
         bases[i] = parts
     return bases
 
@@ -520,6 +605,20 @@ def _classify(B: np.ndarray, table: CharacterTable, bases: list[_Parts]) -> dict
     return counts
 
 
+def _rigid_motions(fw: Framework, table: CharacterTable) -> np.ndarray:
+    """Per irrep, how often it occurs in the rigid-body motions: none when
+    pinned, else the reduction of their character tr M_g + det M_g, the
+    translations transforming as the vector representation and the rotation
+    as det M_g (Fowler & Guest 2000).  The motions span an invariant space,
+    so this is the count classifying ``trivial_motion_basis`` by irrep
+    gives, divided by the irrep's dimension."""
+    if fw.is_pinned:
+        return np.zeros(len(table.irreps), dtype=int)
+    classes = table.group.classes
+    weights = np.array([cls.size * (cls.trace + cls.det) for cls in classes])
+    return np.rint((np.conj(table.as_matrix()) @ weights).real / table.order).astype(int)
+
+
 def _max_entry(blocks: np.ndarray, d: np.ndarray, n: int) -> float:
     """max |R| from R's rows as ``rigidity_rows`` gives them; 1.0 when R has
     no entries."""
@@ -541,6 +640,24 @@ class _Counts:
     error: str = ""
 
 
+def _joint_tables(velocity: list[_Parts], n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Per irrep, the number of vectors in its velocity basis; and three
+    tables of every irrep's entries at once, one row per slot: irrep i's
+    entries at joint j are the columns, x values and y values at column
+    i (n + 1) + j, zero-padded, and column i (n + 1) + n stays zero for
+    pinned ends."""
+    cols, (irrep, joint, col, value) = _entries(velocity, 2)
+    key = irrep * (n + 1) + joint
+    order = np.argsort(key, kind="stable")
+    key, col, value = key[order], col[order], value[order]
+    count = np.bincount(key, minlength=len(cols) * (n + 1))
+    slot = np.arange(key.size) - (np.cumsum(count) - count)[key]
+    at_col = np.zeros((int(count.max(initial=0)), len(count)), dtype=np.intp)
+    at_x, at_y = (np.zeros(at_col.shape, dtype=value.dtype) for _ in range(2))
+    at_col[slot, key], at_x[slot, key], at_y[slot, key] = col, value[:, 0], value[:, 1]
+    return cols, (at_col, at_x, at_y)
+
+
 def _adapted_blocks(
     fw: Framework, velocity: list[_Parts], bar: list[_Parts], blocks: np.ndarray, d: np.ndarray
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
@@ -549,31 +666,34 @@ def _adapted_blocks(
     duplicates summed in the order given (``_singular_values``).  Triples
     whose value is an exact zero, the padding among them, are dropped: a
     ``bincount`` sum starts at +0.0 and is never -0.0, so a +0.0 or -0.0
-    term changes no entry.  ``velocity`` and ``bar`` are
-    the isotypic bases from ``_isotypic``; ``blocks`` and ``d`` are R's rows
-    from ``rigidity_rows``."""
+    term changes no entry.  ``velocity`` and ``bar`` are the isotypic bases
+    from ``_isotypic``; ``blocks`` and ``d`` are R's rows from
+    ``rigidity_rows``.  The per-joint tables of all irreps are built in one
+    pass, and the triples irrep by irrep from them, each value bitwise
+    conj(E) (d_x V_x + d_y V_y) summed from +0.0 as a dot product over (x, y)
+    pairs would."""
     n = int(np.count_nonzero(fw.velocity_blocks >= 0))
-    # Pinned ends read the zero row n of the per-joint tables below.
-    first, second = np.where(blocks < 0, n, blocks).T
-    for v_parts, e_parts in zip(velocity, bar):
-        cols, (joint, col, value) = _entries(v_parts, 2)
-        rows, (bars, row, weight) = _entries(e_parts, 1)
-        # Joint j's velocity entries go to row j of two tables, zero-padded.
-        order = np.argsort(joint, kind="stable")
-        joint, col, value = joint[order], col[order], value[order]
-        count = np.bincount(joint, minlength=n)
-        slot = np.arange(joint.size) - (np.cumsum(count) - count)[joint]
-        at_col = np.zeros((n + 1, int(count.max(initial=0))), dtype=np.intp)
-        at_val = np.zeros(at_col.shape + (2,), dtype=value.dtype)
-        at_col[joint, slot], at_val[joint, slot] = col, value
-        # Entry (row, col) gains conj(E_i[b, row]) d_b . (V_i[j1, col] -
-        # V_i[j2, col]) for each bar b = (j1, j2) and each entry at its ends.
-        j1, j2 = first[bars], second[bars]
-        at = (row * cols)[:, None] + np.hstack([at_col[j1], at_col[j2]])
-        ends = np.hstack([at_val[j1], -at_val[j2]])
-        pair = np.einsum("ba,bka->bk", weight.conj() * d[bars], ends).ravel()
-        live = pair != 0
-        yield rows, cols, at.ravel()[live], pair[live]
+    # Pinned ends read the zero column of each irrep's per-joint tables.
+    first, second = (np.ascontiguousarray(end) for end in np.where(blocks < 0, n, blocks).T)
+    dx, dy = np.ascontiguousarray(d[:, 0]), np.ascontiguousarray(d[:, 1])
+    cols, (at_col, at_x, at_y) = _joint_tables(velocity, n)
+    # Entry (row, col) gains conj(E_i[b, row]) d_b . (V_i[j1, col] -
+    # V_i[j2, col]) for each bar b = (j1, j2) and each entry at its ends: the
+    # x product plus the y product, negated at j2, bitwise (-p) + (-q), and
+    # then + 0.0, so a zero part is +0.0, as in a sum that starts at +0.0.
+    # The triples of a bar entry are its slots at j1, then its slots at j2.
+    for i, e_parts in enumerate(bar):
+        (rows,), (_, bars, row, weight) = _entries([e_parts], 1)
+        ends = [i * (n + 1) + first[bars], i * (n + 1) + second[bars]]
+        w = weight[:, 0].conj()
+        at = np.concatenate([np.take(at_col, end, axis=1) for end in ends])
+        at += row * cols[i]
+        pair = np.concatenate([np.take(at_x, end, axis=1) for end in ends]) * (w * dx[bars])
+        pair += np.concatenate([np.take(at_y, end, axis=1) for end in ends]) * (w * dy[bars])
+        np.negative(pair[len(at_col) :], out=pair[len(at_col) :])
+        at, pair = at.T.ravel(), pair.T.ravel()
+        live = np.flatnonzero(pair)
+        yield int(rows), int(cols[i]), at[live], pair[live] + 0.0
 
 
 def _singular_values(rows: int, cols: int, at: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -649,7 +769,8 @@ def _block_counts(
     built: with d_i the irrep's dimension (a 1-D irrep's even half is its
     whole component), rank_i = d_i rank_+, s_i = d_i (rows_+ - rank_+) and
     m_i = d_i (cols_+ - rank_+ - t_+).  The motions span an invariant space,
-    so t_+ = ``_dim_in`` of the motions and the even half is t_i / d_i.
+    whose even half holds t_+ = t_i / d_i, the irrep's multiplicity in them
+    (``_rigid_motions``).
 
     ``_adapted_blocks`` yields the blocks one at a time as orbit-local
     triples: each entry of E_i at a bar meets V_i's entries at the bar's two
@@ -688,13 +809,12 @@ def _block_counts(
     slack = 4.0 * residual * np.sqrt(degree) * (1.0 + rel_tol * size)
     if any(np.any(np.abs(sv - cutoff) < slack) for sv in sigmas):
         return None
-    trivial = trivial_motion_basis(fw)
     ranks, s_by, m_by = [], {}, {}
-    for ir, sv, (de, dv), parts in zip(table.irreps, sigmas, shapes, velocity):
+    for ir, sv, (de, dv), t in zip(table.irreps, sigmas, shapes, _rigid_motions(fw, table)):
         r = int(np.sum(sv > cutoff))
         ranks.append(ir.dim * r)
         s_by[ir.label] = ir.dim * (de - r)
-        m_by[ir.label] = ir.dim * (dv - r - _dim_in(trivial, parts))
+        m_by[ir.label] = ir.dim * (dv - r - int(t))
     return _Counts(sum(ranks), sum(s_by.values()), sum(m_by.values()), s_by, m_by)
 
 
@@ -702,25 +822,27 @@ def _full_counts(
     fw: Framework, table: CharacterTable, velocity: list[_Parts], bar: list[_Parts], rel_tol: float
 ) -> _Counts:
     """Counts from one SVD of the whole rigidity matrix, with its left kernel
-    (the self-stresses), its kernel and the rigid-body motions classified by
-    irrep in the whole components' bases ``velocity`` and ``bar`` (``_whole``
-    of the block route's even halves).  The SVD's bases and the motions are
-    orthonormal, so they go to ``_classify`` as they are.  m = dim ker R - (number of rigid-body
-    motions), and m_i = k_i - t_i with k_i and t_i the kernel's and the
-    motions' irrep dimensions, the block route's rule.  Valid whether or not
-    R intertwines the action; ``verify`` uses it when intertwining fails."""
+    (the self-stresses) and its kernel classified by irrep in the whole
+    components' bases ``velocity`` and ``bar`` (``_whole`` of the block
+    route's even halves).  The SVD's bases are orthonormal, so they go to
+    ``_classify`` as they are.  m = dim ker R - (number of rigid-body
+    motions), and m_i = k_i - t_i with k_i the kernel's irrep dimension and
+    t_i the motions' (``_rigid_motions``), the block route's rule.  Valid
+    whether or not R intertwines the action; ``verify`` uses it when
+    intertwining fails."""
     rank, stresses, kernel = _svd_spaces(rigidity_matrix_pinned(fw), rel_tol)
-    trivial = trivial_motion_basis(fw)
     s_by: dict[str, int] | None = None
     m_by: dict[str, int] | None = None
     error = ""
     try:
         s_by = _classify(stresses, table, bar)
-        k_by, t_by = (_classify(basis, table, velocity) for basis in (kernel, trivial))
-        m_by = {label: k_by[label] - t_by[label] for label in k_by}
+        k_by = _classify(kernel, table, velocity)
+        t_by = zip(table.irreps, _rigid_motions(fw, table))
+        m_by = {ir.label: k_by[ir.label] - ir.dim * int(t) for ir, t in t_by}
     except ClassMismatch as exc:
         error = str(exc)
-    return _Counts(rank, stresses.shape[0], kernel.shape[0] - trivial.shape[0], s_by, m_by, error)
+    motions = trivial_motion_basis(fw).shape[0]
+    return _Counts(rank, stresses.shape[0], kernel.shape[0] - motions, s_by, m_by, error)
 
 
 @dataclass(frozen=True)
@@ -854,9 +976,8 @@ def verify(
     number >= 0.
     """
     _check_tolerance("rel_tol", rel_tol)
-    analysis, action = _analysis(fw, group, tol)
+    analysis, action, table = _analysis(fw, group, tol)
     pg, k, gamma = action.group, analysis.k, analysis.decomposition
-    table = character_table(pg)
     velocity, bar = (_isotypic(fw, action, table, space) for space in ("velocity", "edge"))
     rows = rigidity_rows(fw, fw.velocity_blocks)
 

@@ -67,12 +67,10 @@ class _Canvas:
 
 
 def _fixed_edges(action: SymmetryAction) -> set[int]:
-    """Indices of bars left unshifted by at least one non-identity operation."""
-    fixed: set[int] = set()
-    for act in action.ops:
-        if act.op.kind != "identity":
-            fixed.update(np.flatnonzero(act.eperm == np.arange(act.eperm.size)).tolist())
-    return fixed
+    """Indices of bars left unshifted by at least one non-identity operation
+    (class 0 is the identity's)."""
+    eperms = action.eperms[action.classes != 0]
+    return set(np.flatnonzero((eperms == np.arange(eperms.shape[1])).any(axis=0)).tolist())
 
 
 def _mirror_overlays(group: PointGroup, center: np.ndarray, canvas: _Canvas, reach: float) -> list[str]:

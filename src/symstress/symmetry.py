@@ -20,11 +20,14 @@ Conventions
   fixed by a mirror either lies in the mirror line or is perpendicular to and
   centred on it; a bar fixed by the half-turn is centred on the centre point.
 * A :class:`SymmetryAction` holds every operation's joint and bar
-  permutation for one framework, group, centre and tolerance.  It is built
-  once and shared by the census, the numeric checks and the renderer.  Only
-  the two generators, the rotation by 2 pi / n and the reference mirror, are
+  permutation for one framework, group, centre and tolerance, stacked as
+  (|G|, v) and (|G|, e) arrays with the operation matrices and class
+  indices, so each consumer (the census, the numeric checks, the renderer)
+  reads all operations in one array pass.  It is built once.  Only the two
+  generators, the rotation by 2 pi / n and the reference mirror, are
   matched joint by joint.  Every other joint permutation is composed from
-  theirs and accepted when one vectorised check finds each joint's image
+  theirs, as arrays, and accepted when one vectorised check of the stacked
+  rotations, and one of the stacked mirrors, finds each joint's image
   within the tolerance of the joint it is sent to.  The composition is
   trusted only when no two joints are within twice the tolerance of each
   other (the crowding guard); otherwise, and wherever the check fails, an
@@ -254,13 +257,25 @@ def group_elements(family: str, n: int, mirror_angle: float = 0.0) -> PointGroup
     return PointGroup("Cnv", n, mirror_angle % math.pi, tuple(classes))
 
 
+def _images(
+    mats: np.ndarray, dx: np.ndarray, dy: np.ndarray, center: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y coordinates of the images, under each operation matrix of
+    ``mats`` (ops, 2, 2) about ``center``, of the points at offsets (dx, dy)
+    from it: two (ops, points) arrays.  Each coordinate is one sum of two
+    products, so every BLAS gives the same floats."""
+    m = mats.reshape(mats.shape + (1,) * np.ndim(dx))
+    return (m[:, 0, 0] * dx + m[:, 0, 1] * dy) + center[0], (m[:, 1, 0] * dx + m[:, 1, 1] * dy) + center[1]
+
+
 def apply_op(
     op: SymmetryOperation, positions: np.ndarray, center: np.ndarray | Sequence[float]
 ) -> np.ndarray:
     """Apply the operation about ``center`` to an array of points (v, 2)."""
     pos = np.asarray(positions, dtype=float)
     ctr = np.asarray(center, dtype=float)
-    return (pos - ctr) @ op.matrix.T + ctr
+    x, y = _images(op.matrix[None], pos[..., 0] - ctr[0], pos[..., 1] - ctr[1], ctr)
+    return np.stack([x[0], y[0]], axis=-1)
 
 
 def _nearest_joints(
@@ -391,24 +406,33 @@ class OperationAction:
 class SymmetryAction:
     """A point group acting on one framework about ``center``.
 
-    ``ops`` holds every operation of the group in canonical class order,
-    with its class index and its joint and bar permutations.
+    The action is held as stacked arrays, one row per operation of the
+    group in canonical class order: ``vperms`` (|G|, v) and ``eperms`` (|G|,
+    e) the joint and bar permutations, ``matrices`` (|G|, 2, 2) the
+    operation matrices and ``classes`` (|G|,) the class indices.  ``ops``
+    holds the same operations one by one, each with row views of the
+    stacks.  The stacks are read-only.
     """
 
     group: PointGroup
     center: np.ndarray
     ops: tuple[OperationAction, ...]
+    vperms: np.ndarray
+    eperms: np.ndarray
+    matrices: np.ndarray
+    classes: np.ndarray
 
 
-# An operation's (joint permutation, bar permutation).
+# An operation's (joint permutation, bar permutation), or a stack of them.
 _Perms = tuple[np.ndarray, np.ndarray]
 
 
 class _Generated:
     """Joint and bar permutations composed from those of two generators: the
-    rotation r by 2 pi / n and a reference mirror s.  ``rotation(j)`` gives
-    the pair of r^j and ``reflection(k)`` that of the mirror r^k s; the
-    joint and bar permutations of a product ab are a's indexed by b's.
+    rotation r by 2 pi / n and a reference mirror s.  ``powers(n)`` gives
+    the stacked pairs of r^0 .. r^(n-1) and ``reflections`` those of the
+    mirrors r^k s; the joint and bar permutations of a product ab are a's
+    indexed by b's.
 
     A composed pair is accepted for an operation only when every joint's
     image lies within the matching tolerance of the joint it is sent to, by
@@ -419,10 +443,12 @@ class _Generated:
     the one ``vertex_permutation`` would return.  It is a bijection that
     keeps pins on pins, and its bar permutation is the one the bar lookup
     would find, because the generators' permutations are and do.
+    ``accepted`` checks a stack of operations in one pass, with the x and
+    y coordinates in separate (operations, joints) arrays.
 
-    Detection seeds an instance with the generators it matched (``rotations``
-    beyond the identity and ``mirror``); ``_act`` checks each seed like any
-    composed pair before it uses it.
+    Detection seeds an instance with the generators it matched (``r`` and
+    ``mirror``); ``_act`` checks each seed like any composed pair before it
+    uses it.
     """
 
     def __init__(self, fw: Framework, center: np.ndarray, tol: float) -> None:
@@ -434,66 +460,101 @@ class _Generated:
         magnitude = 2 * float(np.abs(pos).max(initial=0.0))
         window = self.tol_abs + 8 * np.finfo(float).eps * magnitude
         self.uncrowded = bool(np.all(np.diff(proj) > 2 * window))
-        # rotations[j] is r^j's pair; r's is appended once matched.
-        self.rotations: list[_Perms] = [(np.arange(fw.num_vertices), np.arange(fw.num_edges))]
+        self.x, self.y = np.ascontiguousarray(pos[:, 0]), np.ascontiguousarray(pos[:, 1])
+        self.r: _Perms | None = None
         self.mirror: _Perms | None = None
 
-    def rotation(self, j: int) -> _Perms | None:
-        """The pair of r^j, or None while r's is unknown."""
-        if len(self.rotations) < 2:
-            return self.rotations[0] if j == 0 else None
-        r_v, r_e = self.rotations[1]
-        while len(self.rotations) <= j:
-            last_v, last_e = self.rotations[-1]
-            self.rotations.append((r_v[last_v], r_e[last_e]))
-        return self.rotations[j]
+    def powers(self, count: int) -> _Perms:
+        """The stacked pairs of r^0 .. r^(count-1), composed by doubling;
+        r's must be known when count > 1."""
+        v, e = self.fw.num_vertices, self.fw.num_edges
+        stacks = []
+        for size, gen in ((v, 0), (e, 1)):
+            stack = np.empty((count, size), dtype=np.intp)
+            stack[0] = np.arange(size)
+            if count > 1:
+                stack[1] = self.r[gen]  # type: ignore[index]
+            m = 2
+            while m < count:
+                # r^(m+j) = r^j r^m, with r^m = r^(m-1) r.
+                step = stack[m - 1][stack[1]]
+                h = min(m, count - m)
+                stack[m : m + h] = stack[:h][:, step]
+                m += h
+            stacks.append(stack)
+        return stacks[0], stacks[1]
 
-    def reflection(self, k: int) -> _Perms | None:
-        """The pair of r^k s, or None while r's or s's is unknown."""
-        rot = self.rotation(k)
-        if rot is None or self.mirror is None:
-            return None
-        return rot[0][self.mirror[0]], rot[1][self.mirror[1]]
+    def reflections(self, rotations: _Perms) -> _Perms:
+        """The pairs of r^k s for the stacked pairs of r^k ``rotations``."""
+        s_v, s_e = self.mirror  # type: ignore[misc]
+        return rotations[0][:, s_v], rotations[1][:, s_e]
 
-    def accepts(self, op: SymmetryOperation, perms: _Perms | None) -> bool:
-        if perms is None or not self.uncrowded:
-            return False
-        pos = self.fw.positions
-        d = np.sqrt(((apply_op(op, pos, self.center) - pos[perms[0]]) ** 2).sum(axis=1))
-        return bool(np.all(d <= self.tol_abs))
+    def accepted(self, mats: np.ndarray, vperms: np.ndarray) -> np.ndarray:
+        """Per operation matrix of ``mats`` (ops, 2, 2), whether the joint
+        permutation in the same row of ``vperms`` passes the check."""
+        if not self.uncrowded:
+            return np.zeros(len(mats), dtype=bool)
+        c = self.center
+        x, y = _images(mats, self.x - c[0], self.y - c[1], c)
+        dx, dy = x - self.x[vperms], y - self.y[vperms]
+        return np.all(np.sqrt(dx**2 + dy**2) <= self.tol_abs, axis=1)
+
+    def checked(self, ops: Sequence[SymmetryOperation], mats: np.ndarray, perms: _Perms, bars: _BarLookup) -> _Perms:
+        """The stacked pairs ``perms`` composed for ``ops``, with each row
+        that ``accepted`` rejects replaced, in order, by direct matching."""
+        vperms, eperms = perms
+        for g in np.flatnonzero(~self.accepted(mats, vperms)):
+            vperms[g], eperms[g] = self.matched(ops[g], None, bars)
+        return vperms, eperms
 
     def matched(self, op: SymmetryOperation, perms: _Perms | None, bars: _BarLookup) -> _Perms:
         """``perms`` if accepted for ``op``; else ``vertex_permutation``'s
         joint permutation and the bar permutation ``bars`` finds for it."""
-        if self.accepts(op, perms):
-            return perms  # type: ignore[return-value]
+        if perms is not None and self.accepted(op.matrix[None], perms[0][None])[0]:
+            return perms
         vperm = vertex_permutation(self.fw, op, self.center, self.tol)
         return vperm, bars.permutation(vperm)
 
 
 def _act(group: PointGroup, gen: _Generated, bars: _BarLookup) -> SymmetryAction:
     """``group``'s action about ``gen.center``: ``symmetry_action`` with the
-    generators ``gen`` may already hold.  A seeded generator that fails
-    ``gen.accepts`` is matched directly instead, and the rotation powers
-    composed from a replaced r are dropped."""
-    n = group.n
-    ops = []
-    for idx, cls in enumerate(group.classes):
-        for op in cls.operations:
-            if op.kind == "mirror":
-                k = round((op.angle - group.mirror_angle) % math.pi * n / math.pi) % n
-                if k == 0:  # the reference mirror s
-                    perms = gen.mirror = gen.matched(op, gen.mirror, bars)
-                else:
-                    perms = gen.matched(op, gen.reflection(k), bars)
-            else:
-                j = round(op.angle * n / (2 * math.pi)) % n
-                seed = gen.rotation(j)
-                perms = gen.matched(op, seed, bars)
-                if j == 1 and perms is not seed:  # r itself, matched directly
-                    gen.rotations[1:] = [perms]
-            ops.append(OperationAction(idx, op, *perms))
-    return SymmetryAction(group, gen.center, tuple(ops))
+    generators ``gen`` may already hold.
+
+    In canonical order the identity and r come first, then the other
+    rotations, then s and the other mirrors.  r and s are each taken from
+    the seed when it passes the check and matched directly otherwise.
+    Every rotation power is composed from r, and every mirror r^k s from r
+    and s, as arrays, and each of the two stacks is checked in one
+    ``gen.accepted`` pass; an operation it rejects is matched directly, in
+    canonical order, so the first operation that is not a symmetry raises
+    as direct matching of every operation would.  When the joints are
+    crowded every operation is matched directly, in canonical order.
+    """
+    n, ops = group.n, group.operations()
+    mats = np.array([op.matrix for op in ops])
+    classes = np.repeat(np.arange(len(group.classes)), group.class_sizes())
+    if gen.uncrowded:
+        # Canonical order: the rotations r^j first (the identity, then r),
+        # then the mirrors r^k s (s first).
+        turns = [round(op.angle * n / (2 * math.pi)) % n for op in ops[:n]]
+        if n > 1:
+            gen.r = gen.matched(ops[1], gen.r, bars)
+        rotations = gen.powers(n)
+        vperms, eperms = gen.checked(ops[:n], mats[:n], (rotations[0][turns], rotations[1][turns]), bars)
+        if len(ops) > n:
+            gen.mirror = gen.matched(ops[n], gen.mirror, bars)
+            steps = [round((op.angle - group.mirror_angle) % math.pi * n / math.pi) % n for op in ops[n:]]
+            mirrored = gen.reflections((rotations[0][steps], rotations[1][steps]))
+            mirror_v, mirror_e = gen.checked(ops[n:], mats[n:], mirrored, bars)
+            vperms, eperms = np.concatenate([vperms, mirror_v]), np.concatenate([eperms, mirror_e])
+    else:
+        pairs = [gen.matched(op, None, bars) for op in ops]
+        vperms = np.array([v for v, _ in pairs]).reshape(len(ops), gen.fw.num_vertices)
+        eperms = np.array([e for _, e in pairs]).reshape(len(ops), gen.fw.num_edges)
+    for stack in (vperms, eperms, mats, classes):
+        stack.setflags(write=False)
+    acts = tuple(OperationAction(int(c), op, vp, ep) for c, op, vp, ep in zip(classes, ops, vperms, eperms))
+    return SymmetryAction(group, gen.center, acts, vperms, eperms, mats, classes)
 
 
 def symmetry_action(
@@ -509,11 +570,12 @@ def symmetry_action(
     reference mirror, the first rotation and the first mirror in canonical
     class order.  Every other operation's joint and bar permutations are
     composed from theirs, and accepted by one vectorised displacement check
-    (see ``_Generated``); when the check fails, or when two joints are too
-    close for it to decide, that operation is matched directly.  Raises
-    NotSymmetric at the first operation, in canonical order, that is not a
-    symmetry of the framework, with the message direct matching gives.
-    ``resolve_action`` gives the same action for a group spec.
+    per stack of rotations or mirrors (see ``_Generated`` and ``_act``);
+    when the check fails, or when two joints are too close for it to
+    decide, that operation is matched directly.  Raises NotSymmetric at the
+    first operation, in canonical order, that is not a symmetry of the
+    framework, with the message direct matching gives.  ``resolve_action``
+    gives the same action for a group spec.
     """
     ctr = fw.centroid() if center is None else np.asarray(center, dtype=float)
     return _act(group, _Generated(fw, ctr, tol), _BarLookup(fw))
@@ -643,17 +705,20 @@ def census(
     if action is None:
         action = symmetry_action(fw, group, center, tol)
     counted = ~fw.pinned_mask
-    per_class: list[list[tuple[int, int]]] = [[] for _ in group.classes]
-    for act in action.ops:
-        vfixed = (act.vperm == np.arange(fw.num_vertices)) & counted
-        efixed = act.eperm == np.arange(fw.num_edges)
-        per_class[act.class_index].append((int(np.sum(vfixed)), int(np.sum(efixed))))
-    for cls, per_op in zip(group.classes, per_class):
-        if len(set(per_op)) > 1:
-            raise ClassMismatch(
-                f"operations in class {cls.label} fix differing counts "
-                f"(joints, bars): {sorted(set(per_op))}"
-            )
+    # Per operation, the fixed joints and bars; then each against the first
+    # operation of its class.
+    vfixed = np.count_nonzero((action.vperms == np.arange(fw.num_vertices)) & counted, axis=1)
+    efixed = np.count_nonzero(action.eperms == np.arange(fw.num_edges), axis=1)
+    classes = action.classes
+    first = np.flatnonzero(np.r_[True, classes[1:] != classes[:-1]])
+    differ = (vfixed != vfixed[first][classes]) | (efixed != efixed[first][classes])
+    if differ.any():
+        bad = classes[np.argmax(differ)]
+        per_op = set(zip(vfixed[classes == bad].tolist(), efixed[classes == bad].tolist()))
+        raise ClassMismatch(
+            f"operations in class {group.classes[bad].label} fix differing counts "
+            f"(joints, bars): {sorted(per_op)}"
+        )
 
     ctr = action.center
     return SymmetryCensus(
@@ -661,8 +726,8 @@ def census(
         v=int(np.count_nonzero(counted)),
         e=fw.num_edges,
         pinned=fw.is_pinned,
-        fixed_vertices=tuple(per_op[0][0] for per_op in per_class),
-        fixed_edges=tuple(per_op[0][1] for per_op in per_class),
+        fixed_vertices=tuple(vfixed[first].tolist()),
+        fixed_edges=tuple(efixed[first].tolist()),
         center=(float(ctr[0]), float(ctr[1])),
     )
 
@@ -789,7 +854,7 @@ def _detect(fw: Framework, tol: float) -> tuple[list[_GroupKey], _Generated, _Ba
         perms = _matched(fw, bars, rotation_op(2 * math.pi / cand), center, tol)
         if perms is not None:
             rot_order = cand
-            gen.rotations.append(perms)
+            gen.r = perms
             break
 
     # Candidate mirror axes from the smallest shell: an axis either passes
@@ -806,24 +871,32 @@ def _detect(fw: Framework, tol: float) -> tuple[list[_GroupKey], _Generated, _Ba
     for a in cand_angles:
         if not dedup or (a - dedup[-1] > ang_tol and (math.pi - a + dedup[0]) > ang_tol):
             dedup.append(a)
-    # The first mirror found is matched directly; a later candidate within
-    # ang_tol of its image under a rotation r^k first tries r^k s.
-    step = math.pi / rot_order
+    # The first mirror found, m0, is matched directly.  A later candidate
+    # within ang_tol of its image under a rotation r^k first tries r^k m0,
+    # all such candidates in one check; the others, and those the check
+    # rejects, are matched directly in ascending order.
     mirrors: list[float] = []
-    for a in dedup:
-        op = mirror_op(a)
-        if mirrors:
-            k = round((a - mirrors[0]) / step)
-            if abs(a - mirrors[0] - k * step) <= ang_tol and gen.accepts(
-                op, gen.reflection(k % rot_order)
-            ):
-                mirrors.append(a)
-                continue
-        perms = _matched(fw, bars, op, center, tol)
+    for first, a in enumerate(dedup):
+        perms = _matched(fw, bars, mirror_op(a), center, tol)
         if perms is not None:
-            if not mirrors:
-                gen.mirror = perms
+            gen.mirror = perms
             mirrors.append(a)
+            break
+    if mirrors:
+        later = dedup[first + 1 :]
+        step = math.pi / rot_order
+        turns = [round((a - mirrors[0]) / step) for a in later]
+        near = [i for i, (a, k) in enumerate(zip(later, turns)) if abs(a - mirrors[0] - k * step) <= ang_tol]
+        accepted = np.zeros(len(later), dtype=bool)
+        if near and gen.uncrowded:
+            rotations = gen.powers(rot_order)
+            steps = [turns[i] % rot_order for i in near]
+            composed = gen.reflections((rotations[0][steps], rotations[1][steps]))
+            mats = np.array([mirror_op(later[i]).matrix for i in near])
+            accepted[near] = gen.accepted(mats, composed[0])
+        for a, good in zip(later, accepted):
+            if good or _matched(fw, bars, mirror_op(a), center, tol) is not None:
+                mirrors.append(a)
 
     # Enumerate subgroups from the verified generators.  With rotation order
     # N and mirrors present, the N mirror axes are evenly spaced by pi/N

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import symstress.counting as counting
 import symstress.numeric as numeric
 import symstress.symmetry as symmetry
 from symstress import (
@@ -706,15 +707,21 @@ class TestProjectorResolution:
             assert check.residual == 0.0
 
     def test_corrupted_table_fails_the_check(self, monkeypatch):
+        # The one table verify builds comes from the analysis front end.  The
+        # bases and the rigid-motion counts are built from it too, and a
+        # corrupted table corrupts them: A' keeps P + I/4 columns and counts
+        # two rigid motions, so the count checks fail with the projector
+        # check.  fig3 has k = 0, so its analysis is unchanged.
         monkeypatch.setattr(
-            numeric, "character_table", lambda g: corrupt_identity_character(character_table(g))
+            counting, "character_table", lambda g: corrupt_identity_character(character_table(g))
         )
         entry = catalog.generate("fig3")
         rep = verify(entry.framework, entry.group)
         failed = [c.name for c in rep.checks if not c.passed]
-        assert failed == ["projector_resolution"]
+        assert failed == ["projector_resolution", "count_identity", "per_irrep_identity", "detected_lower_bound"]
         # Cs: the E column sums to 1 + 1/2 + 1 over |G| = 2.
         assert rep.checks[1].residual == 0.25
+        assert str(rep.decomposition) == "-A' + A''"
         assert not rep.passed
 
 
@@ -856,13 +863,17 @@ class TestBasesOncePerVerify:
 
 
 # ---------------------------------------------------------------------------
-# Isotypic bases against an orbit-by-orbit reference: the builder before
-# orbit types, which scatters every orbit's projector block from index
-# arithmetic and diagonalises each orbit on its own.
+# Isotypic bases against two references that diagonalise dense projectors:
+# the builder before orbit types, which scatters every orbit's projector
+# block from index arithmetic and diagonalises each orbit on its own, and
+# the builder before transfer columns, which forms one dense projector per
+# orbit type and irrep and diagonalises it piece by piece.  Both keep the
+# eigenvectors with eigenvalue above 1/2, and both ignore ``partner``: they
+# need no partner columns.
 # ---------------------------------------------------------------------------
 
 
-def _orbit_by_orbit_bases(perms, mats, coeff):
+def _orbit_by_orbit_bases(perms, mats, coeff, partner=False):
     """``numeric._isotypic_bases`` with one projector block and one ``eigh``
     per orbit, orbits of one size in one batch: one part per orbit size."""
     n = perms.shape[1]
@@ -894,6 +905,62 @@ def _orbit_by_orbit_bases(perms, mats, coeff):
         for t in range(irreps):
             mine = irrep == t
             bases[t].append((kept_coords[mine], kept[mine]))
+    return bases
+
+
+def _piecewise_eigh(projector, pattern):
+    """``np.linalg.eigh(projector)`` for a stack (rows, types, w, w) of
+    Hermitian matrices, each zero outside its type's ``pattern`` (types, w,
+    w), from one batched ``eigh`` per piece width: a type's pieces are the
+    connected components of its pattern."""
+    types, w = pattern.shape[:2]
+    t, x, y = np.nonzero(pattern)
+    label = numeric._components(t * w + x, t * w + y, types * w)
+    _, piece, width = np.unique(label, return_inverse=True, return_counts=True)
+    nodes = np.argsort(piece, kind="stable")
+    start = np.cumsum(width) - width
+    values = np.empty(projector.shape[:-1])
+    vectors = np.zeros_like(projector)
+    for size in np.unique(width):
+        at = nodes[start[width == size][:, None] + np.arange(size)]
+        kinds, at = at[:, :1] // w, at % w
+        index = (slice(None), kinds[:, :, None], at[:, :, None], at[:, None, :])
+        values[:, kinds, at], vectors[index] = np.linalg.eigh(projector[index])
+    return values, vectors
+
+
+def _projector_bases(perms, mats, coeff, partner=False):
+    """``numeric._isotypic_bases`` from one dense projector per orbit type
+    and irrep, sum_g coeff[i, g] rho(g), diagonalised piece by piece when
+    every operation matrix has an exact zero: one part per orbit type."""
+    n, f = perms.shape[1], mats.shape[-1]
+    split = bool((mats == 0).any(axis=(1, 2)).all())
+    bases = [[] for _ in coeff]
+    name = perms.min(axis=0)
+    size = 1 + np.count_nonzero(np.diff(np.sort(perms, axis=0), axis=0), axis=0)
+    order = np.lexsort((*(perms == np.arange(n)), name))
+    local = np.empty(n, dtype=np.intp)
+    for k in np.unique(size):
+        members = order[size[order] == k].reshape(-1, k)
+        reach = np.argmax(perms[:, members[:, :1]] == members, axis=0)
+        members = np.take_along_axis(members, np.argsort(reach, axis=1), axis=1)
+        local[members] = np.arange(k)
+        coords = (members[:, :, None] * f + np.arange(f)).reshape(-1, k * f)
+        tables, kind = np.unique(local[perms[:, members]].swapaxes(0, 1), axis=0, return_inverse=True)
+        kind = kind.ravel()
+        # rho(g) puts mats[g, a, c] at row (local image of l, a), column (l, c).
+        moves = tables[:, :, None, :] == np.arange(k)[:, None]
+        rho = np.einsum("tgml,gac->tgmalc", moves, mats).reshape(tables.shape[:2] + (k * f,) * 2)
+        projector = np.einsum("ig,tgxy->itxy", coeff, rho)
+        if split:
+            values, vectors = _piecewise_eigh(projector, (rho != 0).any(axis=1))
+        else:
+            values, vectors = np.linalg.eigh(projector)
+        orbits = [coords[kind == t] for t in range(len(tables))]
+        values, vectors = values.reshape(-1, k * f), vectors.reshape(-1, k * f, k * f)
+        for (i, t), value, vector in zip(np.ndindex(projector.shape[:2]), values, vectors):
+            kept = vector[:, value > numeric.CLASSIFY_THRESHOLD].T
+            bases[i].append((np.repeat(orbits[t], len(kept), axis=0), np.tile(kept, (len(orbits[t]), 1))))
     return bases
 
 
@@ -991,19 +1058,19 @@ def _key_cases():
 
 def _assert_key_matches_unique_rows(fw, spec):
     """Every orbit-size batch of both spaces' halves gets from
-    ``numeric._distinct_rows`` the types and the inverse that
-    ``np.unique(..., axis=0)`` gives."""
+    ``numeric._distinct_rows`` the first indices and the inverse that
+    ``np.unique(..., axis=0)`` gives for its orbits' start stabilisers."""
     key = numeric._distinct_rows
     batches = []
 
-    def checked(tables):
-        types, kind = key(tables)
-        want_types, want_kind = np.unique(tables, axis=0, return_inverse=True)
-        np.testing.assert_array_equal(types, want_types)
-        assert kind.shape == (len(tables),)
+    def checked(rows):
+        first, kind = key(rows)
+        _, want_first, want_kind = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        np.testing.assert_array_equal(first, want_first)
+        assert kind.shape == (len(rows),)
         np.testing.assert_array_equal(kind, want_kind.ravel())
-        batches.append(len(tables))
-        return types, kind
+        batches.append(len(rows))
+        return first, kind
 
     group, center = resolve_group(spec or GroupSpec("auto"), fw)
     action = symmetry_action(fw, group, center)
@@ -1032,35 +1099,37 @@ class TestBasesByOrbitType:
     def test_one_eigh_per_orbit_type_and_irrep(self, seed):
         # Members are labelled from the group action, so renumbering the
         # joints and bars leaves the number of types alone.  The turn by
-        # 2 pi / 16 has no zero entry, so every type is one piece: one
-        # matrix per type and irrep, in whatever stacks eigh is handed.
+        # 2 pi / 16 has no zero entry, so every type is one piece: one Gram
+        # matrix per type and irrep, in whatever stacks eigh is handed, of
+        # the 2f columns of members 0 and r(0), which the halves of the 2-D
+        # irreps need.
         fw = _web() if seed is None else _renumbered(_web(), seed)
         group, center = detect_groups(fw)[0]
         action = symmetry_action(fw, group, center)
         table = character_table(group)
-        perms = {
-            "velocity": np.array([act.vperm for act in action.ops]),
-            "edge": np.array([act.eperm for act in action.ops]),
-        }
+        perms = {"velocity": np.asarray(action.vperms), "edge": np.asarray(action.eperms)}
         irreps = len(table.irreps)
         for space, perm in perms.items():
             orbits, types = _orbit_types(perm)
             with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
                 numeric._isotypic(fw, action, table, space)
-            matrices = sum(int(np.prod(call.args[0].shape[:-2])) for call in eigh.call_args_list)
+            shapes = [call.args[0].shape for call in eigh.call_args_list]
             # Joints: the hub, and ring joints on a mirror of either class.
             # Bars: on no mirror, or across a mirror of either class.
             assert (orbits, types) == {"velocity": (11, 3), "edge": (20, 3)}[space]
-            assert matrices == irreps * types
+            assert sum(int(np.prod(shape[:-2])) for shape in shapes) == irreps * types
+            f = {"velocity": 2, "edge": 1}[space]
+            assert {shape[-2:] for shape in shapes} == {(2 * f, 2 * f)}
 
     def test_one_eigh_per_piece_width(self):
         # Every C2v operation matrix has an exact zero, so on the pinned
         # 34x33 grid each velocity type splits into its x and its y
-        # coordinates: joints on the x axis (orbits of 2, width 4) and off
-        # both axes (orbits of 4, width 8) give one batched eigh each, over
-        # 4 irreps x 2 pieces.  A bar's fibre is 1-D, and a bar type (the
-        # middle bar of the x axis, bars on or across it, the others) is one
-        # piece of its full width.
+        # coordinates: joints on the x axis (orbits of 2) and off both axes
+        # (orbits of 4).  Each piece holds one column of member 0, so each
+        # orbit size takes one batched eigh of 4 irreps x 2 pieces of 1 x 1
+        # Gram matrices.  A bar's fibre is 1-D, and a bar type (the middle
+        # bar of the x axis, bars on or across it, the others) is one piece
+        # with one column.
         fw = catalog._pinned_quad_grid(34, 33)
         group, center = detect_groups(fw)[0]
         action = symmetry_action(fw, group, center)
@@ -1070,8 +1139,9 @@ class TestBasesByOrbitType:
             with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
                 numeric._isotypic(fw, action, table, space)
             shapes[space] = [call.args[0].shape for call in eigh.call_args_list]
-        assert shapes["velocity"] == [(4, 2, 2, 2), (4, 2, 4, 4)]
-        assert [shape[-1] for shape in shapes["edge"]] == [1, 2, 4]
+        assert shapes["velocity"] == [(4, 2, 1, 1), (4, 2, 1, 1)]
+        assert [shape[-2:] for shape in shapes["edge"]] == [(1, 1)] * 3
+        assert all(shape[0] == 4 for shape in shapes["edge"])
 
     @pytest.mark.parametrize("case", list(_key_cases()), ids=lambda c: c[0])
     def test_orbit_type_key_matches_unique_rows(self, case):
@@ -1096,6 +1166,120 @@ class TestBasesByOrbitType:
 
 
 # ---------------------------------------------------------------------------
+# Transfer-column bases against the projector route (``_projector_bases``),
+# half by half: the same spaces, orthonormal, the same block singular
+# values, and on the axis-aligned C2v, C4 and C1 grids the same block
+# components (C4v's E blocks split finer).  The
+# higher-order webs are the benchmark's spider web with more rotations and
+# fewer rings.
+# ---------------------------------------------------------------------------
+
+
+def _ring_web(order, count, seed=1):
+    """``perfbench/workloads.py``'s spider web with ``RING_ORDER`` = order and
+    ``RING_COUNT`` = count; the file itself is left as it is."""
+    workloads = _workloads()
+    with mock.patch.multiple(workloads, RING_ORDER=order, RING_COUNT=count):
+        return workloads.ring_cnv(seed)
+
+
+def _block_spectra(fw, velocity, bar):
+    """Every block's singular values, and the shapes of the matrices its
+    SVDs were handed, for the given even halves."""
+    blocks, d, _ = rigidity_rows(fw, fw.velocity_blocks)
+    spectra, shapes = [], []
+    for triples in numeric._adapted_blocks(fw, velocity, bar, blocks, d):
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            spectra.append(numeric._singular_values(*triples))
+        shapes.append(sorted(call.args[0].shape for call in svd.call_args_list))
+    return spectra, shapes
+
+
+def _assert_bases_match_projector_route(fw, spec, same_components=False):
+    """Per space and sigma-parity half, the transfer bases span the
+    projector route's spaces (V V^H within 1e-12) and are orthonormal; the
+    even halves' blocks have the projector route's singular values within
+    1e-12 of the largest, and with ``same_components`` the same component
+    shapes."""
+    group, center = resolve_group(spec or GroupSpec("auto"), fw)
+    action = symmetry_action(fw, group, center)
+    table = character_table(group)
+    sizes = {"velocity": 2 * int(np.count_nonzero(fw.velocity_blocks >= 0)), "edge": fw.num_edges}
+    even = {}
+    for space, size in sizes.items():
+        for parity in (1, -1):
+            bases = numeric._isotypic(fw, action, table, space, parity)
+            with mock.patch.object(numeric, "_isotypic_bases", _projector_bases):
+                reference = numeric._isotypic(fw, action, table, space, parity)
+            _assert_same_projectors(bases, reference, size)
+            for parts in bases:
+                dense = _dense_rows(parts, size)
+                np.testing.assert_allclose(dense @ dense.conj().T, np.eye(len(dense)), rtol=0, atol=1e-12)
+            if parity > 0:
+                even[space] = bases, reference
+    (velocity, ref_velocity), (bar, ref_bar) = even["velocity"], even["edge"]
+    spectra, shapes = _block_spectra(fw, velocity, bar)
+    ref_spectra, ref_shapes = _block_spectra(fw, ref_velocity, ref_bar)
+    top = max((float(sv[0]) for sv in ref_spectra if sv.size), default=0.0)
+    for got, want in zip(spectra, ref_spectra, strict=True):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * top)
+    if same_components:
+        assert shapes == ref_shapes
+
+
+def _transfer_cases():
+    """(id, framework, group spec or None, whether the block components must
+    be the projector route's)."""
+    for name in GEOMETRIC:
+        entry = catalog.generate(name)
+        yield name, entry.framework, entry.group, False
+        yield f"{name}-detected", entry.framework, None, False
+    grids = [(34, 33, None), (21, 21, GroupSpec("Cn", 4)), (21, 21, GroupSpec("C1"))]
+    for cols, rows, spec in grids:
+        label = spec.family + str(spec.n) if spec else "detected"
+        yield f"grid-{cols}x{rows}-{label}", catalog._pinned_quad_grid(cols, rows), spec, True
+    # C4v: E's transfer columns split each orbit of four grid lines in two
+    # (see test_grid_takes_one_svd_per_grid_line).
+    yield "grid-21x21-C4v", catalog._pinned_quad_grid(21, 21), None, False
+    for seed in range(1, 11):
+        yield f"ring-cnv-{seed}", _ring_cnv(seed), None, False
+    for n in range(3, 9):
+        yield f"chiral-ring-C{n}", _chiral_ring(n), None, False
+    yield "web-C32v", _ring_web(32, 10), None, False
+    yield "web-C64v", _ring_web(64, 5), None, False
+
+
+class TestTransferBases:
+    @pytest.mark.parametrize("case", list(_transfer_cases()), ids=lambda c: c[0])
+    def test_match_projector_route(self, case):
+        _, fw, spec, same_components = case
+        _assert_bases_match_projector_route(fw, spec, same_components)
+
+    @pytest.mark.parametrize("order, count, s, m", [(32, 10, 289, 32), (64, 5, 257, 64)], ids=["C32v", "C64v"])
+    def test_higher_order_webs(self, order, count, s, m):
+        fw = _ring_web(order, count)
+        assert detect_groups(fw)[0][0].name == f"C{order}v"
+        rep = verify(fw)
+        assert rep.passed, [c.detail for c in rep.checks if not c.passed]
+        assert (rep.s, rep.m) == (s, m)
+
+    def test_traces_are_the_kept_counts(self):
+        # Each half keeps round(trace) vectors per piece, so the halves of a
+        # 2-D irrep hold the same number of vectors, and the even halves and
+        # the odd halves together hold the whole space.
+        fw = _ring_cnv(1)
+        group, center = detect_groups(fw)[0]
+        action = symmetry_action(fw, group, center)
+        table = character_table(group)
+        for space, size in (("velocity", 2 * fw.num_vertices), ("edge", fw.num_edges)):
+            halves = [numeric._isotypic(fw, action, table, space, parity) for parity in (1, -1)]
+            counts = [[sum(len(v) for _, v in parts) for parts in half] for half in halves]
+            for ir, even, odd in zip(table.irreps, *counts):
+                assert odd == (even if ir.dim == 2 else 0)
+            assert sum(ir.dim * even for ir, even in zip(table.irreps, counts[0])) == size
+
+
+# ---------------------------------------------------------------------------
 # Parity halves against the whole-block route: the block route before the
 # halves, which builds each irrep's whole isotypic component from the rows
 # (d_i/|G|) conj(chi_i(g)) and counts on the whole blocks E_i^H R V_i.
@@ -1110,19 +1294,16 @@ def _whole_isotypic(fw, action, table, space):
 
 def _undivided_isotypic(fw, action, table, space):
     """Per irrep, a basis of its whole isotypic component from its
-    projector's own coefficient rows."""
-    ops = action.ops
+    projector's own coefficient rows, through the orbit-by-orbit reference:
+    two columns per fibre coordinate do not span a whole 2-D component."""
     dims = np.array([ir.dim for ir in table.irreps], dtype=float)
-    chars = table.as_matrix()[:, [act.class_index for act in ops]]
+    chars = table.as_matrix()[:, action.classes]
     coeff = np.conj(chars) * (dims / action.group.order)[:, None]
     if not any(ir.is_complex for ir in table.irreps):
         coeff = coeff.real
     if space == "velocity":
-        vperms = np.array([act.vperm for act in ops]).reshape(len(ops), fw.num_vertices)
-        mats = np.array([act.op.matrix for act in ops])
-        return numeric._isotypic_bases(numeric._moving_perm(fw, vperms), mats, coeff)
-    eperms = np.array([act.eperm for act in ops]).reshape(len(ops), fw.num_edges)
-    return numeric._isotypic_bases(eperms, np.ones((len(ops), 1, 1)), coeff)
+        return _orbit_by_orbit_bases(numeric._moving_perm(fw, action.vperms), action.matrices, coeff)
+    return _orbit_by_orbit_bases(action.eperms, np.ones((len(action.matrices), 1, 1)), coeff)
 
 
 def _densify(rows, cols, at, values):
@@ -1335,15 +1516,14 @@ class TestBlockAssembly:
 
 
 # ---------------------------------------------------------------------------
-# Component split against the unsplit route: each orbit type's block
-# diagonalised whole, and each adapted block taken by one dense SVD.
+# Component split against the unsplit route: each orbit type's columns
+# orthonormalised together, and each adapted block taken by one dense SVD.
 # ---------------------------------------------------------------------------
 
 
-def _whole_eigh(projector, pattern):
-    """``numeric._piecewise_eigh`` without the pieces: one ``eigh`` per
-    orbit type's block."""
-    return np.linalg.eigh(projector)
+def _one_piece_per_type(tables, mats):
+    """``numeric._pieces`` without the pieces: each orbit type whole."""
+    return np.repeat(np.arange(len(tables)), tables.shape[-1] * mats.shape[-1])
 
 
 def _dense_singular_values(rows, cols, at, values):
@@ -1353,7 +1533,7 @@ def _dense_singular_values(rows, cols, at, values):
     return np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0)
 
 
-UNSPLIT = {"_piecewise_eigh": _whole_eigh, "_singular_values": _dense_singular_values}
+UNSPLIT = {"_pieces": _one_piece_per_type, "_singular_values": _dense_singular_values}
 # Every non-empty block is labelled, small ones included.
 ALWAYS_SPLIT = {"_SPLIT_MIN": 1}
 
@@ -1414,20 +1594,23 @@ class TestComponentSplit:
         _assert_split_matches_unsplit(fw, spec)
 
     @pytest.mark.parametrize(
-        "cols, rows, group, paths", [(34, 33, "C2v", 134), (21, 21, "C4v", 53)], ids=["C2v", "C4v"]
+        "cols, rows, group, paths", [(34, 33, "C2v", 134), (21, 21, "C4v", 63)], ids=["C2v", "C4v"]
     )
     def test_grid_takes_one_svd_per_grid_line(self, cols, rows, group, paths):
         # Horizontal bars move only x-velocities and vertical bars only
         # y-velocities, so each block splits into one path per orbit of grid
-        # lines that the irrep meets: 2 x 67 lines in all at 34x33 (C2v), and
-        # 53 at 21x21 (C4v), whose 42 lines fall into 11 orbits.  Merging
+        # lines that the irrep meets: 2 x 67 lines in all at 34x33 (C2v).  At
+        # 21x21 (C4v) the 42 lines fall into 11 orbits, 53 paths over the
+        # five irreps; each transfer column of E's sigma-even half moves one
+        # coordinate on one pair of parallel lines, so its block splits each
+        # of the 10 orbits of four lines into its two pairs: 63.  Merging
         # components takes fewer SVDs, splitting a path more.
         fw = catalog._pinned_quad_grid(cols, rows)
         spy, matrices = _count_svd_matrices()
         with spy as svd:
             rep, sigmas = _verify_with(fw, None, {})
         assert rep.group_name == group
-        assert len(sigmas) < matrices(svd) <= paths
+        assert len(sigmas) < matrices(svd) == paths
         _assert_split_matches_unsplit(fw, None, {})
 
     def test_turned_grid_stays_whole(self):
@@ -1488,21 +1671,22 @@ class TestComponentSplit:
         assert np.count_nonzero(sv == 0.0) == 3
 
     def test_pieces_follow_exact_zeros(self):
-        # A type whose pattern links its two halves only through an entry of
-        # 1e-300 is one piece; without it, two.
-        rng = np.random.default_rng(5)
-        a, b = rng.standard_normal((2, 3, 3))
-        matrix = np.zeros((6, 6))
-        matrix[:3, :3], matrix[3:, 3:] = a + a.T, b + b.T
-        for link, widths in ((1e-300, [6]), (0.0, [3])):
-            linked = matrix.copy()
-            linked[0, 5] = linked[5, 0] = link
+        # C2v on the four corners of a rectangle: every operation matrix is
+        # diagonal, so the x and the y coordinates are two pieces, each with
+        # a 1 x 1 Gram matrix.  An entry of 1e-300 in place of one exact
+        # zero links them into one piece, with a 2 x 2 Gram matrix.  Either
+        # way the bases span the dense projectors' images.
+        perms = np.array([[0, 1, 2, 3], [2, 3, 0, 1], [3, 2, 1, 0], [1, 0, 3, 2]])
+        mats = np.array([np.eye(2), -np.eye(2), np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])])
+        coeff = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 4
+        for link, shape in ((1e-300, (4, 1, 2, 2)), (0.0, (4, 2, 1, 1))):
+            linked = mats.copy()
+            linked[2, 0, 1] = link
             with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-                values, vectors = numeric._piecewise_eigh(linked[None, None], (linked != 0)[None])
-            assert [call.args[0].shape[-1] for call in eigh.call_args_list] == widths
-            np.testing.assert_allclose(
-                (vectors * values[..., None, :]) @ vectors.swapaxes(-1, -2), linked[None, None], atol=1e-12
-            )
+                bases = numeric._isotypic_bases(perms, linked, coeff, False)
+            assert [call.args[0].shape for call in eigh.call_args_list] == [shape]
+            _assert_same_projectors(bases, _projector_bases(perms, linked, coeff), 8)
+            assert sum(len(values) for parts in bases for _, values in parts) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -1584,12 +1768,13 @@ def _grid_blocks(fw, spec):
 
 def _blocks_with_zero_triples(fw, velocity, bar, blocks, d):
     """``numeric._adapted_blocks`` keeping the exact-zero triples, padding
-    included, as the blocks were yielded before those were dropped."""
+    included, as the blocks were yielded before those were dropped: irrep by
+    irrep, from per-joint tables of (x, y) pairs and one einsum."""
     n = int(np.count_nonzero(fw.velocity_blocks >= 0))
     first, second = np.where(blocks < 0, n, blocks).T
     for v_parts, e_parts in zip(velocity, bar):
-        cols, (joint, col, value) = numeric._entries(v_parts, 2)
-        rows, (bars, row, weight) = numeric._entries(e_parts, 1)
+        (cols,), (_, joint, col, value) = numeric._entries([v_parts], 2)
+        (rows,), (_, bars, row, weight) = numeric._entries([e_parts], 1)
         order = np.argsort(joint, kind="stable")
         joint, col, value = joint[order], col[order], value[order]
         count = np.bincount(joint, minlength=n)
@@ -1680,9 +1865,10 @@ class TestTriples:
         ids=["34x33-C2v", "21x21-C4v", "21x21-C4", "21x21-C1", "ring-cnv"],
     )
     def test_zero_triples_are_dropped(self, make, spec):
-        # The blocks come without exact-zero triples, and every block's
-        # singular values are bitwise those of the triples with the zeros,
-        # through the split and through the dense split.
+        # The blocks come without exact-zero triples; every other triple is
+        # bitwise the einsum's over the (x, y) pairs, in the same order; and
+        # every block's singular values are bitwise those of the triples with
+        # the zeros, through the split and through the dense split.
         fw = make()
         group, center = resolve_group(spec or GroupSpec("auto"), fw)
         action = symmetry_action(fw, group, center)
@@ -1694,6 +1880,9 @@ class TestTriples:
             numeric._adapted_blocks(fw, *bases, blocks, d), _blocks_with_zero_triples(fw, *bases, blocks, d)
         ):
             assert got[:2] == want[:2] and np.all(got[3] != 0)
+            kept = want[3] != 0
+            _assert_bitwise_equal(got[2], want[2][kept])
+            _assert_bitwise_equal(got[3], want[3][kept])
             dropped += want[3].size - got[3].size
             sv = numeric._singular_values(*got)
             _assert_bitwise_equal(sv, numeric._singular_values(*want))
@@ -1829,6 +2018,38 @@ def _unpinned_cases():
         yield f"wheel-C{n}v", _wheel(n)
 
 
+def _motion_cases():
+    """(id, framework, group spec or None): the catalog declared and
+    detected, the benchmark's web, chiral rings, pinned grids, and a Cs
+    declared about a centre on its mirror but off the centroid."""
+    for name in GEOMETRIC:
+        entry = catalog.generate(name)
+        yield name, entry.framework, entry.group
+        yield f"{name}-detected", entry.framework, None
+    for seed in range(1, 11):
+        yield f"ring-cnv-{seed}", _ring_cnv(seed), None
+    for n in range(3, 9):
+        yield f"chiral-ring-C{n}", _chiral_ring(n), None
+    for cols, rows in ((6, 5), (10, 9), (7, 7)):
+        yield f"grid-{cols}x{rows}", catalog._pinned_quad_grid(cols, rows), None
+    yield "fig3-off-centroid", catalog.generate("fig3").framework, GroupSpec("Cs", center=(0.0, 3.0), mirror_angle_deg=90.0)
+
+
+def _assert_motions_match_svd_route(fw, spec):
+    """``numeric._rigid_motions`` times each irrep's dimension is the rank of
+    the rigid-body motions in the irrep's whole isotypic component, the
+    classification by SVD both routes used to take."""
+    group, center = resolve_group(spec or GroupSpec("auto"), fw)
+    action = symmetry_action(fw, group, center)
+    table = character_table(group)
+    whole = _whole_isotypic(fw, action, table, "velocity")
+    T = trivial_motion_basis(fw)
+    want = [numeric._dim_in(T, parts) for parts in whole]
+    got = numeric._rigid_motions(fw, table)
+    assert [ir.dim * int(t) for ir, t in zip(table.irreps, got)] == want
+    assert sum(want) == len(T)
+
+
 class TestRigidMotionCounts:
     @pytest.mark.parametrize("case", list(_unpinned_cases()), ids=lambda c: c[0])
     def test_both_routes_count_the_rigid_motion_character(self, case):
@@ -1849,6 +2070,36 @@ class TestRigidMotionCounts:
     @pytest.mark.parametrize("family, n, want", [("Cnv", 16, "A2 + E1"), ("Cnv", 4, "A2 + E")])
     def test_rigid_motion_character(self, family, n, want):
         assert str(_rigid_motions(group_elements(family, n))) == want
+
+    @pytest.mark.parametrize("case", list(_motion_cases()), ids=lambda c: c[0])
+    def test_character_matches_svd_route(self, case):
+        _, fw, spec = case
+        _assert_motions_match_svd_route(fw, spec)
+
+
+def _character_table_builds(run, *args):
+    """How often ``run(*args)`` builds a character table, through any module."""
+    with ExitStack() as stack:
+        spies = [
+            stack.enter_context(mock.patch.object(module, "character_table", wraps=character_table))
+            for module in (counting, numeric)
+        ]
+        run(*args)
+    return sum(spy.call_count for spy in spies)
+
+
+class TestCharacterTableOnce:
+    @pytest.mark.parametrize(
+        "make", [lambda: catalog.generate("fig3").framework, lambda: _ring_cnv(1), lambda: catalog._pinned_quad_grid(10, 9)],
+        ids=["fig3", "ring-cnv", "grid"],
+    )
+    def test_one_build_per_call(self, make):
+        fw = make()
+        assert _character_table_builds(analyze, fw) == 1
+        assert _character_table_builds(verify, fw) == 1
+        # The full route classifies against the same table.
+        with mock.patch.object(numeric, "_block_counts", return_value=None):
+            assert _character_table_builds(verify, fw) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1940,6 +2191,11 @@ class TestGeneratedFrameworks:
     @given(_symmetric_frameworks())
     def test_orbit_type_key_matches_unique_rows(self, case):
         _assert_key_matches_unique_rows(*case)
+
+    @GENERATED
+    @given(_symmetric_frameworks())
+    def test_rigid_motions_match_svd_route(self, case):
+        _assert_motions_match_svd_route(*case)
 
     @GENERATED
     @given(_symmetric_frameworks())

@@ -504,11 +504,31 @@ def _count_calls(name, fn, *args):
     return spy.call_count
 
 
+def _assert_stacks_hold_the_ops(action):
+    """Row g of each stack is operation g of ``action.ops``, the permutations
+    as views of the rows, and no stack can be written."""
+    ops = action.ops
+    assert action.vperms.shape[0] == action.eperms.shape[0] == len(ops)
+    for g, act in enumerate(ops):
+        assert np.shares_memory(act.vperm, action.vperms[g]) and np.array_equal(act.vperm, action.vperms[g])
+        assert np.shares_memory(act.eperm, action.eperms[g]) and np.array_equal(act.eperm, action.eperms[g])
+        assert np.array_equal(action.matrices[g], act.op.matrix)
+        assert action.classes[g] == act.class_index
+    assert action.classes.tolist() == [i for i, cls in enumerate(action.group.classes) for _ in cls.operations]
+    for stack in (action.vperms, action.eperms, action.matrices, action.classes):
+        assert not stack.flags.writeable
+
+
 class TestResolveAction:
     @pytest.mark.parametrize("case", list(_action_cases()), ids=lambda c: c[0])
     def test_same_as_resolving_then_acting(self, case):
         _, fw, spec = case
         _assert_same_action(fw, spec)
+
+    @pytest.mark.parametrize("case", list(_action_cases()), ids=lambda c: c[0])
+    def test_stacks_hold_the_ops(self, case):
+        _, fw, spec = case
+        _assert_stacks_hold_the_ops(resolve_action(spec, fw))
 
     @GENERATED
     @given(_symmetric_frameworks())
@@ -545,19 +565,17 @@ class TestResolveAction:
         assert _count_calls("group_elements", resolve_group, GroupSpec("auto"), fw) == 1
 
 
-def _seeded(fw, group, center, r_power, mirror_index, cached):
+def _seeded(fw, group, center, r_power, mirror_index):
     """A ``_Generated`` for ``group`` seeded with the pairs of r^r_power and
     of the group's mirror ``mirror_index`` in canonical order (0 is the
-    reference mirror), taken from ``symmetry_action``, with the rotation
-    powers up to ``cached`` composed from that seed."""
+    reference mirror), taken from ``symmetry_action``."""
     ops = symmetry_action(fw, group, center).ops
     n = group.n
     rotation = next(a for a in ops if a.op.kind == "rotation" and round(a.op.angle * n / (2 * math.pi)) == r_power)
     mirror = [a for a in ops if a.op.kind == "mirror"][mirror_index]
     gen = symmetry._Generated(fw, center, SYM_TOL)
-    gen.rotations.append((rotation.vperm, rotation.eperm))
+    gen.r = (rotation.vperm, rotation.eperm)
     gen.mirror = (mirror.vperm, mirror.eperm)
-    gen.rotation(cached)
     return gen
 
 
@@ -577,23 +595,22 @@ class TestSeeds:
     def test_right_seeds_are_used(self, monkeypatch):
         fw = _ring_cnv(1)
         group, center = resolve_group(GroupSpec("auto"), fw)
-        action, calls = self._act(_seeded(fw, group, center, 1, 0, 5), group, monkeypatch)
+        action, calls = self._act(_seeded(fw, group, center, 1, 0), group, monkeypatch)
         assert calls == []
         self._assert_same(action, fw, group, center)
 
     def test_wrong_seeds_are_matched_again(self, monkeypatch):
         fw = _ring_cnv(1)
         group, center = resolve_group(GroupSpec("auto"), fw)
-        # r seeded with r^3, s with another mirror, and r^2 .. r^5 cached
-        # from the wrong r: each generator is matched once, every other
-        # operation composed from the matched ones.
-        action, calls = self._act(_seeded(fw, group, center, 3, 1, 5), group, monkeypatch)
+        # r seeded with r^3 and s with another mirror: each generator is
+        # matched once, every other operation composed from the matched ones.
+        action, calls = self._act(_seeded(fw, group, center, 3, 1), group, monkeypatch)
         assert calls == ["rotation", "mirror"]
         self._assert_same(action, fw, group, center)
 
     @pytest.mark.parametrize("spacing", [0.5, 6.0])
     def test_crowded_seeds_are_never_accepted(self, spacing, monkeypatch):
         fw, group, center = _crowded_square(spacing), group_elements("Cnv", 4), np.zeros(2)
-        action, calls = self._act(_seeded(fw, group, center, 1, 0, 3), group, monkeypatch)
+        action, calls = self._act(_seeded(fw, group, center, 1, 0), group, monkeypatch)
         assert len(calls) == 8
         self._assert_same(action, fw, group, center)
