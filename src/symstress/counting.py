@@ -25,7 +25,6 @@ from .errors import (
 )
 from .framework import Framework, maxwell_count
 from .reptheory import (
-    CharacterTable,
     IrrepDecomposition,
     character_table,
     decomposition_from_counts,
@@ -69,12 +68,8 @@ def closed_form(cen: SymmetryCensus) -> IrrepDecomposition:
     combinations outside the tables, e.g. a centre joint together with a
     centred bar) raises UnsupportedGroup.
     """
-    return _closed_form(cen, character_table(cen.group))
-
-
-def _closed_form(cen: SymmetryCensus, table: CharacterTable) -> IrrepDecomposition:
-    """``closed_form`` with the census group's character table given."""
     group = cen.group
+    table = character_table(group)
     k = cen.freedom_number
     n = group.n
     fam = group.family
@@ -206,16 +201,10 @@ def cross_check(
 
     Returns ``(reduction, closed)`` with ``closed`` None when unsupported.
     """
-    return _cross_check(cen, character_table(cen.group))
-
-
-def _cross_check(
-    cen: SymmetryCensus, table: CharacterTable
-) -> tuple[IrrepDecomposition, IrrepDecomposition | None]:
-    """``cross_check`` with the census group's character table given."""
+    table = character_table(cen.group)
     reduced = reduce(reducible_character(cen), table)
     try:
-        closed = _closed_form(cen, table)
+        closed = closed_form(cen)
     except UnsupportedGroup:
         return reduced, None
     if closed.to_dict() != reduced.to_dict():
@@ -394,21 +383,11 @@ def analyze_census(
     center: tuple[float, float] | None = None,
 ) -> AnalysisReport:
     """Build an analysis report from a census alone (no coordinates needed)."""
-    return _census_report(cen, character_table(cen.group), detected, num_pinned, center)
-
-
-def _census_report(
-    cen: SymmetryCensus,
-    table: CharacterTable,
-    detected: bool,
-    num_pinned: int | None,
-    center: tuple[float, float] | None,
-) -> AnalysisReport:
-    """``analyze_census`` with the census group's character table given."""
     group = cen.group
+    table = character_table(group)
     ch = reducible_character(cen)
     notices: list[str] = []
-    reduced, closed = _cross_check(cen, table)
+    reduced, closed = cross_check(cen)
     if closed is None:
         notices.append(
             f"no closed-form case table for {group.name} with this census; "
@@ -474,24 +453,21 @@ def _check_tolerance(name: str, value: float) -> float:
 
 def _analysis(
     fw: Framework, group: GroupSpec | None, tol: float
-) -> tuple[AnalysisReport, SymmetryAction, CharacterTable]:
+) -> tuple[AnalysisReport, SymmetryAction]:
     """The front end ``analyze`` and ``verify`` share: resolve the group,
-    compute its action on ``fw`` and its character table once, and report
-    the census's counts.  ValueError for a ``tol`` that is not a finite
-    number >= 0."""
+    compute its action on ``fw`` once, and report the census's counts.
+    ValueError for a ``tol`` that is not a finite number >= 0."""
     _check_tolerance("tol", tol)
     maxwell_count(fw)
     spec = group if group is not None else GroupSpec("auto")
     action = resolve_action(spec, fw, tol)
-    table = character_table(action.group)
-    report = _census_report(
+    report = analyze_census(
         census(fw, action.group, action=action),
-        table,
         detected=spec.is_auto,
         num_pinned=len(fw.pinned),
         center=(float(action.center[0]), float(action.center[1])),
     )
-    return report, action, table
+    return report, action
 
 
 def analyze(
@@ -511,7 +487,7 @@ def analyze(
     """
     from .framework import check_planarity  # local import, cheap call site
 
-    report, _, _ = _analysis(fw, group, tol)
+    report, _ = _analysis(fw, group, tol)
     if planarity:
         report = replace(report, planarity_violations=len(check_planarity(fw)))
     return report

@@ -38,9 +38,9 @@ Conventions
   the two actions, which is checked explicitly as part of verification.
 * ``verify`` shares ``analyze``'s front end, which computes the group's
   :class:`~symstress.symmetry.SymmetryAction` (every operation's joint and
-  bar permutation, stacked) and its character table once; ``verify`` hands
-  the same action and table to the intertwining check and the adapted
-  bases.  Called alone, each of those builds its own action.  The
+  bar permutation, stacked) once for the census; ``verify`` hands the same
+  action to the intertwining check and the adapted bases.  Called alone,
+  each of those builds its own action.  The
   intertwining check works on the bar list and every operation at once, so
   it costs O(|G| * e) in one pass.
 * The irrep projectors sum to the identity on any representation exactly
@@ -56,10 +56,13 @@ Conventions
   operators of Fassler & Stiefel 1992): at most 2f columns, each scattered
   from its |G| entries.  On each piece (below) P_i's trace there, an exact
   integer, says how many vectors to keep, and a Gram ``eigh`` of at most
-  2f x 2f orthonormalises them.  Tables with complex irreps (Cn, n >= 3)
-  give complex columns.  The types of one orbit size are the distinct
-  stabilisers of the orbits' first members, found by a 1-D ``np.unique``
-  of one byte key per orbit.
+  2f x 2f orthonormalises them; one fixed orthogonal mix then spreads each
+  kept vector over the piece's whole image, so the adapted blocks split
+  where the projector's eigenvectors split them.  The projector check
+  comes first: a table that fails it builds no bases.  Tables with complex
+  irreps (Cn, n >= 3) give complex columns.  The types of one orbit size
+  are the distinct stabilisers of the orbits' first members, found by a
+  1-D ``np.unique`` of one byte key per orbit.
 * Both the type's columns and the adapted blocks are split exactly into
   connected components: a type's coordinates into the pieces of its union
   pattern sum_g |rho(g)| != 0, whose columns are orthonormalised together,
@@ -403,9 +406,10 @@ def _isotypic_bases(perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray, part
     operation g (row g of ``perms``, shape (|G|, n)) sends coordinate (j, c)
     to sum_a mats[g, a, c] (perms[g, j], a).  Row i of ``coeff`` holds one
     coefficient per operation, such that P_i = sum_g coeff[i, g] rho(g) is an
-    orthogonal projector that commutes with the action: an irrep's projector,
-    (d_i/|G|) conj(chi_i(g)), or one half of it (see ``_isotypic``).  It
-    maps each orbit's coordinates to themselves.
+    orthogonal projector that maps each orbit's coordinates to themselves: a
+    1-D irrep's projector, (d_i/|G|) conj(chi_i(g)), or a sigma-parity half
+    of a 2-D irrep's (see ``_isotypic``).  A whole 2-D irrep's projector is
+    not one of these: its columns below do not span its image.
     Members are labelled from the group action, so orbits with conjugate
     stabilisers share one local table (operation, member) -> image member;
     the vectors built for one orbit of a type serve every orbit of it.
@@ -434,7 +438,14 @@ def _isotypic_bases(perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray, part
     most 2f x 2f), as C u / sqrt(lambda): orthonormal, and with exact zeros
     outside the piece, so the blocks of ``_adapted_blocks`` inherit them.
     No eigenvalue is compared with a threshold.  Gram matrices of one width
-    share one batched ``eigh``.
+    share one batched ``eigh``.  The kept vectors are then mixed by
+    ``_spreads``, so each spreads over the piece's whole image, as the
+    eigenvectors of the piece's projector do: columns with disjoint
+    supports (on the C4v grid, E's columns each lie on one pair of parallel
+    grid lines) would otherwise give vectors that split the adapted blocks
+    finer than the image does.  Raises DegenerateSpan when a trace asks for
+    more vectors than the piece has columns, or the columns span fewer
+    dimensions than the trace: ``coeff`` was not a projector of this kind.
 
     Returns, per row of ``coeff``, one (coords, values) pair per orbit size:
     row r of both is one basis vector, values[r] at global coordinates
@@ -517,17 +528,38 @@ def _transfer_vectors(
     owner = piece[(np.arange(types)[:, None] * k + source) * f + fibres].ravel()
     by_piece = np.argsort(owner, kind="stable")
     sizes = np.bincount(owner, minlength=rank.shape[1])
-    found = []
+    none = np.zeros(0, dtype=np.intp)
+    found = [(none, none, np.zeros((0, width), dtype=columns.dtype))]
     for q in np.unique(sizes):
         mine = np.flatnonzero(sizes == q)
         flat = by_piece[(np.cumsum(sizes) - sizes)[mine][:, None] + np.arange(q)]
         kinds, col = flat[:, 0] // cols, flat % cols
         values, vectors = np.linalg.eigh(gram[:, kinds[:, None, None], col[:, :, None], col[:, None, :]])
-        i, p, j = np.nonzero(np.arange(q) >= q - rank[:, mine, None])
+        keep = rank[:, mine].astype(np.intp)
+        bad = (keep < 0) | (keep > q)
+        if bad.any():
+            raise DegenerateSpan(f"a projector's trace asks for {keep[bad][0]} vectors from {q} columns")
+        kept_pair = np.arange(q) >= q - keep[..., None]
+        if (values[kept_pair] <= 0).any():
+            raise DegenerateSpan("a projector's columns span fewer dimensions than its trace")
+        scale = np.zeros(values.shape)
+        scale[kept_pair] = 1 / np.sqrt(values[kept_pair])
+        mix = (vectors * scale[..., None, :]) @ _spreads(q)[keep]
+        i, p, j = np.nonzero(kept_pair)
         chosen = columns[i[:, None], kinds[p][:, None], col[p]]
-        kept = np.einsum("nc,ncx->nx", vectors[i, p, :, j], chosen) / np.sqrt(values[i, p, j])[:, None]
-        found.append((i, kinds[p], kept))
+        found.append((i, kinds[p], np.einsum("nc,ncx->nx", mix[i, p, :, j], chosen)))
     return tuple(np.concatenate(parts) for parts in zip(*found))  # type: ignore[return-value]
+
+
+def _spreads(q: int) -> np.ndarray:
+    """Per r = 0 .. q, a fixed real orthogonal q x q matrix that keeps the
+    first q - r coordinates and mixes the last r by the reflection
+    I - 2 v v^T / (v^T v), v = (1, 2, .., r), which has no zero entry for
+    r >= 2: orthonormal vectors times it span the same space, and each is a
+    combination of all of them."""
+    v = np.maximum(np.arange(q) - q + 1 + np.arange(q + 1)[:, None], 0.0)
+    norms = np.maximum(np.einsum("ra,ra->r", v, v), 1.0)
+    return np.eye(q) - 2 * v[:, :, None] * v[:, None, :] / norms[:, None, None]
 
 
 def _isotypic(
@@ -819,7 +851,7 @@ def _block_counts(
 
 
 def _full_counts(
-    fw: Framework, table: CharacterTable, velocity: list[_Parts], bar: list[_Parts], rel_tol: float
+    fw: Framework, table: CharacterTable, velocity: list[_Parts] | None, bar: list[_Parts] | None, rel_tol: float
 ) -> _Counts:
     """Counts from one SVD of the whole rigidity matrix, with its left kernel
     (the self-stresses) and its kernel classified by irrep in the whole
@@ -829,18 +861,22 @@ def _full_counts(
     motions), and m_i = k_i - t_i with k_i the kernel's irrep dimension and
     t_i the motions' (``_rigid_motions``), the block route's rule.  Valid
     whether or not R intertwines the action; ``verify`` uses it when
-    intertwining fails."""
+    intertwining fails, and without bases (None) when the character table's
+    projectors do not resolve the identity, which leaves the per-irrep
+    counts out."""
     rank, stresses, kernel = _svd_spaces(rigidity_matrix_pinned(fw), rel_tol)
     s_by: dict[str, int] | None = None
     m_by: dict[str, int] | None = None
-    error = ""
-    try:
-        s_by = _classify(stresses, table, bar)
-        k_by = _classify(kernel, table, velocity)
-        t_by = zip(table.irreps, _rigid_motions(fw, table))
-        m_by = {ir.label: k_by[ir.label] - ir.dim * int(t) for ir, t in t_by}
-    except ClassMismatch as exc:
-        error = str(exc)
+    error = "the irrep projectors do not resolve the identity"
+    if velocity is not None and bar is not None:
+        error = ""
+        try:
+            s_by = _classify(stresses, table, bar)
+            k_by = _classify(kernel, table, velocity)
+            t_by = zip(table.irreps, _rigid_motions(fw, table))
+            m_by = {ir.label: k_by[ir.label] - ir.dim * int(t) for ir, t in t_by}
+        except ClassMismatch as exc:
+            error = str(exc)
     motions = trivial_motion_basis(fw).shape[0]
     return _Counts(rank, stresses.shape[0], kernel.shape[0] - motions, s_by, m_by, error)
 
@@ -968,7 +1004,9 @@ def verify(
     (see ``_block_counts``) when it passes the intertwining check, and from
     one SVD of the whole matrix with projection-classified bases otherwise,
     or when the residual is large enough to move a block singular value
-    across the rank cutoff.
+    across the rank cutoff.  When the projector check fails no isotypic
+    basis is built: the counts come from the whole matrix, and the
+    per-irrep checks fail.
 
     Raises NotSymmetric / ClassMismatch when the framework fails the census
     under the requested group, and ValueError for a single unpinned joint
@@ -976,20 +1014,30 @@ def verify(
     number >= 0.
     """
     _check_tolerance("rel_tol", rel_tol)
-    analysis, action, table = _analysis(fw, group, tol)
+    analysis, action = _analysis(fw, group, tol)
     pg, k, gamma = action.group, analysis.k, analysis.decomposition
-    velocity, bar = (_isotypic(fw, action, table, space) for space in ("velocity", "edge"))
+    table = character_table(pg)
+    # sum_i d_i conj(chi_i(g)) / |G| - delta_{g,E} per class; E is class 0.
+    dims = np.array([ir.dim for ir in table.irreps], dtype=float)
+    weights = dims @ np.conj(table.as_matrix()) / pg.order
+    weights[0] -= 1.0
+    res_p = float(np.max(np.abs(weights)))
     rows = rigidity_rows(fw, fw.velocity_blocks)
 
     checks: list[CheckResult] = []
 
     res = intertwining_residual(fw, pg, action=action)
     thr = RESIDUAL_TOL * _max_entry(*rows)
-    counts = _block_counts(fw, table, velocity, bar, rows, rel_tol, res) if res <= thr else None
-    if counts is None:
-        velocity = _whole(fw, action, table, "velocity", velocity)
-        bar = _whole(fw, action, table, "edge", bar)
-        counts = _full_counts(fw, table, velocity, bar, rel_tol)
+    if res_p > RESIDUAL_TOL:
+        # No isotypic bases: they are built from the projectors' traces and columns.
+        counts = _full_counts(fw, table, None, None, rel_tol)
+    else:
+        velocity, bar = (_isotypic(fw, action, table, space) for space in ("velocity", "edge"))
+        counts = _block_counts(fw, table, velocity, bar, rows, rel_tol, res) if res <= thr else None
+        if counts is None:
+            velocity = _whole(fw, action, table, "velocity", velocity)
+            bar = _whole(fw, action, table, "edge", bar)
+            counts = _full_counts(fw, table, velocity, bar, rel_tol)
     s_count, m_count = counts.s, counts.m
     s_by, m_by = counts.s_by_irrep, counts.m_by_irrep
     checks.append(
@@ -1002,11 +1050,6 @@ def verify(
         )
     )
 
-    # sum_i d_i conj(chi_i(g)) / |G| - delta_{g,E} per class; E is class 0.
-    dims = np.array([ir.dim for ir in table.irreps], dtype=float)
-    weights = dims @ np.conj(table.as_matrix()) / pg.order
-    weights[0] -= 1.0
-    res_p = float(np.max(np.abs(weights)))
     checks.append(
         CheckResult(
             "projector_resolution",

@@ -521,8 +521,9 @@ def _act(group: PointGroup, gen: _Generated, bars: _BarLookup) -> SymmetryAction
     generators ``gen`` may already hold.
 
     In canonical order the identity and r come first, then the other
-    rotations, then s and the other mirrors.  r and s are each taken from
-    the seed when it passes the check and matched directly otherwise.
+    rotations, then s and the other mirrors.  The identity is checked
+    first; r and s are each taken from the seed when it passes the check
+    and matched directly otherwise.
     Every rotation power is composed from r, and every mirror r^k s from r
     and s, as arrays, and each of the two stacks is checked in one
     ``gen.accepted`` pass; an operation it rejects is matched directly, in
@@ -538,6 +539,10 @@ def _act(group: PointGroup, gen: _Generated, bars: _BarLookup) -> SymmetryAction
         # then the mirrors r^k s (s first).
         turns = [round(op.angle * n / (2 * math.pi)) % n for op in ops[:n]]
         if n > 1:
+            # The identity is checked before r is matched, so a framework it
+            # fails raises at the identity, as direct matching does.
+            if not gen.accepted(mats[:1], np.arange(gen.fw.num_vertices)[None])[0]:
+                gen.matched(ops[0], None, bars)
             gen.r = gen.matched(ops[1], gen.r, bars)
         rotations = gen.powers(n)
         vperms, eperms = gen.checked(ops[:n], mats[:n], (rotations[0][turns], rotations[1][turns]), bars)

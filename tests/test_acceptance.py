@@ -429,14 +429,14 @@ def test_criterion_9_cli_contract(tmp_path, monkeypatch):
 
     # Exit 4: internal cross-check failure, forced in-process by skewing the
     # closed form against the reduction.
-    original = counting._closed_form
+    original = counting.closed_form
 
-    def skewed(cen, table):
-        dec = original(cen, table)
+    def skewed(cen):
+        dec = original(cen)
         return dataclasses.replace(
             dec,
             terms=tuple((lab, dim, coeff + 1) for lab, dim, coeff in dec.terms),
         )
 
-    monkeypatch.setattr(counting, "_closed_form", skewed)
+    monkeypatch.setattr(counting, "closed_form", skewed)
     assert cli_main(["analyze", str(path)]) == 4

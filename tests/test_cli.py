@@ -220,16 +220,16 @@ class TestExitCodes:
 
     def test_cross_check_failure(self, entry_file, monkeypatch):
         # Force the closed form to disagree with the reduction in-process.
-        original = counting._closed_form
+        original = counting.closed_form
 
-        def skewed(cen, table):
-            dec = original(cen, table)
+        def skewed(cen):
+            dec = original(cen)
             return dataclasses.replace(
                 dec,
                 terms=tuple((lab, dim, coeff + 1) for lab, dim, coeff in dec.terms),
             )
 
-        monkeypatch.setattr(counting, "_closed_form", skewed)
+        monkeypatch.setattr(counting, "closed_form", skewed)
         path = entry_file("fig3")
         assert main(["analyze", str(path)]) == 4
 
@@ -331,9 +331,9 @@ class TestExitCodes:
         assert "verification PASSED" in res.stdout
 
     def test_corrupted_character_table_fails_verification(self, entry_file, monkeypatch, capsys):
-        original = counting.character_table
+        original = numeric.character_table
         monkeypatch.setattr(
-            counting, "character_table", lambda g: corrupt_identity_character(original(g))
+            numeric, "character_table", lambda g: corrupt_identity_character(original(g))
         )
         assert main(["verify", str(entry_file("fig3"))]) == 5
         assert "check projector_resolution: FAIL" in capsys.readouterr().out

@@ -614,3 +614,16 @@ class TestSeeds:
         action, calls = self._act(_seeded(fw, group, center, 1, 0), group, monkeypatch)
         assert len(calls) == 8
         self._assert_same(action, fw, group, center)
+
+    def test_identity_raises_first_at_zero_tolerance(self):
+        # At tol = 0 the identity's image (p - c) + c of joint 1 misses p by
+        # one rounding, and r's image of joint 3 misses too.  The identity
+        # comes first in canonical order, so it is the operation named.
+        c, p = np.array([0.7, -0.9]), np.array([[1.4, -1.9], [2.2, 0.2]])
+        fw = Framework([tuple(x) for x in np.vstack([p, 2 * c - p])], [(0, 1), (2, 3), (0, 2)])
+        group = group_elements("Cn", 2)
+        message = r"joint 1 has no image match under identity \(nearest joint is 5\.55e-17 away, tolerance 0\)"
+        with pytest.raises(NotSymmetric, match=message):
+            vertex_permutation(fw, group.operations()[0], c, tol=0.0)
+        with pytest.raises(NotSymmetric, match=message):
+            symmetry_action(fw, group, c, tol=0.0)
