@@ -60,12 +60,20 @@ class Framework:
     pinned    : indices of pinned (grounded) joints.
     ends      : the bars as a read-only int64 (e, 2) array, derived from
                 ``edges`` once so array code never converts the tuple.
+    x, y      : the joints' coordinates as read-only contiguous columns,
+                so array code reads one coordinate without striding.
+    pinned_mask : read-only boolean array over the joints, True at pinned
+                ones.
+    The derived arrays are built once, at construction.
     """
 
     positions: np.ndarray
     edges: tuple[tuple[int, int], ...]
     pinned: frozenset[int] = frozenset()
     ends: np.ndarray = field(init=False, compare=False)
+    x: np.ndarray = field(init=False, compare=False)
+    y: np.ndarray = field(init=False, compare=False)
+    pinned_mask: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         pos = np.array(self.positions, dtype=float, copy=True)
@@ -77,6 +85,10 @@ class Framework:
             raise ValueError("positions must be finite")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
+        for name, column in (("x", pos[:, 0]), ("y", pos[:, 1])):
+            column = np.ascontiguousarray(column)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
         v = pos.shape[0]
         edges = tuple((int(i), int(j)) for i, j in self.edges)
@@ -101,6 +113,10 @@ class Framework:
             if not 0 <= i < v:
                 raise DimensionMismatch(f"pinned vertex {i} out of range for v={v}")
         object.__setattr__(self, "pinned", pins)
+        mask = np.zeros(v, dtype=bool)
+        mask[list(pins)] = True
+        mask.setflags(write=False)
+        object.__setattr__(self, "pinned_mask", mask)
 
     @property
     def num_vertices(self) -> int:
@@ -113,13 +129,6 @@ class Framework:
     @property
     def is_pinned(self) -> bool:
         return len(self.pinned) > 0
-
-    @property
-    def pinned_mask(self) -> np.ndarray:
-        """Boolean array over the joints, True at pinned ones."""
-        mask = np.zeros(self.num_vertices, dtype=bool)
-        mask[list(self.pinned)] = True
-        return mask
 
     @property
     def velocity_blocks(self) -> np.ndarray:
@@ -215,8 +224,8 @@ def bbox_diagonal(positions: np.ndarray) -> float:
     pos = np.asarray(positions, dtype=float)
     if pos.size == 0:
         return 0.0
-    span = pos.max(axis=0) - pos.min(axis=0)
-    return float(np.hypot(span[0], span[1]))
+    x, y = pos[:, 0], pos[:, 1]
+    return float(np.hypot(x.max() - x.min(), y.max() - y.min()))
 
 
 def require_distinct_joints(positions: np.ndarray) -> None:
@@ -290,12 +299,12 @@ def _range_pairs(starts: np.ndarray, counts: np.ndarray, block: int = 16_384):
         k = stop
 
 
-def _strip_candidates(lo: np.ndarray, hi: np.ndarray, points: np.ndarray):
-    """Candidate pairs for boxes ``lo[k] .. hi[k]`` (closed, one row per
-    box) and ``points``, as two generators of index-array pairs: (box,
-    point) pairs and (box, box) pairs, about 16 384 at a time
-    (``_range_pairs``).  Every pair that overlaps in x and y comes out
-    exactly once, and every pair that comes out overlaps in x.
+def _strip_candidates(lo, hi, points):
+    """Candidate pairs for boxes ``lo[k] .. hi[k]`` (closed) and ``points``,
+    each given as its pair of x and y columns, as two generators of
+    index-array pairs: (box, point) pairs and (box, box) pairs, about
+    16 384 at a time (``_range_pairs``).  Every pair that overlaps in x and
+    y comes out exactly once, and every pair that comes out overlaps in x.
 
     The y-range is cut into ns strips.  A box is entered in each strip its
     y-range touches and starts in the strip of its lowest y; a point lies
@@ -306,10 +315,11 @@ def _strip_candidates(lo: np.ndarray, hi: np.ndarray, points: np.ndarray):
     that overlap in y, the strip where the higher-starting one starts is
     touched by the other, since strips grow with y, and a pair meets in no
     other strip.  ns = 1 is a plain x-sweep."""
-    e = len(lo)
-    y0 = float(lo[:, 1].min())
-    span = float(hi[:, 1].max()) - y0
-    total = float((hi[:, 1] - lo[:, 1]).sum())
+    (lox, loy), (hix, hiy), (px, py) = lo, hi, points
+    e = len(lox)
+    y0 = float(loy.min())
+    span = float(hiy.max()) - y0
+    total = float((hiy - loy).sum())
     ratio = e * span / total if total > 0 else 0.0
     ns = min(math.isqrt(e) + 1, max(1, int(ratio))) if math.isfinite(ratio) else 1
 
@@ -320,10 +330,10 @@ def _strip_candidates(lo: np.ndarray, hi: np.ndarray, points: np.ndarray):
 
     # Each box's rank in x, the rank past the last box starting at or
     # before its highest x, and its first strip and strip count.
-    order = np.argsort(lo[:, 0], kind="stable")
-    reach = np.searchsorted(lo[order, 0], hi[order, 0], "right")
-    first = strip(lo[order, 1])
-    count = strip(hi[order, 1]) - first + 1
+    order = np.argsort(lox, kind="stable")
+    reach = np.searchsorted(lox[order], hix[order], "right")
+    first = strip(loy[order])
+    count = strip(hiy[order]) - first + 1
     # One entry per (strip, box), keyed strip * e + rank: distinct integers.
     rank = np.repeat(np.arange(e), count)
     s = first[rank] + np.arange(rank.size) - np.repeat(np.cumsum(count) - count, count)
@@ -339,12 +349,12 @@ def _strip_candidates(lo: np.ndarray, hi: np.ndarray, points: np.ndarray):
     members = np.concatenate([bars, bars[starter]])
 
     # Points keyed strip * v + rank in x, searched over each entry's x-range.
-    v = len(points)
-    porder = np.argsort(points[:, 0], kind="stable")
-    px = points[porder, 0]
-    pkey = np.sort(strip(points[porder, 1]) * v + np.arange(v))
-    left = np.searchsorted(pkey, s * v + np.searchsorted(px, lo[bars, 0], "left"), "left")
-    right = np.searchsorted(pkey, s * v + np.searchsorted(px, hi[bars, 0], "right"), "left")
+    v = len(px)
+    porder = np.argsort(px, kind="stable")
+    sx = px[porder]
+    pkey = np.sort(strip(py[porder]) * v + np.arange(v))
+    left = np.searchsorted(pkey, s * v + np.searchsorted(sx, lox[bars], "left"), "left")
+    right = np.searchsorted(pkey, s * v + np.searchsorted(sx, hix[bars], "right"), "left")
 
     joint_bar = ((bars[k], porder[pkey[m] % v]) for k, m in _range_pairs(left, right - left))
     bar_bar = ((bars[k], members[m]) for k, m in _range_pairs(begin, end - begin))
@@ -382,52 +392,57 @@ def check_planarity(
     e(e - 1)/2 pairs of an all-pairs scan.  At tol below rounding level
     (tol = 0) that scan also reports rounding-noise crossings of collinear
     bars with disjoint boxes; these are not candidates here.
+
+    Boxes and predicates read the framework's x and y columns, one 1-D
+    array per coordinate; each predicate is the scan's float formula,
+    term by term.
     """
-    p = fw.positions
     e = fw.num_edges
     if e == 0:
         return []
-    scale = bbox_diagonal(p)
+    scale = bbox_diagonal(fw.positions)
     tol_abs = tol * (scale if scale > 0 else 1.0)
 
+    x, y = fw.x, fw.y
     a, b = fw.ends.T
-    pa, pb = p[a], p[b]
-    d = pb - pa
-    lengths = np.hypot(d[:, 0], d[:, 1])
+    ax, ay, bx, by = x[a], y[a], x[b], y[b]
+    dx, dy = bx - ax, by - ay
+    lengths = np.hypot(dx, dy)
     lengths = np.where(lengths == 0.0, 1.0, lengths)
     # A few roundings beyond tol_abs: a computed foot point can lie past a
     # bar's end, and a joint's offset from it can round down to tol_abs.
-    pad = tol_abs + 4 * np.finfo(float).eps * (tol_abs + np.abs(p).max())
-    lo, hi = np.minimum(pa, pb) - pad, np.maximum(pa, pb) + pad
+    pad = tol_abs + 4 * np.finfo(float).eps * (tol_abs + np.abs(fw.positions).max())
+    lox, hix = np.minimum(ax, bx) - pad, np.maximum(ax, bx) + pad
+    loy, hiy = np.minimum(ay, by) - pad, np.maximum(ay, by) + pad
     hits: dict[str, list[np.ndarray]] = {"vertex_on_edge": [], "crossing": []}
-    joint_bar, bar_bar = _strip_candidates(lo, hi, p)
+    joint_bar, bar_bar = _strip_candidates((lox, loy), (hix, hiy), (x, y))
 
     # Joint in the interior of a foreign bar: distance to the segment below
     # tol_abs with the projection parameter strictly inside (0, 1) and the
     # joint not within tolerance of either endpoint.
     for ei, vi in joint_bar:
-        keep = (lo[ei, 1] <= p[vi, 1]) & (p[vi, 1] <= hi[ei, 1]) & (vi != a[ei]) & (vi != b[ei])
+        keep = (loy[ei] <= y[vi]) & (y[vi] <= hiy[ei]) & (vi != a[ei]) & (vi != b[ei])
         vi, ei = vi[keep], ei[keep]
-        t = ((p[vi] - pa[ei]) * d[ei]).sum(axis=1) / (lengths[ei] ** 2)
-        foot = pa[ei] + t[:, None] * d[ei]
-        dist = np.hypot(*(p[vi] - foot).T)
-        de1 = np.hypot(*(p[vi] - pa[ei]).T)
-        de2 = np.hypot(*(p[vi] - pb[ei]).T)
+        px, py, qx, qy, ex, ey = x[vi], y[vi], ax[ei], ay[ei], dx[ei], dy[ei]
+        rx, ry = px - qx, py - qy
+        t = (rx * ex + ry * ey) / (lengths[ei] ** 2)
+        dist = np.hypot(px - (qx + t * ex), py - (qy + t * ey))
+        de1, de2 = np.hypot(rx, ry), np.hypot(px - bx[ei], py - by[ei])
         hit = (dist <= tol_abs) & (t > 0.0) & (t < 1.0) & (de1 > tol_abs) & (de2 > tol_abs)
         hits["vertex_on_edge"].append(np.stack([vi[hit], ei[hit]]))
 
-    # Proper crossings of bars that share no joint.
-    def sdist(pt: np.ndarray, origin: np.ndarray, dvec: np.ndarray, ln: np.ndarray) -> np.ndarray:
-        r = pt - origin
-        return (dvec[:, 0] * r[:, 1] - dvec[:, 1] * r[:, 0]) / ln
+    # Proper crossings of bars that share no joint.  Points and vectors are
+    # pairs of columns.
+    def sdist(pt, origin, dvec, ln):
+        return (dvec[0] * (pt[1] - origin[1]) - dvec[1] * (pt[0] - origin[0])) / ln
 
     for one, other in bar_bar:
         ia, ib = np.minimum(one, other), np.maximum(one, other)
-        keep = (lo[ia, 1] <= hi[ib, 1]) & (lo[ib, 1] <= hi[ia, 1])
+        keep = (loy[ia] <= hiy[ib]) & (loy[ib] <= hiy[ia])
         keep &= (a[ia] != a[ib]) & (a[ia] != b[ib]) & (b[ia] != a[ib]) & (b[ia] != b[ib])
         ia, ib = ia[keep], ib[keep]
-        A1, B1, A2, B2 = pa[ia], pb[ia], pa[ib], pb[ib]
-        d1, d2, l1, l2 = B1 - A1, B2 - A2, lengths[ia], lengths[ib]
+        A1, B1, A2, B2 = (ax[ia], ay[ia]), (bx[ia], by[ia]), (ax[ib], ay[ib]), (bx[ib], by[ib])
+        d1, d2, l1, l2 = (dx[ia], dy[ia]), (dx[ib], dy[ib]), lengths[ia], lengths[ib]
         s1, s2 = sdist(A1, A2, d2, l2), sdist(B1, A2, d2, l2)
         s3, s4 = sdist(A2, A1, d1, l1), sdist(B2, A1, d1, l1)
         crossing = (
@@ -440,8 +455,8 @@ def check_planarity(
 
     violations: list[tuple[str, Any, Any]] = []
     for kind, found in hits.items():
-        x, y = np.concatenate(found, axis=1)
-        violations += [(kind, int(x[w]), int(y[w])) for w in np.lexsort((y, x))]
+        u, w = np.concatenate(found, axis=1)
+        violations += [(kind, int(u[k]), int(w[k])) for k in np.lexsort((w, u))]
     return violations
 
 

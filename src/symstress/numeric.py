@@ -300,17 +300,17 @@ def intertwining_residual(
     """
     if action is None:
         action = symmetry_action(fw, group, center, tol)
-    ends = fw.ends
-    moving = ~fw.pinned_mask[ends].all(axis=1)
+    first, second = fw.ends.T
+    pinned = fw.pinned_mask
+    moving = ~(pinned[first] & pinned[second])
     if not moving.any():
         return 0.0
-    x, y = fw.positions[:, 0], fw.positions[:, 1]
-    dx, dy = x[ends[:, 0]] - x[ends[:, 1]], y[ends[:, 0]] - y[ends[:, 1]]
+    x, y = fw.x, fw.y
+    dx, dy = x[first] - x[second], y[first] - y[second]
     # Every operation at once, on the moving bars, x and y kept apart; d of
     # the image bar is negated where g sends i to its second joint.
     image = action.eperms[:, moving]
-    starts = np.ascontiguousarray(ends[:, 0])
-    flip = starts[image] != action.vperms[:, starts[moving]]
+    flip = first[image] != action.vperms[:, first[moving]]
     ix, iy = dx[image], dy[image]
     np.negative(ix, out=ix, where=flip)
     np.negative(iy, out=iy, where=flip)
@@ -656,7 +656,8 @@ def _max_entry(blocks: np.ndarray, d: np.ndarray, n: int) -> float:
     no entries."""
     if not blocks.size or not n:
         return 1.0
-    return float(np.max(np.abs(d[(blocks >= 0).any(axis=1)]), initial=0.0))
+    rows = (blocks[:, 0] >= 0) | (blocks[:, 1] >= 0)
+    return max(float(np.abs(d[rows, k]).max(initial=0.0)) for k in (0, 1))
 
 
 @dataclass(frozen=True)

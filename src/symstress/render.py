@@ -52,8 +52,9 @@ class _Canvas:
     def __init__(self, positions: np.ndarray, width: int, height: int, margin: float):
         self.width = width
         self.height = height
-        lo = positions.min(axis=0)
-        hi = positions.max(axis=0)
+        x, y = positions[:, 0], positions[:, 1]
+        lo = np.array([x.min(), y.min()])
+        hi = np.array([x.max(), y.max()])
         span = np.maximum(hi - lo, 1e-12)
         scale = min((width - 2 * margin) / span[0], (height - 2 * margin) / span[1])
         mid = (lo + hi) / 2.0

@@ -35,7 +35,11 @@ Conventions
   way, so only directly matched operations look their bars up.
 * ``resolve_action`` is the front end ``analyze``, ``verify`` and ``render``
   share: for an auto-detected group, the generators detection matched feed
-  the action, so each is matched once per call.
+  the action, so each is matched once per call.  One joint index
+  (``_JointIndex``: the joints sorted by projection, the absolute tolerance
+  and the matching window) is built per resolve and serves detection, the
+  action's check and every direct match.  Matching reads the framework's x
+  and y columns.
 """
 
 from __future__ import annotations
@@ -278,38 +282,85 @@ def apply_op(
     return np.stack([x[0], y[0]], axis=-1)
 
 
-def _nearest_joints(
-    positions: np.ndarray, images: np.ndarray, tol_abs: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each image, the nearest joint closer than ``tol_abs`` and its
-    distance; distance inf where no joint is that close.
+class _JointIndex:
+    """The joints of ``fw`` sorted for matching at tolerance ``tol``: built
+    once per resolve and shared by every match it makes.
 
-    Joints are sorted by their projection onto a fixed direction, and each
-    image is compared only with the joints whose projection lies within the
-    tolerance of its own.
+    ``order`` sorts the joints by their projection on ``_MATCH_DIRECTION``
+    and ``proj`` holds the sorted projections.  ``tol_abs`` is ``tol``
+    times the bounding-box diagonal (1 for a single point), ``magnitude``
+    the largest absolute coordinate, and ``window`` the matching window,
+    ``tol_abs`` plus a rounding allowance for images near the joints.
+    ``uncrowded`` is true when every gap between sorted projections exceeds
+    twice the window, so no image has two joints within the tolerance.
+    A projection is one sum of two products, so every BLAS gives the same
+    floats.
     """
-    proj = positions @ _MATCH_DIRECTION
-    order = np.argsort(proj, kind="stable")
-    proj = proj[order]
-    target = images @ _MATCH_DIRECTION
-    magnitude = float(np.abs(positions).max(initial=0.0) + np.abs(images).max(initial=0.0))
-    slack = tol_abs + 8 * np.finfo(float).eps * magnitude
-    lo = np.searchsorted(proj, target - slack, "left")
-    counts = np.searchsorted(proj, target + slack, "right") - lo
 
-    nearest = np.zeros(len(images), dtype=int)
-    dist = np.full(len(images), np.inf)
+    def __init__(self, fw: Framework, tol: float) -> None:
+        self.fw, self.tol = fw, tol
+        scale = bbox_diagonal(fw.positions)
+        self.tol_abs = tol * (scale if scale > 0 else 1.0)
+        proj = _project(fw.x, fw.y)
+        self.order = np.argsort(proj, kind="stable")
+        self.proj = proj[self.order]
+        self.magnitude = float(np.abs(fw.positions).max(initial=0.0))
+        self.window = self.tol_abs + 8 * np.finfo(float).eps * (2 * self.magnitude)
+        self.uncrowded = bool(np.all(np.diff(self.proj) > 2 * self.window))
+
+
+def _project(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The projections of the points (x, y) on ``_MATCH_DIRECTION``."""
+    return x * _MATCH_DIRECTION[0] + y * _MATCH_DIRECTION[1]
+
+
+def _nearest_joints(
+    index: _JointIndex, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each image (x[k], y[k]), the nearest joint closer than
+    ``index.tol_abs`` and its distance; distance inf where no joint is that
+    close.
+
+    Each image is compared only with the joints whose projection lies
+    within the tolerance, plus a rounding allowance, of its own: a run of
+    ``index.order``, found by two binary searches with the images taken in
+    projection order.  Its nearest candidate has the run's minimum
+    distance, one ``np.minimum.reduceat`` over the runs, and of equal
+    distances is the first in projection order.  An image with a NaN
+    coordinate matches no joint.
+    """
+    fw = index.fw
+    target = _project(x, y)
+    images = max(float(np.abs(x).max(initial=0.0)), float(np.abs(y).max(initial=0.0)))
+    slack = index.tol_abs + 8 * np.finfo(float).eps * (index.magnitude + images)
+    # Binary searches for ascending targets branch predictably: sorting
+    # first made the two searches about three times faster on a
+    # 1256-joint grid.
+    rank = np.argsort(target)
+    target = target[rank]
+    lo = np.searchsorted(index.proj, target - slack, "left")
+    counts = np.searchsorted(index.proj, target + slack, "right") - lo
+
+    nearest = np.zeros(len(x), dtype=int)
+    dist = np.full(len(x), np.inf)
     # Blocks never split an owner, so each image sees all its candidates.
     for owner, member in _range_pairs(lo, counts):
-        cand = order[member]
-        d = np.sqrt(((images[owner] - positions[cand]) ** 2).sum(axis=1))
-        pick = np.lexsort((d, owner))
-        owner, cand, d = owner[pick], cand[pick], d[pick]
-        keep = np.ones(owner.size, dtype=bool)
-        keep[1:] = owner[1:] != owner[:-1]
-        nearest[owner[keep]] = cand[keep]
-        dist[owner[keep]] = d[keep]
+        image, cand = rank[owner], index.order[member]
+        d = np.sqrt((x[image] - fw.x[cand]) ** 2 + (y[image] - fw.y[cand]) ** 2)
+        start = _run_starts(owner)
+        least = np.minimum.reduceat(d, np.flatnonzero(start))
+        hit = np.flatnonzero(d == least[np.cumsum(start) - 1])
+        first = hit[_run_starts(owner[hit])]
+        nearest[image[first]] = cand[first]
+        dist[image[first]] = d[first]
     return nearest, dist
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal ``keys`` begins."""
+    start = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=start[1:])
+    return start
 
 
 def vertex_permutation(
@@ -317,31 +368,37 @@ def vertex_permutation(
     op: SymmetryOperation,
     center: np.ndarray | Sequence[float] | None = None,
     tol: float = SYM_TOL,
+    *,
+    index: _JointIndex | None = None,
 ) -> np.ndarray:
     """The joint permutation induced by ``op``: perm[i] = image joint of i.
 
     Matching is nearest-neighbour with an absolute tolerance of ``tol`` times
-    the bounding-box diagonal.  Raises NotSymmetric when an image has no
-    matching joint, when two joints collide onto one, or when a pinned joint
-    maps to an unpinned one (or vice versa), and ValueError when two joints
-    sit at the same point.
+    the bounding-box diagonal, over a joint index (``_JointIndex``) of
+    ``fw``: ``index`` when given, built at ``tol``, else one built here.
+    Images are computed column by column, and a bijection is one in which
+    every joint is hit once (``np.bincount``).  Raises NotSymmetric when an
+    image has no matching joint, when two joints collide onto one, or when
+    a pinned joint maps to an unpinned one (or vice versa), and ValueError
+    when two joints sit at the same point.
     """
     ctr = fw.centroid() if center is None else np.asarray(center, dtype=float)
-    pos = fw.positions
-    scale = bbox_diagonal(pos)
-    tol_abs = tol * (scale if scale > 0 else 1.0)
-    images = apply_op(op, pos, ctr)
-    perm, dist = _nearest_joints(pos, images, tol_abs)
+    if index is None:
+        index = _JointIndex(fw, tol)
+    x, y = _images(op.matrix[None], fw.x - ctr[0], fw.y - ctr[1], ctr)
+    x, y = x[0], y[0]
+    perm, dist = _nearest_joints(index, x, y)
+    tol_abs = index.tol_abs
     bad = np.flatnonzero(dist > tol_abs)
     if bad.size:
         i = int(bad[0])
-        nearest = np.sqrt(((pos - images[i]) ** 2).sum(axis=1)).min()
+        nearest = np.sqrt((fw.x - x[i]) ** 2 + (fw.y - y[i]) ** 2).min()
         raise NotSymmetric(
             f"joint {i} has no image match under {op.kind} "
             f"(nearest joint is {nearest:.3g} away, tolerance {tol_abs:.3g})"
         )
-    if np.unique(perm).size != fw.num_vertices:
-        require_distinct_joints(pos)
+    if np.count_nonzero(np.bincount(perm, minlength=fw.num_vertices)) != fw.num_vertices:
+        require_distinct_joints(fw.positions)
         raise NotSymmetric(
             f"operation {op.kind} maps two joints onto the same joint"
         )
@@ -356,29 +413,36 @@ def vertex_permutation(
 
 
 class _BarLookup:
-    """Finds bars by their endpoints in one sorted array of bar keys."""
+    """Finds bars by their endpoints in one sorted array of bar keys, each
+    key min(i, j) * v + max(i, j) formed from the two end columns."""
 
     def __init__(self, fw: Framework) -> None:
         self.v = fw.num_vertices
         self.ends = fw.ends
-        keys = self._keys(self.ends)
+        self.first, self.second = fw.ends.T
+        keys = self._keys(self.first, self.second)
         self.rows = np.argsort(keys, kind="stable")
         self.keys = keys[self.rows]
 
-    def _keys(self, ends: np.ndarray) -> np.ndarray:
-        return ends.min(axis=1) * self.v + ends.max(axis=1)
+    def _keys(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return np.minimum(i, j) * self.v + np.maximum(i, j)
 
     def permutation(self, vperm: np.ndarray) -> np.ndarray:
         """The bar permutation induced by a joint permutation."""
-        images = vperm[self.ends]
-        wanted = self._keys(images)
-        at = np.minimum(np.searchsorted(self.keys, wanted), max(len(self.keys) - 1, 0))
+        a, b = vperm[self.first], vperm[self.second]
+        wanted = self._keys(a, b)
+        # Ascending keys make the binary search branch predictably, as in
+        # ``_nearest_joints``.
+        by_key = np.argsort(wanted)
+        at = np.empty_like(by_key)
+        at[by_key] = np.searchsorted(self.keys, wanted[by_key])
+        np.minimum(at, max(len(self.keys) - 1, 0), out=at)
         missing = np.flatnonzero(self.keys[at] != wanted)
         if missing.size:
             row = int(missing[0])
-            (i, j), (a, b) = self.ends[row], images[row]
+            i, j = self.ends[row]
             raise NotSymmetric(
-                f"bar ({i}, {j}) maps to ({a}, {b}), which is not a bar"
+                f"bar ({i}, {j}) maps to ({a[row]}, {b[row]}), which is not a bar"
             )
         return self.rows[at]
 
@@ -436,31 +500,25 @@ class _Generated:
 
     A composed pair is accepted for an operation only when every joint's
     image lies within the matching tolerance of the joint it is sent to, by
-    the float formula ``vertex_permutation`` uses, and when no two joints
-    are crowded: every gap between their sorted projections on
+    the float formula ``vertex_permutation`` uses, and when the joint
+    ``index`` is uncrowded: every gap between the sorted projections on
     ``_MATCH_DIRECTION`` exceeds twice the matching window.  Then no image
     has two joints within the tolerance, so an accepted joint permutation is
     the one ``vertex_permutation`` would return.  It is a bijection that
     keeps pins on pins, and its bar permutation is the one the bar lookup
     would find, because the generators' permutations are and do.
     ``accepted`` checks a stack of operations in one pass, with the x and
-    y coordinates in separate (operations, joints) arrays.
+    y coordinates in separate (operations, joints) arrays.  An operation
+    the check rejects is matched directly over the same ``index``, so one
+    resolve sorts the joints once.
 
     Detection seeds an instance with the generators it matched (``r`` and
     ``mirror``); ``_act`` checks each seed like any composed pair before it
     uses it.
     """
 
-    def __init__(self, fw: Framework, center: np.ndarray, tol: float) -> None:
-        self.fw, self.center, self.tol = fw, center, tol
-        pos = fw.positions
-        scale = bbox_diagonal(pos)
-        self.tol_abs = tol * (scale if scale > 0 else 1.0)
-        proj = np.sort(pos @ _MATCH_DIRECTION)
-        magnitude = 2 * float(np.abs(pos).max(initial=0.0))
-        window = self.tol_abs + 8 * np.finfo(float).eps * magnitude
-        self.uncrowded = bool(np.all(np.diff(proj) > 2 * window))
-        self.x, self.y = np.ascontiguousarray(pos[:, 0]), np.ascontiguousarray(pos[:, 1])
+    def __init__(self, index: _JointIndex, center: np.ndarray) -> None:
+        self.index, self.fw, self.center = index, index.fw, center
         self.r: _Perms | None = None
         self.mirror: _Perms | None = None
 
@@ -492,12 +550,12 @@ class _Generated:
     def accepted(self, mats: np.ndarray, vperms: np.ndarray) -> np.ndarray:
         """Per operation matrix of ``mats`` (ops, 2, 2), whether the joint
         permutation in the same row of ``vperms`` passes the check."""
-        if not self.uncrowded:
+        if not self.index.uncrowded:
             return np.zeros(len(mats), dtype=bool)
-        c = self.center
-        x, y = _images(mats, self.x - c[0], self.y - c[1], c)
-        dx, dy = x - self.x[vperms], y - self.y[vperms]
-        return np.all(np.sqrt(dx**2 + dy**2) <= self.tol_abs, axis=1)
+        c, px, py = self.center, self.fw.x, self.fw.y
+        x, y = _images(mats, px - c[0], py - c[1], c)
+        dx, dy = x - px[vperms], y - py[vperms]
+        return np.all(np.sqrt(dx**2 + dy**2) <= self.index.tol_abs, axis=1)
 
     def checked(self, ops: Sequence[SymmetryOperation], mats: np.ndarray, perms: _Perms, bars: _BarLookup) -> _Perms:
         """The stacked pairs ``perms`` composed for ``ops``, with each row
@@ -512,7 +570,7 @@ class _Generated:
         joint permutation and the bar permutation ``bars`` finds for it."""
         if perms is not None and self.accepted(op.matrix[None], perms[0][None])[0]:
             return perms
-        vperm = vertex_permutation(self.fw, op, self.center, self.tol)
+        vperm = vertex_permutation(self.fw, op, self.center, self.index.tol, index=self.index)
         return vperm, bars.permutation(vperm)
 
 
@@ -534,7 +592,7 @@ def _act(group: PointGroup, gen: _Generated, bars: _BarLookup) -> SymmetryAction
     n, ops = group.n, group.operations()
     mats = np.array([op.matrix for op in ops])
     classes = np.repeat(np.arange(len(group.classes)), group.class_sizes())
-    if gen.uncrowded:
+    if gen.index.uncrowded:
         # Canonical order: the rotations r^j first (the identity, then r),
         # then the mirrors r^k s (s first).
         turns = [round(op.angle * n / (2 * math.pi)) % n for op in ops[:n]]
@@ -583,7 +641,7 @@ def symmetry_action(
     gives the same action for a group spec.
     """
     ctr = fw.centroid() if center is None else np.asarray(center, dtype=float)
-    return _act(group, _Generated(fw, ctr, tol), _BarLookup(fw))
+    return _act(group, _Generated(_JointIndex(fw, tol), ctr), _BarLookup(fw))
 
 
 @dataclass(frozen=True)
@@ -800,12 +858,12 @@ def make_census(
 
 
 def _matched(
-    fw: Framework, bars: _BarLookup, op: SymmetryOperation, center: np.ndarray, tol: float
+    index: _JointIndex, bars: _BarLookup, op: SymmetryOperation, center: np.ndarray
 ) -> _Perms | None:
     """The joint and bar permutations of ``op`` if it is a symmetry, else
     None."""
     try:
-        vperm = vertex_permutation(fw, op, center, tol)
+        vperm = vertex_permutation(index.fw, op, center, index.tol, index=index)
         return vperm, bars.permutation(vperm)
     except NotSymmetric:
         return None
@@ -835,19 +893,19 @@ def _detect(fw: Framework, tol: float) -> tuple[list[_GroupKey], _Generated, _Ba
     """``detect_groups`` without building the groups: the sorted keys of the
     listed groups, a ``_Generated`` about the centroid, and the bar lookup.
 
-    The ``_Generated`` holds the generators detection matched when they are
-    those of the first group, the rotation by 2 pi / n and its reference
-    mirror (for C_nv); otherwise it is fresh.
+    Every match goes through one joint index, which the ``_Generated``
+    holds.  The ``_Generated`` holds the generators detection matched when
+    they are those of the first group, the rotation by 2 pi / n and its
+    reference mirror (for C_nv); otherwise it has no generators.
     """
     center = fw.centroid()
-    pos = fw.positions
-    scale = bbox_diagonal(pos)
-    tol_abs = tol * (scale if scale > 0 else 1.0)
+    index = _JointIndex(fw, tol)
+    tol_abs = index.tol_abs
     bars = _BarLookup(fw)
-    gen = _Generated(fw, center, tol)
+    gen = _Generated(index, center)
 
-    offsets = pos - center
-    radii = np.hypot(offsets[:, 0], offsets[:, 1])
+    ox, oy = fw.x - center[0], fw.y - center[1]
+    radii = np.hypot(ox, oy)
     off_center = np.where(radii > tol_abs)[0]
     if off_center.size == 0:
         return [("Cn", 1, 0.0)], gen, bars
@@ -856,7 +914,7 @@ def _detect(fw: Framework, tol: float) -> tuple[list[_GroupKey], _Generated, _Ba
     g, shell = _radius_shells(radii, off_center, tol_abs)
     rot_order = 1
     for cand in _divisors_desc(g):
-        perms = _matched(fw, bars, rotation_op(2 * math.pi / cand), center, tol)
+        perms = _matched(index, bars, rotation_op(2 * math.pi / cand), center)
         if perms is not None:
             rot_order = cand
             gen.r = perms
@@ -864,7 +922,7 @@ def _detect(fw: Framework, tol: float) -> tuple[list[_GroupKey], _Generated, _Ba
 
     # Candidate mirror axes from the smallest shell: an axis either passes
     # through a shell joint or bisects a pair of them.
-    angles = [math.atan2(offsets[i, 1], offsets[i, 0]) for i in shell]
+    angles = [math.atan2(oy[i], ox[i]) for i in shell]
     cand_angles: list[float] = []
     for ai in range(len(angles)):
         for aj in range(ai, len(angles)):
@@ -882,7 +940,7 @@ def _detect(fw: Framework, tol: float) -> tuple[list[_GroupKey], _Generated, _Ba
     # rejects, are matched directly in ascending order.
     mirrors: list[float] = []
     for first, a in enumerate(dedup):
-        perms = _matched(fw, bars, mirror_op(a), center, tol)
+        perms = _matched(index, bars, mirror_op(a), center)
         if perms is not None:
             gen.mirror = perms
             mirrors.append(a)
@@ -893,14 +951,14 @@ def _detect(fw: Framework, tol: float) -> tuple[list[_GroupKey], _Generated, _Ba
         turns = [round((a - mirrors[0]) / step) for a in later]
         near = [i for i, (a, k) in enumerate(zip(later, turns)) if abs(a - mirrors[0] - k * step) <= ang_tol]
         accepted = np.zeros(len(later), dtype=bool)
-        if near and gen.uncrowded:
+        if near and index.uncrowded:
             rotations = gen.powers(rot_order)
             steps = [turns[i] % rot_order for i in near]
             composed = gen.reflections((rotations[0][steps], rotations[1][steps]))
             mats = np.array([mirror_op(later[i]).matrix for i in near])
             accepted[near] = gen.accepted(mats, composed[0])
         for a, good in zip(later, accepted):
-            if good or _matched(fw, bars, mirror_op(a), center, tol) is not None:
+            if good or _matched(index, bars, mirror_op(a), center) is not None:
                 mirrors.append(a)
 
     # Enumerate subgroups from the verified generators.  With rotation order
@@ -933,7 +991,7 @@ def _detect(fw: Framework, tol: float) -> tuple[list[_GroupKey], _Generated, _Ba
             keys.append((family, n, ref))
     family, n, ref = keys[0]
     if n != rot_order or (family == "Cnv" and ref != mirrors[0]):
-        gen = _Generated(fw, center, tol)
+        gen = _Generated(index, center)
     return keys, gen, bars
 
 

@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symstress import (
     DimensionMismatch,
@@ -27,6 +29,7 @@ from symstress import (
 )
 import symstress.framework as framework
 from symstress.framework import GEOM_TOL, _range_pairs, _strip_candidates
+from test_numeric import GENERATED, _crowded_square, _ring_cnv
 
 TRIANGLE = Framework([(0.0, 0.0), (2.0, 0.0), (1.0, 1.5)], [(0, 1), (1, 2), (2, 0)])
 SQUARE = Framework(
@@ -79,6 +82,21 @@ class TestConstruction:
     def test_ends_are_read_only(self):
         with pytest.raises(ValueError):
             TRIANGLE.ends[0, 0] = 2
+
+    def test_columns_and_pinned_mask_are_read_only(self):
+        fw = Framework(TRIANGLE.positions, TRIANGLE.edges, pinned=[1])
+        for array in (fw.x, fw.y, fw.pinned_mask):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_columns_and_pinned_mask_hold_the_joints(self):
+        fw = catalog._pinned_quad_grid(6, 5)
+        for column, k in ((fw.x, 0), (fw.y, 1)):
+            assert column.flags.c_contiguous and column.dtype == np.float64
+            assert np.array_equal(column, fw.positions[:, k])
+        assert fw.pinned_mask.dtype == bool
+        assert np.flatnonzero(fw.pinned_mask).tolist() == sorted(fw.pinned)
+        assert fw.pinned_mask is fw.pinned_mask  # built once, not per access
 
     def test_ends_without_bars(self):
         fw = Framework([(0.0, 0.0), (1.0, 0.0)], [])
@@ -545,12 +563,14 @@ STRIP_CASES = {
 def _x_sweep_count(lo, hi, points):
     """Candidates of the plain x-sweep: each box with the points in its
     x-range, and each box with the boxes after it in x whose lowest x is at
-    most its highest."""
-    px = np.sort(points[:, 0])
-    joints = np.searchsorted(px, hi[:, 0], "right") - np.searchsorted(px, lo[:, 0], "left")
-    order = np.argsort(lo[:, 0], kind="stable")
-    reach = np.searchsorted(lo[order, 0], hi[order, 0], "right")
-    return int(joints.sum() + (reach - np.arange(1, len(lo) + 1)).sum())
+    most its highest.  Arguments as ``_strip_candidates`` takes them, pairs
+    of x and y columns."""
+    (lox, _), (hix, _), (px, _) = lo, hi, points
+    px = np.sort(px)
+    joints = np.searchsorted(px, hix, "right") - np.searchsorted(px, lox, "left")
+    order = np.argsort(lox, kind="stable")
+    reach = np.searchsorted(lox[order], hix[order], "right")
+    return int(joints.sum() + (reach - np.arange(1, len(lox) + 1)).sum())
 
 
 def _candidate_counts(fw, tol=GEOM_TOL):
@@ -580,7 +600,7 @@ def _brute_force_candidates(lo, hi, points):
 def _assert_strip_candidates(lo, hi, points):
     """``_strip_candidates`` yields each overlapping pair once, only pairs
     that overlap in x, and never a box with itself."""
-    joint_bar, bar_bar = _strip_candidates(lo, hi, points)
+    joint_bar, bar_bar = _strip_candidates(lo.T, hi.T, points.T)
     jb = [(int(k), int(m)) for ks, ms in joint_bar for k, m in zip(ks, ms)]
     bb = [(int(min(k, m)), int(max(k, m))) for ks, ms in bar_bar for k, m in zip(ks, ms)]
     assert len(set(jb)) == len(jb) and len(set(bb)) == len(bb)
@@ -695,3 +715,128 @@ class TestJsonIO:
         raw = path.read_text()
         assert raw.endswith("\n")
         assert json.loads(raw)["vertices"][0]["id"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Column-wise planarity against its earlier (n, 2) form: the same candidate
+# pairs, the same float formulas, so the same list bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _planarity_2d(fw, tol=GEOM_TOL):
+    """Reference for check_planarity: its predicates as they read (e, 2)
+    and (v, 2) arrays by fancy indexing, on the candidates of the same
+    strip sweep."""
+    p = fw.positions
+    e = fw.num_edges
+    if e == 0:
+        return []
+    scale = bbox_diagonal(p)
+    tol_abs = tol * (scale if scale > 0 else 1.0)
+
+    a, b = fw.ends.T
+    pa, pb = p[a], p[b]
+    d = pb - pa
+    lengths = np.hypot(d[:, 0], d[:, 1])
+    lengths = np.where(lengths == 0.0, 1.0, lengths)
+    pad = tol_abs + 4 * np.finfo(float).eps * (tol_abs + np.abs(p).max())
+    lo, hi = np.minimum(pa, pb) - pad, np.maximum(pa, pb) + pad
+    hits = {"vertex_on_edge": [], "crossing": []}
+    joint_bar, bar_bar = _strip_candidates(lo.T, hi.T, p.T)
+
+    for ei, vi in joint_bar:
+        keep = (lo[ei, 1] <= p[vi, 1]) & (p[vi, 1] <= hi[ei, 1]) & (vi != a[ei]) & (vi != b[ei])
+        vi, ei = vi[keep], ei[keep]
+        t = ((p[vi] - pa[ei]) * d[ei]).sum(axis=1) / (lengths[ei] ** 2)
+        foot = pa[ei] + t[:, None] * d[ei]
+        dist = np.hypot(*(p[vi] - foot).T)
+        de1 = np.hypot(*(p[vi] - pa[ei]).T)
+        de2 = np.hypot(*(p[vi] - pb[ei]).T)
+        hit = (dist <= tol_abs) & (t > 0.0) & (t < 1.0) & (de1 > tol_abs) & (de2 > tol_abs)
+        hits["vertex_on_edge"].append(np.stack([vi[hit], ei[hit]]))
+
+    def sdist(pt, origin, dvec, ln):
+        r = pt - origin
+        return (dvec[:, 0] * r[:, 1] - dvec[:, 1] * r[:, 0]) / ln
+
+    for one, other in bar_bar:
+        ia, ib = np.minimum(one, other), np.maximum(one, other)
+        keep = (lo[ia, 1] <= hi[ib, 1]) & (lo[ib, 1] <= hi[ia, 1])
+        keep &= (a[ia] != a[ib]) & (a[ia] != b[ib]) & (b[ia] != a[ib]) & (b[ia] != b[ib])
+        ia, ib = ia[keep], ib[keep]
+        A1, B1, A2, B2 = pa[ia], pb[ia], pa[ib], pb[ib]
+        d1, d2, l1, l2 = B1 - A1, B2 - A2, lengths[ia], lengths[ib]
+        s1, s2 = sdist(A1, A2, d2, l2), sdist(B1, A2, d2, l2)
+        s3, s4 = sdist(A2, A1, d1, l1), sdist(B2, A1, d1, l1)
+        crossing = (
+            (s1 * s2 < 0)
+            & (s3 * s4 < 0)
+            & (np.minimum(np.abs(s1), np.abs(s2)) > tol_abs)
+            & (np.minimum(np.abs(s3), np.abs(s4)) > tol_abs)
+        )
+        hits["crossing"].append(np.stack([ia[crossing], ib[crossing]]))
+
+    violations = []
+    for kind, found in hits.items():
+        x, y = np.concatenate(found, axis=1)
+        violations += [(kind, int(x[w]), int(y[w])) for w in np.lexsort((y, x))]
+    return violations
+
+
+def _front_end_cases():
+    """(id, framework) pairs the column passes are checked on against their
+    (n, 2) forms: the catalog, pinned quad grids, the benchmark's spider
+    webs for seeds 1 to 10, and the crowded squares."""
+    for name in GEOMETRIC:
+        yield name, catalog.generate(name).framework
+    for cols, rows in ((2, 2), (7, 6), (34, 33)):
+        yield f"grid-{cols}x{rows}", catalog._pinned_quad_grid(cols, rows)
+    for seed in range(1, 11):
+        yield f"ring-cnv-{seed}", _ring_cnv(seed)
+    for spacing in (0.5, 6.0):
+        yield f"crowded-square-{spacing:g}", _crowded_square(spacing)
+
+
+@st.composite
+def _lattice_frameworks(draw):
+    """Joints on a small integer lattice, scaled and shifted, with random
+    bars among them, and joints at GEOM_TOL·(1 - 1e-6), GEOM_TOL and
+    GEOM_TOL·(1 + 1e-6) bounding-box diagonals from one bar.  Lattice
+    joints share coordinates and distances, so one image can lie as far
+    from two joints, and a coarse tolerance puts several in its window."""
+    size = draw(st.integers(1, 5))
+    coord = st.integers(-size, size)
+    cells = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=30, unique=True))
+    pos = np.array(cells, dtype=float)
+    v = len(pos)
+    ends = draw(st.lists(st.tuples(st.integers(0, v - 1), st.integers(0, v - 1)), min_size=1, max_size=40))
+    edges = sorted({(min(i, j), max(i, j)) for i, j in ends if i != j})
+    scale = draw(st.sampled_from([1.0, 0.37, 1e-3, 250.0]))
+    pos = pos * scale + draw(st.sampled_from([0.0, 1e3, -0.71]))
+    if edges:
+        i, j = edges[draw(st.integers(0, len(edges) - 1))]
+        tol_abs = GEOM_TOL * bbox_diagonal(pos)
+        u = (pos[j] - pos[i]) / np.hypot(*(pos[j] - pos[i]))
+        normal = np.array([-u[1], u[0]])
+        near = [
+            pos[i] + t * (pos[j] - pos[i]) + side * rel * tol_abs * normal
+            for t in (0.3, 0.5) for side in (-1, 1) for rel in (1 - 1e-6, 1.0, 1 + 1e-6)
+        ]
+        pos = np.vstack([pos, near])
+    return Framework(pos, edges)
+
+
+class TestColumnPlanarity:
+    """check_planarity gives the list its (n, 2) form gives, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(_front_end_cases()), ids=lambda c: c[0])
+    def test_cases(self, case):
+        _, fw = case
+        for tol in (GEOM_TOL, 1e-3, 0.0):
+            assert check_planarity(fw, tol) == _planarity_2d(fw, tol)
+
+    @GENERATED
+    @given(_lattice_frameworks())
+    def test_lattice_frameworks(self, fw):
+        for tol in (GEOM_TOL, 1e-3, 0.0):
+            assert check_planarity(fw, tol) == _planarity_2d(fw, tol)
