@@ -41,7 +41,6 @@ from .symmetry import (
     SYM_TOL,
     ConjugacyClass,
     GroupSpec,
-    OperationAction,
     PointGroup,
     SymmetryAction,
     SymmetryCensus,
@@ -116,7 +115,7 @@ __all__ = [
     "SymmetryOperation", "ConjugacyClass", "PointGroup", "SymmetryCensus",
     "GroupSpec", "identity_op", "rotation_op", "mirror_op", "group_elements",
     "census", "make_census", "detect_groups", "vertex_permutation",
-    "edge_permutation", "SymmetryAction", "OperationAction", "symmetry_action",
+    "edge_permutation", "SymmetryAction", "symmetry_action",
     "parse_group_arg", "group_spec_from_json",
     "group_spec_to_json", "resolve_group", "resolve_action", "SYM_TOL",
     # representation theory

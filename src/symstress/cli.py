@@ -309,10 +309,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
         fw, spec = _load(args.input, args.group)
         maxwell_count(fw)  # rejects a single unpinned joint, as analyze and verify do
         action = resolve_action(spec, fw, tol=args.tol_sym)
-        shown = action.group.order > 1
         svg = render_svg(
             fw,
-            group=action.group if shown else None,
             stress=_overlay_row(
                 self_stress_basis, fw, args.stress, "stress", "self-stresses", args.tol_rank
             ),
@@ -321,7 +319,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
             ),
             highlight_fixed=not args.no_highlight,
             title=args.title,
-            action=action if shown else None,
+            action=action,
         )
     except _CAUGHT as exc:
         code, prefix = _failure(exc)

@@ -23,7 +23,7 @@ from .errors import (
     ParityViolation,
     UnsupportedGroup,
 )
-from .framework import Framework, maxwell_count
+from .framework import Framework, check_planarity, maxwell_count
 from .reptheory import (
     IrrepDecomposition,
     character_table,
@@ -377,14 +377,11 @@ _FULLY_SYMMETRIC = {"A", "A'", "A0", "A1"}
 
 
 def analyze_census(
-    cen: SymmetryCensus,
-    detected: bool = False,
-    num_pinned: int | None = None,
-    center: tuple[float, float] | None = None,
+    cen: SymmetryCensus, detected: bool = False, num_pinned: int | None = None
 ) -> AnalysisReport:
-    """Build an analysis report from a census alone (no coordinates needed)."""
+    """Build an analysis report from a census alone (no coordinates needed),
+    centred where the census is."""
     group = cen.group
-    table = character_table(group)
     ch = reducible_character(cen)
     notices: list[str] = []
     reduced, closed = cross_check(cen)
@@ -393,22 +390,17 @@ def analyze_census(
             f"no closed-form case table for {group.name} with this census; "
             "used general character reduction"
         )
-    rows = []
-    for ir in table.irreps:
-        gamma = reduced[ir.label]
-        notes: list[str] = []
-        if ir.label in _FULLY_SYMMETRIC:
-            notes.append("fully-symmetric")
-        rows.append(
-            IrrepRow(
-                label=ir.label,
-                dim=ir.dim,
-                gamma=gamma,
-                s_detected=ir.dim * max(0, -gamma),
-                m_detected=ir.dim * max(0, gamma),
-                notes=tuple(notes),
-            )
+    rows = tuple(
+        IrrepRow(
+            label=label,
+            dim=dim,
+            gamma=gamma,
+            s_detected=dim * max(0, -gamma),
+            m_detected=dim * max(0, gamma),
+            notes=("fully-symmetric",) if label in _FULLY_SYMMETRIC else (),
         )
+        for label, dim, gamma in reduced.terms
+    )
     census_rows = tuple(
         {
             "label": cls.label,
@@ -428,7 +420,7 @@ def analyze_census(
         group_name=group.name,
         family=family,
         n=group.n,
-        center=center if center is not None else cen.center,
+        center=cen.center,
         mirror_angle_deg=mirror_deg,
         detected=detected,
         pinned=cen.pinned,
@@ -439,7 +431,7 @@ def analyze_census(
         census_rows=census_rows,
         decomposition=reduced,
         closed_form_used=closed is not None,
-        irreps=tuple(rows),
+        irreps=rows,
         notices=tuple(notices),
     )
 
@@ -461,12 +453,7 @@ def _analysis(
     maxwell_count(fw)
     spec = group if group is not None else GroupSpec("auto")
     action = resolve_action(spec, fw, tol)
-    report = analyze_census(
-        census(fw, action.group, action=action),
-        detected=spec.is_auto,
-        num_pinned=len(fw.pinned),
-        center=(float(action.center[0]), float(action.center[1])),
-    )
+    report = analyze_census(census(fw, action=action), detected=spec.is_auto, num_pinned=len(fw.pinned))
     return report, action
 
 
@@ -485,8 +472,6 @@ def analyze(
     GEOM_TOL, as ``verify --strict-planar`` does.  A single unpinned joint
     raises ValueError (see ``maxwell_count``).
     """
-    from .framework import check_planarity  # local import, cheap call site
-
     report, _ = _analysis(fw, group, tol)
     if planarity:
         report = replace(report, planarity_violations=len(check_planarity(fw)))

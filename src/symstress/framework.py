@@ -343,9 +343,12 @@ def _strip_candidates(lo, hi, points):
     starts, bars = key[starter], order[rank]
     # Members: entries k + 1 .. of a starter k, or starters (indices past n)
     # of any other entry, up to the first key beyond the entry's x-range.
-    n, stop = key.size, s * e + reach[rank]
-    begin = np.where(starter, np.arange(1, n + 1), n + np.searchsorted(starts, key, "right"))
-    end = np.where(starter, np.searchsorted(key, stop, "left"), n + np.searchsorted(starts, stop, "left"))
+    # Each search runs only over the entries that keep its result.
+    n, stop, other = key.size, s * e + reach[rank], ~starter
+    begin, end = np.arange(1, n + 1), np.empty(n, dtype=np.intp)
+    end[starter] = np.searchsorted(key, stop[starter], "left")
+    begin[other] = n + np.searchsorted(starts, key[other], "right")
+    end[other] = n + np.searchsorted(starts, stop[other], "left")
     members = np.concatenate([bars, bars[starter]])
 
     # Points keyed strip * v + rank in x, searched over each entry's x-range.

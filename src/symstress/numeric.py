@@ -37,12 +37,14 @@ Conventions
   bar scalars by (g.w)_{eperm(b)} = w_b; the rigidity matrix R intertwines
   the two actions, which is checked explicitly as part of verification.
 * ``verify`` shares ``analyze``'s front end, which computes the group's
-  :class:`~symstress.symmetry.SymmetryAction` (every operation's joint and
-  bar permutation, stacked) once for the census; ``verify`` hands the same
-  action to the intertwining check and the adapted bases.  Called alone,
-  each of those builds its own action.  The
-  intertwining check works on the bar list and every operation at once, so
-  it costs O(|G| * e) in one pass.
+  :class:`~symstress.symmetry.SymmetryAction` (the group, the centre and
+  every operation's joint and bar permutation, stacked) once for the
+  census; ``verify`` hands the same action, and only the action, to the
+  intertwining check and the adapted bases, which read the group from it.
+  ``classify_by_irrep`` and ``intertwining_residual`` take an ``action``
+  the same way, or build their own from a group.  The intertwining check
+  works on the bar list and every operation at once, so it costs
+  O(|G| * e) in one pass.
 * The irrep projectors sum to the identity on any representation exactly
   when the character table's columns satisfy sum_i d_i conj(chi_i(g)) =
   |G| delta_{g,E}, so the projector check tests that identity on the table
@@ -102,7 +104,7 @@ from .errors import ClassMismatch, DegenerateSpan, DimensionMismatch
 from .framework import Framework, rigidity_matrix_pinned, rigidity_rows
 from .counting import AnalysisReport, _analysis, _check_tolerance
 from .reptheory import CharacterTable, IrrepDecomposition, character_table
-from .symmetry import SYM_TOL, GroupSpec, PointGroup, SymmetryAction, symmetry_action
+from .symmetry import SYM_TOL, GroupSpec, PointGroup, SymmetryAction, _action_for
 from .symmetry import vertex_permutation  # noqa: F401  unused; perfbench's tracer looks it up here
 
 __all__ = [
@@ -227,8 +229,8 @@ def _orthonormal_rows(basis: np.ndarray, rel_tol: float) -> np.ndarray:
 
 def classify_by_irrep(
     fw: Framework,
-    group: PointGroup,
-    basis: np.ndarray,
+    group: PointGroup | None = None,
+    basis: np.ndarray | None = None,
     center: np.ndarray | Sequence[float] | None = None,
     space: str = "velocity",
     tol: float = SYM_TOL,
@@ -247,13 +249,15 @@ def classify_by_irrep(
     0 or 1 for an invariant span, so they are counted against a 0.5
     threshold.  The dimensions sum to the
     basis size, else ClassMismatch is raised (the span was not invariant
-    under the group).  A precomputed ``action`` of ``group`` on ``fw``
-    replaces ``center`` and ``tol``.  ValueError for a ``tol`` or
-    ``rel_tol`` that is not a finite number >= 0.
+    under the group).  A precomputed ``action`` on ``fw`` replaces
+    ``group``, ``center`` and ``tol``; a ``group`` given with it must be its
+    group.  ValueError for that mismatch, or for a ``tol`` or ``rel_tol``
+    that is not a finite number >= 0.
     """
     _check_tolerance("tol", tol)
     _check_tolerance("rel_tol", rel_tol)
-    table = character_table(group)
+    if basis is None:
+        raise TypeError("classify_by_irrep needs a basis")
     expected = 2 * int(np.count_nonzero(fw.velocity_blocks >= 0))
     if space == "velocity":
         if basis.shape[1] != expected:
@@ -267,10 +271,10 @@ def classify_by_irrep(
             )
     else:
         raise ValueError(f"space must be 'velocity' or 'edge', got {space!r}")
+    action = _action_for(fw, group, center, tol, action)
+    table = character_table(action.group)
     if basis.shape[0] == 0:
         return {ir.label: 0 for ir in table.irreps}
-    if action is None:
-        action = symmetry_action(fw, group, center, tol)
     B = _orthonormal_rows(np.asarray(basis, dtype=float), rel_tol)
     whole = _whole(fw, action, table, space, _isotypic(fw, action, table, space))
     return _classify(B, table, whole)
@@ -278,7 +282,7 @@ def classify_by_irrep(
 
 def intertwining_residual(
     fw: Framework,
-    group: PointGroup,
+    group: PointGroup | None = None,
     center: np.ndarray | Sequence[float] | None = None,
     tol: float = SYM_TOL,
     *,
@@ -289,8 +293,9 @@ def intertwining_residual(
     For every group operation, permuting rows by the bar permutation and
     columns by the joint permutation (with the 2x2 block rotated) must
     reproduce the rigidity matrix exactly; the residual is the largest
-    absolute deviation over all operations.  A precomputed ``action`` of
-    ``group`` on ``fw`` replaces ``center`` and ``tol``.
+    absolute deviation over all operations.  A precomputed ``action`` on
+    ``fw`` replaces ``group``, ``center`` and ``tol``; a ``group`` given with
+    it must be its group (ValueError otherwise).
 
     Row b of R holds d_b = p_i - p_j in the columns of its first joint i
     and -d_b in those of j, so the identity reads ±d_{eperm(b)} T = d_b per
@@ -298,8 +303,7 @@ def intertwining_residual(
     eperm(b).  Both columns give the same deviation, and bars with no
     velocity columns (both joints pinned) give none.
     """
-    if action is None:
-        action = symmetry_action(fw, group, center, tol)
+    action = _action_for(fw, group, center, tol, action)
     first, second = fw.ends.T
     pinned = fw.pinned_mask
     moving = ~(pinned[first] & pinned[second])
@@ -878,7 +882,7 @@ def _full_counts(
             m_by = {ir.label: k_by[ir.label] - ir.dim * int(t) for ir, t in t_by}
         except ClassMismatch as exc:
             error = str(exc)
-    motions = trivial_motion_basis(fw).shape[0]
+    motions = 0 if fw.is_pinned else 3  # two translations and a rotation, none when pinned
     return _Counts(rank, stresses.shape[0], kernel.shape[0] - motions, s_by, m_by, error)
 
 
@@ -1027,7 +1031,7 @@ def verify(
 
     checks: list[CheckResult] = []
 
-    res = intertwining_residual(fw, pg, action=action)
+    res = intertwining_residual(fw, action=action)
     thr = RESIDUAL_TOL * _max_entry(*rows)
     if res_p > RESIDUAL_TOL:
         # No isotypic bases: they are built from the projectors' traces and columns.

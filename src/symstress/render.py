@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .framework import Framework, bbox_diagonal
-from .symmetry import SYM_TOL, PointGroup, SymmetryAction, symmetry_action
+from .symmetry import SYM_TOL, PointGroup, SymmetryAction, _action_for
 
 __all__ = ["render_svg"]
 
@@ -122,22 +122,18 @@ def render_svg(
 
     ``stress`` is a coefficient per bar; ``mechanism`` a velocity per joint
     (shape (v, 2) or flat length 2v; for pinned frameworks, per internal
-    joint).  When ``group`` is given, mirror lines and the rotation centre
-    are drawn and (with ``highlight_fixed``) the bars its action leaves
-    unshifted are emphasised.
+    joint).  When ``group`` or ``action`` is given, mirror lines and the
+    rotation centre are drawn and (with ``highlight_fixed``) the bars the
+    action leaves unshifted are emphasised.
 
     Raises NotSymmetric when ``group`` does not hold, with or without
     ``highlight_fixed``: its action is built whenever a group is given.  A
-    precomputed ``action`` of ``group`` on ``fw`` replaces ``center`` and
-    ``tol``.
+    precomputed ``action`` on ``fw`` replaces ``group``, ``center`` and
+    ``tol``; a ``group`` given with it must be its group (ValueError
+    otherwise).
     """
     positions = fw.positions
     canvas = _Canvas(positions, width, height, margin)
-    if action is not None:
-        center = action.center
-    if center is None:
-        center = fw.centroid()
-    center = np.asarray(center, dtype=float)
 
     stress_vec: np.ndarray | None = None
     if stress is not None:
@@ -157,9 +153,8 @@ def render_svg(
             raise ValueError("mechanism velocities must be finite")
 
     fixed: set[int] = set()
-    if group is not None:
-        if action is None:
-            action = symmetry_action(fw, group, center, tol)
+    if group is not None or action is not None:
+        action = _action_for(fw, group, center, tol, action)
         if highlight_fixed:
             fixed = _fixed_edges(action)
 
@@ -172,10 +167,10 @@ def render_svg(
     if title:
         parts.append(f"<title>{title}</title>")
 
-    if group is not None:
+    if action is not None:
         reach = 0.75 * bbox_diagonal(positions)
-        overlay = _mirror_overlays(group, center, canvas, reach)
-        overlay += _center_overlay(group, center, canvas)
+        overlay = _mirror_overlays(action.group, action.center, canvas, reach)
+        overlay += _center_overlay(action.group, action.center, canvas)
         if overlay:
             parts.append('<g id="overlays">')
             parts.extend(overlay)

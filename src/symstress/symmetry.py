@@ -19,11 +19,12 @@ Conventions
   are fixed (mapped to themselves) by the operations of that class.  A bar
   fixed by a mirror either lies in the mirror line or is perpendicular to and
   centred on it; a bar fixed by the half-turn is centred on the centre point.
-* A :class:`SymmetryAction` holds every operation's joint and bar
-  permutation for one framework, group, centre and tolerance, stacked as
-  (|G|, v) and (|G|, e) arrays with the operation matrices and class
-  indices, so each consumer (the census, the numeric checks, the renderer)
-  reads all operations in one array pass.  It is built once.  Only the two
+* A :class:`SymmetryAction` is the one carrier of a group acting on a
+  framework: its group, centre, and every operation's joint and bar
+  permutation, stacked as (|G|, v) and (|G|, e) arrays with the operation
+  matrices and class indices, so each consumer (the census, the numeric
+  checks, the renderer) reads all operations in one array pass and takes
+  the group from the action.  It is built once.  Only the two
   generators, the rotation by 2 pi / n and the reference mirror, are
   matched joint by joint.  Every other joint permutation is composed from
   theirs, as arrays, and accepted when one vectorised check of the stacked
@@ -74,7 +75,6 @@ __all__ = [
     "apply_op",
     "vertex_permutation",
     "edge_permutation",
-    "OperationAction",
     "SymmetryAction",
     "symmetry_action",
     "census",
@@ -456,31 +456,20 @@ def edge_permutation(fw: Framework, vperm: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OperationAction:
-    """One group operation acting on a framework: joint i goes to joint
-    ``vperm[i]`` and bar b to bar ``eperm[b]``."""
-
-    class_index: int
-    op: SymmetryOperation
-    vperm: np.ndarray
-    eperm: np.ndarray
-
-
-@dataclass(frozen=True)
 class SymmetryAction:
     """A point group acting on one framework about ``center``.
 
     The action is held as stacked arrays, one row per operation of the
     group in canonical class order: ``vperms`` (|G|, v) and ``eperms`` (|G|,
     e) the joint and bar permutations, ``matrices`` (|G|, 2, 2) the
-    operation matrices and ``classes`` (|G|,) the class indices.  ``ops``
-    holds the same operations one by one, each with row views of the
-    stacks.  The stacks are read-only.
+    operation matrices and ``classes`` (|G|,) the class indices.  Row g is
+    operation ``group.operations()[g]``: it sends joint i to joint
+    ``vperms[g, i]`` and bar b to bar ``eperms[g, b]``.  The stacks are
+    read-only.
     """
 
     group: PointGroup
     center: np.ndarray
-    ops: tuple[OperationAction, ...]
     vperms: np.ndarray
     eperms: np.ndarray
     matrices: np.ndarray
@@ -616,8 +605,7 @@ def _act(group: PointGroup, gen: _Generated, bars: _BarLookup) -> SymmetryAction
         eperms = np.array([e for _, e in pairs]).reshape(len(ops), gen.fw.num_edges)
     for stack in (vperms, eperms, mats, classes):
         stack.setflags(write=False)
-    acts = tuple(OperationAction(int(c), op, vp, ep) for c, op, vp, ep in zip(classes, ops, vperms, eperms))
-    return SymmetryAction(group, gen.center, acts, vperms, eperms, mats, classes)
+    return SymmetryAction(group, gen.center, vperms, eperms, mats, classes)
 
 
 def symmetry_action(
@@ -642,6 +630,26 @@ def symmetry_action(
     """
     ctr = fw.centroid() if center is None else np.asarray(center, dtype=float)
     return _act(group, _Generated(_JointIndex(fw, tol), ctr), _BarLookup(fw))
+
+
+def _action_for(
+    fw: Framework,
+    group: PointGroup | None,
+    center: np.ndarray | Sequence[float] | None,
+    tol: float,
+    action: SymmetryAction | None,
+) -> SymmetryAction:
+    """The action a consumer given ``group``, ``center``, ``tol`` and
+    ``action`` works with: ``action`` when given, else ``symmetry_action(fw,
+    group, center, tol)``.  ValueError when ``group`` is given and is not
+    ``action.group``, TypeError when neither is given."""
+    if action is None:
+        if group is None:
+            raise TypeError("a group or an action is needed")
+        return symmetry_action(fw, group, center, tol)
+    if group is not None and group != action.group:
+        raise ValueError(f"group {group!r} is not the action's group {action.group!r}")
+    return action
 
 
 @dataclass(frozen=True)
@@ -748,7 +756,7 @@ class SymmetryCensus:
 
 def census(
     fw: Framework,
-    group: PointGroup,
+    group: PointGroup | None = None,
     center: np.ndarray | Sequence[float] | None = None,
     tol: float = SYM_TOL,
     *,
@@ -760,13 +768,13 @@ def census(
     otherwise ClassMismatch is raised.  NotSymmetric propagates from the
     underlying permutation checks.  For pinned frameworks, joint counts cover
     internal joints only (bars are always counted in full).  A precomputed
-    ``action`` of ``group`` on ``fw`` replaces ``center`` and ``tol``.  Like
+    ``action`` on ``fw`` replaces ``group``, ``center`` and ``tol``; a
+    ``group`` given with it must be its group (ValueError otherwise).  Like
     ``maxwell_count``, raises ValueError for an unpinned framework with fewer
     than two joints.
     """
     maxwell_count(fw)
-    if action is None:
-        action = symmetry_action(fw, group, center, tol)
+    action = _action_for(fw, group, center, tol, action)
     counted = ~fw.pinned_mask
     # Per operation, the fixed joints and bars; then each against the first
     # operation of its class.
@@ -779,13 +787,13 @@ def census(
         bad = classes[np.argmax(differ)]
         per_op = set(zip(vfixed[classes == bad].tolist(), efixed[classes == bad].tolist()))
         raise ClassMismatch(
-            f"operations in class {group.classes[bad].label} fix differing counts "
+            f"operations in class {action.group.classes[bad].label} fix differing counts "
             f"(joints, bars): {sorted(per_op)}"
         )
 
     ctr = action.center
     return SymmetryCensus(
-        group=group,
+        group=action.group,
         v=int(np.count_nonzero(counted)),
         e=fw.num_edges,
         pinned=fw.is_pinned,

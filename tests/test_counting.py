@@ -1,11 +1,14 @@
 """Closed-form case tables, cross-checking, and the analysis report."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import symstress.counting as counting
+import symstress.numeric as numeric
+import symstress.reptheory as reptheory
 from symstress import (
     CrossCheckFailure,
     DivisibilityViolation,
@@ -19,7 +22,9 @@ from symstress import (
     closed_form,
     cross_check,
     make_census,
+    verify,
 )
+from test_numeric import _ring_cnv
 
 
 def _hexagon_ring():
@@ -32,6 +37,24 @@ def _hexagon_ring():
         + [(i, 6 + i) for i in range(6)]
     )
     return Framework(pos, edges)
+
+
+def _tables_built(fn, fw):
+    """How many character tables ``fn(fw)`` builds, through every module
+    that binds ``character_table``."""
+    with (
+        mock.patch.object(reptheory, "character_table", wraps=reptheory.character_table) as a,
+        mock.patch.object(counting, "character_table", wraps=counting.character_table) as b,
+        mock.patch.object(numeric, "character_table", wraps=numeric.character_table) as c,
+    ):
+        fn(fw)
+    return a.call_count + b.call_count + c.call_count
+
+
+SQUARE = Framework(
+    [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)],
+    [(0, 1), (1, 2), (2, 3), (3, 0)],
+)
 
 
 class TestClosedForm:
@@ -202,6 +225,18 @@ class TestAnalyze:
         assert set(doc["decomposition"]) == {"A1", "A2", "B1", "B2"}
         text = rep.to_text()
         assert "Gamma(m) - Gamma(s)" in text
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: catalog._pinned_quad_grid(34, 33), lambda: _ring_cnv(1), lambda: _hexagon_ring(), lambda: SQUARE],
+        ids=["grid-pinned", "ring-cnv", "hexagon-ring", "square"],
+    )
+    def test_character_tables_built(self, make):
+        # The closed form and the reduction each build one; verify builds one
+        # more for its projectors and bases.
+        fw = make()
+        assert _tables_built(analyze, fw) == 2
+        assert _tables_built(verify, fw) == 3
 
     def test_wrong_explicit_group_raises(self):
         entry = catalog.generate("fig3")

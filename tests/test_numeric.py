@@ -456,7 +456,8 @@ def _direct_action(fw, group, center, tol):
 
 
 def _composed_action(fw, group, center, tol):
-    return [(act.vperm, act.eperm) for act in symmetry_action(fw, group, center, tol).ops]
+    action = symmetry_action(fw, group, center, tol)
+    return list(zip(action.vperms, action.eperms))
 
 
 def _direct_detect_groups(fw, tol):
@@ -1391,26 +1392,27 @@ def _assert_halves_match_whole_blocks(fw, spec):
     assert json.dumps(rep.to_dict()) == json.dumps(whole.to_dict())
 
 
-def _acted(fw, act, rows, space):
-    """rho(g) applied to dense rows: (g.u)_{perm(j)} = T u_j on velocities,
-    (g.w)_{eperm(b)} = w_b on bars."""
+def _acted(fw, action, g, rows, space):
+    """rho(g) for operation ``g`` of ``action`` applied to dense rows:
+    (g.u)_{perm(j)} = T u_j on velocities, (g.w)_{eperm(b)} = w_b on bars."""
     moved = np.zeros_like(rows)
     if space == "velocity":
-        perm = numeric._moving_perm(fw, act.vperm)
-        moved.reshape(len(rows), -1, 2)[:, perm] = rows.reshape(len(rows), -1, 2) @ act.op.matrix.T
+        perm = numeric._moving_perm(fw, action.vperms[g])
+        matrix = action.group.operations()[g].matrix
+        moved.reshape(len(rows), -1, 2)[:, perm] = rows.reshape(len(rows), -1, 2) @ matrix.T
     else:
-        moved[:, act.eperm] = rows
+        moved[:, action.eperms[g]] = rows
     return moved
 
 
 def _assert_halves_are_mirror_eigenspaces(fw, spec):
     """For a 2-D irrep, each half is fixed (even) or negated (odd) by the
-    first mirror in ``action.ops`` and holds half of the component; a 1-D
+    action's first mirror and holds half of the component; a 1-D
     irrep's odd half is empty."""
     group, center = resolve_group(spec or GroupSpec("auto"), fw)
     action = symmetry_action(fw, group, center)
     table = character_table(group)
-    mirror = next((act for act in action.ops if act.op.kind == "mirror"), None)
+    mirror = next((g for g, op in enumerate(group.operations()) if op.kind == "mirror"), None)
     sizes = {"velocity": 2 * int(np.count_nonzero(fw.velocity_blocks >= 0)), "edge": fw.num_edges}
     for space, size in sizes.items():
         even, odd = (numeric._isotypic(fw, action, table, space, parity) for parity in (1, -1))
@@ -1421,7 +1423,7 @@ def _assert_halves_are_mirror_eigenspaces(fw, spec):
                 continue
             assert len(halves[0]) == len(halves[1])
             for parity, rows in zip((1, -1), halves):
-                moved = _acted(fw, mirror, rows, space)
+                moved = _acted(fw, action, mirror, rows, space)
                 np.testing.assert_allclose(moved, parity * rows, rtol=0, atol=1e-12)
 
 
@@ -1948,14 +1950,14 @@ def _class_sum_classify(fw, group, basis, center=None, space="velocity", tol=1e-
     rows = B.shape[0]
     # (g.u)_{perm(i)} = T u_i on velocities, (g.w)_{eperm(b)} = w_b on bars.
     class_sums = np.zeros((len(group.classes),) + B.shape)
-    for act in action.ops:
-        target = class_sums[act.class_index]
+    for g, op in enumerate(group.operations()):
+        target = class_sums[action.classes[g]]
         if space == "velocity":
-            perm = numeric._moving_perm(fw, act.vperm)
-            moved = B.reshape(rows, -1, 2) @ act.op.matrix.T
+            perm = numeric._moving_perm(fw, action.vperms[g])
+            moved = B.reshape(rows, -1, 2) @ op.matrix.T
             target.reshape(rows, -1, 2)[:, perm, :] += moved
         else:
-            target[:, act.eperm] += B
+            target[:, action.eperms[g]] += B
     dims = np.array([ir.dim for ir in table.irreps], dtype=float)
     coeff = np.conj(table.as_matrix()) * (dims / group.order)[:, None]
     if not any(ir.is_complex for ir in table.irreps):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symstress import (
+    GroupSpec,
     NotSymmetric,
     catalog,
     group_elements,
@@ -84,6 +85,12 @@ class TestRenderSvg:
         assert render_svg(fw, group, action=action, highlight_fixed=False) == render_svg(
             fw, group, center, highlight_fixed=False
         )
+
+    @pytest.mark.parametrize("name", ["fig3", "fig9a", "quadgrid"])
+    def test_trivial_action_draws_as_no_group(self, name):
+        fw, _, _ = _entry(name)
+        action = resolve_action(GroupSpec("C1"), fw)
+        assert render_svg(fw, action=action) == render_svg(fw)
 
     def test_pins_drawn_as_squares(self):
         fw, group, center = _entry("quadgrid")

@@ -1,5 +1,6 @@
 """Point groups, permutation matching, censuses, and group detection."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -18,21 +19,25 @@ from symstress import (
     analyze,
     catalog,
     census,
+    classify_by_irrep,
     detect_groups,
     edge_permutation,
     group_elements,
     group_spec_from_json,
+    intertwining_residual,
     make_census,
     mirror_op,
     parse_group_arg,
+    render_svg,
     resolve_action,
     resolve_group,
     rotation_op,
+    self_stress_basis,
     verify,
     vertex_permutation,
 )
 from symstress.framework import _range_pairs
-from symstress.symmetry import apply_op, symmetry_action
+from symstress.symmetry import SymmetryAction, apply_op, symmetry_action
 from test_framework import _front_end_cases, _lattice_frameworks
 from test_numeric import (
     GENERATED,
@@ -486,14 +491,11 @@ def _assert_same_action(fw, spec):
     assert got.group == want.group
     assert got.group.class_labels() == want.group.class_labels()
     assert np.array_equal(got.center, want.center)
-    assert len(got.ops) == len(want.ops)
+    for stack in ("classes", "matrices", "vperms", "eperms"):
+        assert np.array_equal(getattr(got, stack), getattr(want, stack)), stack
     bars = symmetry._BarLookup(fw)
-    for a, b in zip(got.ops, want.ops):
-        assert a.class_index == b.class_index
-        assert np.array_equal(a.op.matrix, b.op.matrix)
-        assert np.array_equal(a.vperm, b.vperm)
-        assert np.array_equal(a.eperm, b.eperm)
-        assert np.array_equal(a.eperm, bars.permutation(a.vperm))
+    for vperm, eperm in zip(got.vperms, got.eperms, strict=True):
+        assert np.array_equal(eperm, bars.permutation(vperm))
 
 
 def _listed(groups):
@@ -518,15 +520,12 @@ def _joint_indexes(fn, fw):
 
 
 def _assert_stacks_hold_the_ops(action):
-    """Row g of each stack is operation g of ``action.ops``, the permutations
-    as views of the rows, and no stack can be written."""
-    ops = action.ops
+    """Row g of each stack is operation g of ``action.group.operations()``,
+    in canonical class order, and no stack can be written."""
+    ops = action.group.operations()
     assert action.vperms.shape[0] == action.eperms.shape[0] == len(ops)
-    for g, act in enumerate(ops):
-        assert np.shares_memory(act.vperm, action.vperms[g]) and np.array_equal(act.vperm, action.vperms[g])
-        assert np.shares_memory(act.eperm, action.eperms[g]) and np.array_equal(act.eperm, action.eperms[g])
-        assert np.array_equal(action.matrices[g], act.op.matrix)
-        assert action.classes[g] == act.class_index
+    for g, op in enumerate(ops):
+        assert np.array_equal(action.matrices[g], op.matrix)
     assert action.classes.tolist() == [i for i, cls in enumerate(action.group.classes) for _ in cls.operations]
     for stack in (action.vperms, action.eperms, action.matrices, action.classes):
         assert not stack.flags.writeable
@@ -591,17 +590,57 @@ class TestResolveAction:
         assert _count_calls("group_elements", resolve_group, GroupSpec("auto"), fw) == 1
 
 
+def _consumers(fw):
+    """The four consumers that take an action, by name, as calls on ``fw``
+    (``classify_by_irrep`` on the self-stress basis)."""
+    stresses = self_stress_basis(fw)
+    return {
+        "census": lambda **kw: census(fw, **kw),
+        "classify_by_irrep": lambda **kw: classify_by_irrep(fw, basis=stresses, space="edge", **kw),
+        "intertwining_residual": lambda **kw: intertwining_residual(fw, **kw),
+        "render_svg": lambda **kw: render_svg(fw, **kw),
+    }
+
+
+class TestOneCarrier:
+    """A ``SymmetryAction`` carries its group: the consumers read it from the
+    action, and a group passed beside the action must be that group."""
+
+    def test_no_per_operation_copy(self):
+        import symstress
+
+        assert not hasattr(symstress, "OperationAction") and "OperationAction" not in symstress.__all__
+        fields = [f.name for f in dataclasses.fields(SymmetryAction)]
+        assert fields == ["group", "center", "vperms", "eperms", "matrices", "classes"]
+
+    @pytest.mark.parametrize("name", list(_consumers(SQUARE)))
+    def test_group_read_from_the_action(self, name):
+        # fig9a is C4v; its C2v subgroup has one class fewer.
+        fw = catalog.generate("fig9a").framework
+        action = resolve_action(GroupSpec("Cnv", 4), fw)
+        consume = _consumers(fw)[name]
+        with pytest.raises(ValueError, match=r"PointGroup\(C2v.*PointGroup\(C4v"):
+            consume(group=group_elements("Cnv", 2), action=action)
+        got = consume(action=action)
+        assert got == consume(group=action.group, action=action)
+        assert got == consume(group=action.group, center=action.center)
+
+    @pytest.mark.parametrize("name", ["census", "classify_by_irrep", "intertwining_residual"])
+    def test_group_or_action_needed(self, name):
+        with pytest.raises(TypeError, match="a group or an action"):
+            _consumers(SQUARE)[name]()
+
+
 def _seeded(fw, group, center, r_power, mirror_index):
     """A ``_Generated`` for ``group`` seeded with the pairs of r^r_power and
     of the group's mirror ``mirror_index`` in canonical order (0 is the
     reference mirror), taken from ``symmetry_action``."""
-    ops = symmetry_action(fw, group, center).ops
-    n = group.n
-    rotation = next(a for a in ops if a.op.kind == "rotation" and round(a.op.angle * n / (2 * math.pi)) == r_power)
-    mirror = [a for a in ops if a.op.kind == "mirror"][mirror_index]
+    action, ops, n = symmetry_action(fw, group, center), group.operations(), group.n
+    rotation = next(g for g, op in enumerate(ops) if op.kind == "rotation" and round(op.angle * n / (2 * math.pi)) == r_power)
+    mirror = [g for g, op in enumerate(ops) if op.kind == "mirror"][mirror_index]
     gen = symmetry._Generated(symmetry._JointIndex(fw, SYM_TOL), center)
-    gen.r = (rotation.vperm, rotation.eperm)
-    gen.mirror = (mirror.vperm, mirror.eperm)
+    gen.r = (action.vperms[rotation], action.eperms[rotation])
+    gen.mirror = (action.vperms[mirror], action.eperms[mirror])
     return gen
 
 
@@ -615,8 +654,7 @@ class TestSeeds:
 
     def _assert_same(self, got, fw, group, center):
         want = symmetry_action(fw, group, center)
-        for a, b in zip(got.ops, want.ops, strict=True):
-            assert np.array_equal(a.vperm, b.vperm) and np.array_equal(a.eperm, b.eperm)
+        assert np.array_equal(got.vperms, want.vperms) and np.array_equal(got.eperms, want.eperms)
 
     def test_right_seeds_are_used(self, monkeypatch):
         fw = _ring_cnv(1)
