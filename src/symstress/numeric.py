@@ -588,7 +588,7 @@ def _isotypic(
     dims = np.array([ir.dim for ir in table.irreps])
     chars = table.as_matrix()[:, action.classes]
     coeff = np.conj(chars) * (dims / action.group.order)[:, None]
-    if not any(ir.is_complex for ir in table.irreps):
+    if not chars.imag.any():
         coeff = coeff.real
     split = dims == 2
     if split.any():

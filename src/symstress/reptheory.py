@@ -12,6 +12,16 @@ Irrep label conventions (ASCII):
   step j, where B1 is +1 on the reference mirror class; two-dimensional
   irreps "E" (or "E1", "E2", ... when there are several) with
   chi(C_n^j) = 2*cos(2*pi*k*j/n) and 0 on mirrors.
+
+``character_table`` builds each irrep family as one array formula over the
+classes' rotation steps j and mirror flags.  The angles 2*pi*t*j/n (C_n)
+and 2*pi*k*j/n (the E rows of C_nv) are one float64 array, computed in that
+order of operations; their cosines and sines are the C library's
+(``math.cos`` and ``math.sin`` mapped over the array, not numpy's own); and
+every value within 1e-12 of -2, -1, -1/2, 0, 1/2, 1 or 2 is set to it, so
+that rational characters are exact.  The table is bitwise fixed: every
+character, signed zeros included, equals an entry-by-entry evaluation of the
+same formulas, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -41,11 +51,22 @@ __all__ = [
 REDUCE_TOL = 1e-9
 
 
-def _snap_char(x: float) -> float:
-    for v in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
-        if abs(x - v) < 1e-12:
-            return v
-    return x
+# Characters within 1e-12 of one of these are set to it, so that the
+# rational characters are exact in floating point.
+_SNAP_VALUES = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+def _snapped(values: np.ndarray) -> np.ndarray:
+    """``values`` with each entry within 1e-12 of a snap value replaced by
+    the first such value."""
+    near = np.abs(values[..., None] - _SNAP_VALUES) < 1e-12
+    return np.where(near.any(axis=-1), _SNAP_VALUES[near.argmax(axis=-1)], values)
+
+
+def _libm(f, theta: np.ndarray) -> np.ndarray:
+    """``f`` (``math.cos`` or ``math.sin``) of each entry of ``theta``.  The
+    C library's values, which numpy's own vectorised ones need not equal."""
+    return np.fromiter(map(f, theta.ravel().tolist()), float, theta.size).reshape(theta.shape)
 
 
 @dataclass(frozen=True)
@@ -91,84 +112,35 @@ class CharacterTable:
 
 
 def character_table(group: PointGroup) -> CharacterTable:
-    """Build the character table of a supported point group."""
-    n = group.n
-    classes = group.classes
+    """Build the character table of a supported point group: one array
+    formula per irrep family over the classes' rotation steps and mirror
+    flags (see the module docstring)."""
+    n, classes = group.n, group.classes
+    steps = np.array([cls.step for cls in classes])
     if group.family == "Cn":
-        irreps: list[Irrep] = []
-        if n == 1:
-            labels = ["A"]
-        elif n == 2:
-            labels = ["A", "B"]
-        else:
-            labels = [f"A{t}" for t in range(n)]
-        for t, label in enumerate(labels):
-            chars: list[complex] = []
-            for cls in classes:
-                j = cls.step if cls.kind == "rotation" else 0
-                theta = 2 * math.pi * t * j / n
-                chars.append(
-                    complex(_snap_char(math.cos(theta)), _snap_char(math.sin(theta)))
-                )
-            irreps.append(Irrep(label, 1, tuple(chars)))
-        return CharacterTable(group, tuple(irreps))
-
-    # Cnv
-    if n == 1:
-        a1 = Irrep("A'", 1, (complex(1), complex(1)))
-        a2 = Irrep("A''", 1, (complex(1), complex(-1)))
-        return CharacterTable(group, (a1, a2))
-
-    mirror_classes = [c.label for c in classes if c.kind == "mirror"]
-    ref_mirror = mirror_classes[0]
-
-    def build(label: str, dim: int, on_class) -> Irrep:
-        return Irrep(
-            label, dim, tuple(complex(on_class(cls)) for cls in classes)
-        )
-
-    irreps = [
-        build("A1", 1, lambda cls: 1.0),
-        build("A2", 1, lambda cls: -1.0 if cls.kind == "mirror" else 1.0),
-    ]
-    if n % 2 == 0:
-        irreps.append(
-            build(
-                "B1",
-                1,
-                lambda cls: (
-                    (-1.0) ** cls.step
-                    if cls.kind != "mirror"
-                    else (1.0 if cls.label == ref_mirror else -1.0)
-                ),
-            )
-        )
-        irreps.append(
-            build(
-                "B2",
-                1,
-                lambda cls: (
-                    (-1.0) ** cls.step
-                    if cls.kind != "mirror"
-                    else (-1.0 if cls.label == ref_mirror else 1.0)
-                ),
-            )
-        )
-    n_twodim = (n - 1) // 2 if n % 2 == 1 else n // 2 - 1
-    for k in range(1, n_twodim + 1):
-        label = "E" if n_twodim == 1 else f"E{k}"
-        irreps.append(
-            build(
-                label,
-                2,
-                lambda cls, k=k: (
-                    0.0
-                    if cls.kind == "mirror"
-                    else _snap_char(2 * math.cos(2 * math.pi * k * cls.step / n))
-                ),
-            )
-        )
-    return CharacterTable(group, tuple(irreps))
+        labels = ["A"] if n == 1 else ["A", "B"] if n == 2 else [f"A{t}" for t in range(n)]
+        theta = 2 * math.pi * np.arange(n)[:, None] * steps / n
+        chars = _snapped(_libm(math.cos, theta)).astype(complex)
+        chars.imag = _snapped(_libm(math.sin, theta))
+    else:
+        mirror = np.array([cls.kind == "mirror" for cls in classes])
+        rotation = (-1.0) ** steps
+        # +1 on the reference mirror class (the first mirror class), -1 on the other.
+        ref = np.where(np.cumsum(mirror) == 1, 1.0, -1.0)
+        rows = [np.ones(len(classes)), np.where(mirror, -1.0, 1.0)]
+        labels = ["A'", "A''"] if n == 1 else ["A1", "A2"]
+        if n % 2 == 0:
+            rows += [np.where(mirror, ref, rotation), np.where(mirror, -ref, rotation)]
+            labels += ["B1", "B2"]
+        n_twodim = (n - 1) // 2
+        if n_twodim:
+            theta = 2 * math.pi * np.arange(1, n_twodim + 1)[:, None] * steps / n
+            rows.append(np.where(mirror, 0.0, _snapped(2 * _libm(math.cos, theta))))
+            labels += ["E"] if n_twodim == 1 else [f"E{k}" for k in range(1, n_twodim + 1)]
+        chars = np.vstack(rows).astype(complex)
+    # Each irrep's dimension is its character on the identity, class 0.
+    irreps = zip(labels, chars.real[:, 0].astype(int).tolist(), chars.tolist())
+    return CharacterTable(group, tuple(Irrep(label, dim, tuple(row)) for label, dim, row in irreps))
 
 
 def reducible_character(census: SymmetryCensus) -> np.ndarray:

@@ -1,32 +1,153 @@
-"""Character tables, reduction, decompositions, and the trig identity."""
+"""Character tables, reduction, decompositions, the trig identity, and the
+branching rule over the subgroup lattice."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from symstress import (
+    CharacterTable,
+    GroupSpec,
+    Irrep,
     NonIntegerMultiplicity,
+    analyze,
+    catalog,
     character_table,
     decomposition_from_counts,
+    detect_groups,
     group_elements,
     make_census,
     reduce,
     reducible_character,
     trig_sum,
+    verify,
 )
+from symstress.catalog import _pinned_quad_grid
+from test_numeric import GENERATED, _ring_cnv, _symmetric_frameworks
 
-ALL_GROUPS = [("Cn", n) for n in range(1, 9)] + [("Cnv", n) for n in range(1, 9)]
+ORDERS = list(range(1, 65)) + [128, 256, 512]
+ALL_GROUPS = [("Cn", n) for n in ORDERS] + [("Cnv", n) for n in ORDERS]
+
+
+@functools.lru_cache(maxsize=None)
+def _group(family, n):
+    return group_elements(family, n)
 
 
 def _table(family, n):
-    return character_table(group_elements(family, n))
+    return character_table(_group(family, n))
+
+
+def _reference_snap(x: float) -> float:
+    for v in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+        if abs(x - v) < 1e-12:
+            return v
+    return x
+
+
+def reference_table(group) -> CharacterTable:
+    """The character table built entry by entry, one closure per irrep:
+    the builder ``character_table`` must equal bit for bit."""
+    n = group.n
+    classes = group.classes
+    if group.family == "Cn":
+        irreps: list[Irrep] = []
+        if n == 1:
+            labels = ["A"]
+        elif n == 2:
+            labels = ["A", "B"]
+        else:
+            labels = [f"A{t}" for t in range(n)]
+        for t, label in enumerate(labels):
+            chars: list[complex] = []
+            for cls in classes:
+                j = cls.step if cls.kind == "rotation" else 0
+                theta = 2 * math.pi * t * j / n
+                chars.append(
+                    complex(_reference_snap(math.cos(theta)), _reference_snap(math.sin(theta)))
+                )
+            irreps.append(Irrep(label, 1, tuple(chars)))
+        return CharacterTable(group, tuple(irreps))
+
+    # Cnv
+    if n == 1:
+        a1 = Irrep("A'", 1, (complex(1), complex(1)))
+        a2 = Irrep("A''", 1, (complex(1), complex(-1)))
+        return CharacterTable(group, (a1, a2))
+
+    mirror_classes = [c.label for c in classes if c.kind == "mirror"]
+    ref_mirror = mirror_classes[0]
+
+    def build(label: str, dim: int, on_class) -> Irrep:
+        return Irrep(
+            label, dim, tuple(complex(on_class(cls)) for cls in classes)
+        )
+
+    irreps = [
+        build("A1", 1, lambda cls: 1.0),
+        build("A2", 1, lambda cls: -1.0 if cls.kind == "mirror" else 1.0),
+    ]
+    if n % 2 == 0:
+        irreps.append(
+            build(
+                "B1",
+                1,
+                lambda cls: (
+                    (-1.0) ** cls.step
+                    if cls.kind != "mirror"
+                    else (1.0 if cls.label == ref_mirror else -1.0)
+                ),
+            )
+        )
+        irreps.append(
+            build(
+                "B2",
+                1,
+                lambda cls: (
+                    (-1.0) ** cls.step
+                    if cls.kind != "mirror"
+                    else (-1.0 if cls.label == ref_mirror else 1.0)
+                ),
+            )
+        )
+    n_twodim = (n - 1) // 2 if n % 2 == 1 else n // 2 - 1
+    for k in range(1, n_twodim + 1):
+        label = "E" if n_twodim == 1 else f"E{k}"
+        irreps.append(
+            build(
+                label,
+                2,
+                lambda cls, k=k: (
+                    0.0
+                    if cls.kind == "mirror"
+                    else _reference_snap(2 * math.cos(2 * math.pi * k * cls.step / n))
+                ),
+            )
+        )
+    return CharacterTable(group, tuple(irreps))
+
+
+def _bits(table):
+    """Labels, dimensions, and each character's real and imaginary parts as
+    ``float.hex`` strings, so that signed zeros count."""
+    return [
+        (ir.label, ir.dim, [(type(c), c.real.hex(), c.imag.hex()) for c in ir.characters])
+        for ir in table.irreps
+    ]
 
 
 class TestCharacterTables:
     @pytest.mark.parametrize("family, n", ALL_GROUPS)
+    def test_bitwise_equal_to_reference(self, family, n):
+        group = _group(family, n)
+        assert _bits(character_table(group)) == _bits(reference_table(group))
+
+    @pytest.mark.parametrize("family, n", ALL_GROUPS)
     def test_row_orthogonality(self, family, n):
-        group = group_elements(family, n)
+        group = _group(family, n)
         table = character_table(group)
         sizes = np.array([c.size for c in group.classes], dtype=float)
         order = sizes.sum()
@@ -35,8 +156,22 @@ class TestCharacterTables:
         np.testing.assert_allclose(gram, np.eye(len(table.irreps)), atol=1e-12)
 
     @pytest.mark.parametrize("family, n", ALL_GROUPS)
+    def test_column_orthogonality(self, family, n):
+        table = _table(family, n)
+        sizes = np.array(table.class_sizes, dtype=float)
+        chars = table.as_matrix()
+        dims = np.array([ir.dim for ir in table.irreps])
+        # sum_i d_i conj(chi_i(g)) = |G| delta_{g,E}: the irrep projectors
+        # resolve the identity, as verify's projector check tests.
+        identity = np.zeros(len(sizes))
+        identity[0] = table.order
+        np.testing.assert_allclose(dims @ chars.conj(), identity, atol=1e-9)
+        # sum_i conj(chi_i(a)) chi_i(b) = delta_ab |G| / |class a|.
+        np.testing.assert_allclose(chars.conj().T @ chars, np.diag(table.order / sizes), atol=1e-9)
+
+    @pytest.mark.parametrize("family, n", ALL_GROUPS)
     def test_dimension_sum_equals_order(self, family, n):
-        group = group_elements(family, n)
+        group = _group(family, n)
         table = character_table(group)
         order = sum(c.size for c in group.classes)
         assert sum(ir.dim**2 for ir in table.irreps) == order
@@ -166,3 +301,190 @@ class TestTrigSum:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             trig_sum(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Every count against the branching rule over the subgroup lattice.
+# Restricting a representation of G to a subgroup H is exact: H's irrep j
+# occurs in the restriction of G's irrep i <Res chi_i, psi_j>_H times (Serre,
+# Linear Representations of Finite Groups, 1977, ch. 7).  This holds for the
+# census character Gamma(m) - Gamma(s) and for the actual self-stress and
+# mechanism spaces, so the counts under every subgroup that ``detect_groups``
+# lists follow from the counts under the maximal group.  The restriction
+# matches H's operations to G's by matrix and reads both groups' characters
+# from the reference builder, so it takes from the program only the groups'
+# operations and class order.
+# ---------------------------------------------------------------------------
+
+# Operations whose matrices differ by more than rounding are different.
+MATCH_TOL = 1e-9
+
+
+def _matched(big, small):
+    """Per operation of the subgroup ``small``, in class order, the index of
+    the operation of ``big`` with the same matrix."""
+    mats = np.array([op.matrix for op in big.operations()])
+    found = []
+    for op in small.operations():
+        dist = np.abs(mats - op.matrix).max(axis=(1, 2))
+        assert dist.min() < MATCH_TOL, f"{small!r} is not a subgroup of {big!r}"
+        found.append(int(dist.argmin()))
+    return found
+
+
+def _class_map(big, small):
+    """For each class of the subgroup ``small``, the index of the class of
+    ``big`` that holds its operations."""
+    class_of = np.repeat(np.arange(len(big.classes)), big.class_sizes())[_matched(big, small)]
+    bounds = np.cumsum((0,) + small.class_sizes())
+    found = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # A class of H lies in one class of G: H-conjugates are G-conjugates.
+        assert len(set(class_of[lo:hi])) == 1, (big, small)
+        found.append(int(class_of[lo]))
+    return found
+
+
+def _branching(big, small):
+    """The (G irreps x H irreps) matrix of <Res chi_i, psi_j>_H: non-negative
+    integers."""
+    restricted = reference_table(big).as_matrix()[:, _class_map(big, small)]
+    sub = reference_table(small)
+    raw = (restricted * np.array(sub.class_sizes)) @ sub.as_matrix().conj().T / sub.order
+    counts = np.rint(raw.real).astype(int)
+    np.testing.assert_allclose(raw, counts, atol=1e-9)
+    assert (counts >= 0).all()
+    return counts
+
+
+def _restrict(big, small, counts):
+    """Per irrep label of ``small``, how often the irrep occurs in the
+    restriction of the representation of ``big`` that holds G's irrep ``i``
+    ``counts[i]`` times (a negative count for a difference of
+    representations)."""
+    labels = [ir.label for ir in reference_table(big).irreps]
+    restricted = np.array([counts[label] for label in labels]) @ _branching(big, small)
+    return {ir.label: int(c) for ir, c in zip(reference_table(small).irreps, restricted)}
+
+
+def _dims(group):
+    return {ir.label: ir.dim for ir in reference_table(group).irreps}
+
+
+def _spec(group, center):
+    """The GroupSpec naming ``group`` about ``center``."""
+    family = ("C1" if group.family == "Cn" else "Cs") if group.n == 1 else group.family
+    return GroupSpec(
+        family, group.n, center=tuple(map(float, center)), mirror_angle_deg=math.degrees(group.mirror_angle)
+    )
+
+
+def _subgroup_count(group):
+    """The number of subgroups C_d and C_dv of C_n or C_nv: one C_d per
+    divisor d of n and, in C_nv, n / d of C_dv."""
+    divisors = [d for d in range(1, group.n + 1) if group.n % d == 0]
+    return len(divisors) + (sum(group.n // d for d in divisors) if group.family == "Cnv" else 0)
+
+
+def _framework(case):
+    if case.startswith("ring_cnv-"):
+        return _ring_cnv(int(case.split("-")[1]))
+    if case == "pinned_quad_grid-12x11":
+        return _pinned_quad_grid(12, 11)
+    return catalog.generate(case).framework
+
+
+LATTICE_CASES = [name for name in catalog.names() if catalog.generate(name).framework is not None] + [
+    "ring_cnv-1",
+    "ring_cnv-2",
+    "pinned_quad_grid-12x11",
+]
+
+
+def _lattice_of(fw):
+    """Per group that ``detect_groups`` lists, maximal first: (group, its
+    analysis, its verification)."""
+    found = []
+    for group, center in detect_groups(fw):
+        spec = _spec(group, center)
+        found.append((group, analyze(fw, spec, planarity=False), verify(fw, spec)))
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice(case):
+    return _lattice_of(_framework(case))
+
+
+def _assert_listed_once(lattice):
+    """Every subgroup of the maximal group is listed once, and each resolves
+    as listed and verifies."""
+    groups = [group for group, _, _ in lattice]
+    big = groups[0]
+    assert len(groups) == _subgroup_count(big)
+    assert len({frozenset(_matched(big, small)) for small in groups}) == len(groups)
+    for group, analysis, report in lattice:
+        assert analysis.group_name == report.group_name == group.name
+        assert report.passed, group
+
+
+def _assert_census_restricts(lattice):
+    (big, top, _), *subgroups = lattice
+    gamma = top.decomposition.to_dict()
+    for small, analysis, _ in subgroups:
+        assert analysis.decomposition.to_dict() == _restrict(big, small, gamma), small
+
+
+def _assert_verified_counts_restrict(lattice):
+    # verify counts d_i times the multiplicity of irrep i.
+    (big, _, top), *subgroups = lattice
+    big_dims = _dims(big)
+    for attr in ("s_by_irrep", "m_by_irrep"):
+        copies = {}
+        for label, count in getattr(top, attr).items():
+            assert count % big_dims[label] == 0, (attr, label)
+            copies[label] = count // big_dims[label]
+        for small, _, report in subgroups:
+            dims = _dims(small)
+            expected = {j: dims[j] * c for j, c in _restrict(big, small, copies).items()}
+            assert getattr(report, attr) == expected, (small, attr)
+
+
+def _assert_detected_counts_restrict(lattice):
+    (big, top, top_report), *subgroups = lattice
+    gamma = top.decomposition.to_dict()
+    for small, analysis, report in subgroups:
+        dims = _dims(small)
+        restricted = _restrict(big, small, gamma)
+        assert analysis.s_detected == sum(dims[j] * max(0, -c) for j, c in restricted.items())
+        assert analysis.m_detected == sum(dims[j] * max(0, c) for j, c in restricted.items())
+        # The spaces themselves do not depend on the group.
+        assert (report.s, report.m) == (top_report.s, top_report.m)
+
+
+@pytest.mark.parametrize("case", LATTICE_CASES)
+class TestBranchingRule:
+    def test_lattice_is_listed_once(self, case):
+        _assert_listed_once(_lattice(case))
+
+    def test_census_decomposition(self, case):
+        _assert_census_restricts(_lattice(case))
+
+    def test_verified_counts_by_irrep(self, case):
+        _assert_verified_counts_restrict(_lattice(case))
+
+    def test_detected_and_actual_counts(self, case):
+        _assert_detected_counts_restrict(_lattice(case))
+
+
+@GENERATED
+@given(_symmetric_frameworks())
+def test_branching_rule_on_generated_frameworks(case):
+    # C_n and C_nv with n <= 8, odd n and n = 6 among them: there a C_dv
+    # subgroup with n / d odd has no twin that a wrong mirror angle could
+    # land on.
+    lattice = _lattice_of(case[0])
+    _assert_listed_once(lattice)
+    _assert_census_restricts(lattice)
+    _assert_verified_counts_restrict(lattice)
+    _assert_detected_counts_restrict(lattice)
