@@ -13,14 +13,15 @@ mirror sigma, so a 2-D irrep's component splits into a sigma-even and a
 sigma-odd half whose blocks have the same singular values; the block route
 builds only the even halves, a quarter of the whole block's entries, and
 counts each of their ranks d_i times.  Only singular values are taken, one
-SVD per connected component of a block's exact non-zeros: on an
-axis-aligned quad grid, one per path along a grid line.  The blocks are
-exact only when R commutes with the group action, so ``verify`` checks that
-first; when it fails, or when its residual could move a block singular
-value across the rank cutoff, ``verify`` falls back to one SVD of the whole
-matrix with all singular vectors, and classifies the self-stress and
-mechanism bases by irrep in the whole components' bases, the even halves
-together with the odd halves.  The rigid-body motions are counted per irrep
+SVD per bitwise-distinct connected component of a block's exact non-zeros:
+on an axis-aligned quad grid, one per path along a grid line, and one for
+all the congruent paths of a block whose sub-blocks have the same bytes.
+The blocks are exact only when R commutes with the group action, so
+``verify`` checks that first; when it fails, or when its residual could
+move a block singular value across the rank cutoff, ``verify`` falls back
+to one SVD of the whole matrix with all singular vectors, and classifies
+the self-stress and mechanism bases by irrep in the whole components'
+bases, the even halves together with the odd halves.  The rigid-body motions are counted per irrep
 on both routes from their character, tr M_g + det M_g.  ``verify`` builds
 the even halves of V_i and E_i and R's sparse rows once, before it picks a
 route, and the fallback adds the odd halves only when it runs.
@@ -70,13 +71,15 @@ Conventions
   pattern sum_g |rho(g)| != 0, whose columns are orthonormalised together,
   one batched Gram ``eigh`` per Gram width, and an adapted block into the
   components of the bipartite graph of its non-zero entries, one batched
-  SVD per component shape.  Only exact zeros separate, so the split changes
-  no value beyond rounding.  When every operation matrix has a zero entry
-  (axis-aligned C1, Cs, C2, C2v, C4, C4v), the x and y velocities can fall
-  into different pieces, and then the adapted blocks of an axis-aligned
-  quad grid split along its grid lines.  Nothing is labelled where nothing
-  can split: a group with a zero-free operation matrix, or a block with
-  fewer than ``_SPLIT_MIN`` rows or columns.
+  SVD per component shape over its bitwise-distinct sub-blocks, whose
+  singular values serve every copy.  Only exact zeros separate, and only
+  equal bytes share an SVD, so the split changes no value beyond rounding.
+  When every operation matrix has a zero entry (axis-aligned C1, Cs, C2,
+  C2v, C4, C4v), the x and y velocities can fall into different pieces, and
+  then the adapted blocks of an axis-aligned quad grid split along its grid
+  lines.  Nothing is labelled where nothing can split: a group with a
+  zero-free operation matrix, or a block with fewer than ``_SPLIT_MIN``
+  rows or columns.
 * Each block E_i^H R V_i is assembled from (row, column, value) triples,
   from per-joint tables of every irrep built in one pass, with the x and y
   values in separate tables:
@@ -353,16 +356,24 @@ def _entries(bases: list[_Parts], f: int) -> tuple[np.ndarray, tuple[np.ndarray,
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of the first of each distinct row of a non-negative integer
-    array, and each row's distinct-row number: ``np.unique(rows, axis=0,
-    return_index=True, return_inverse=True)`` without the rows, from a 1-D
-    ``np.unique`` over one ``np.void`` per row.  Big-endian bytes of
-    non-negative integers sort like the integers, so the distinct rows come
-    out in the same order, and the inverse is 1-D."""
-    flat = np.ascontiguousarray(rows, dtype=">i8").reshape(len(rows), -1)
+    """The index of the first of each bitwise-distinct row of an array (a row
+    is everything at one index of the first axis: a vector, a matrix), and
+    each row's distinct-row number, from a stable sort of one ``np.void`` of
+    each row's bytes.  Rows are never compared by value: a 1-ulp difference
+    or the sign of a zero keeps two apart.  The distinct rows are numbered
+    in the order of their bytes, which for rows of uint8 is ``np.unique(rows,
+    axis=0, return_index=True, return_inverse=True)``'s order, and the
+    inverse is 1-D."""
+    flat = np.ascontiguousarray(rows).reshape(len(rows), -1)
     keys = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse
+    # Each key's place is that of the first equal key in the sort: np.unique's
+    # result without its elementwise comparison of neighbouring void keys,
+    # which took 8 times as long on the sub-blocks of a 136 x 135 grid.
+    order = np.argsort(keys, kind="stable")
+    place = np.searchsorted(keys, keys, sorter=order)
+    head = np.zeros(len(keys), dtype=bool)
+    head[place] = True
+    return order[head], np.cumsum(head)[place] - 1
 
 
 def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -470,7 +481,7 @@ def _isotypic_bases(perms: np.ndarray, mats: np.ndarray, coeff: np.ndarray, part
     order = np.lexsort((*stabiliser, name))
     local = np.empty(n, dtype=np.intp)
     fibre = np.arange(f)
-    for k in np.unique(size):
+    for k in np.flatnonzero(np.bincount(size)):
         members = order[size[order] == k].reshape(-1, k)
         reach = np.argmax(perms[:, members[:, :1]] == members, axis=0)
         members = np.take_along_axis(members, np.argsort(reach, axis=1), axis=1)
@@ -534,7 +545,7 @@ def _transfer_vectors(
     sizes = np.bincount(owner, minlength=rank.shape[1])
     none = np.zeros(0, dtype=np.intp)
     found = [(none, none, np.zeros((0, width), dtype=columns.dtype))]
-    for q in np.unique(sizes):
+    for q in np.flatnonzero(np.bincount(sizes)):
         mine = np.flatnonzero(sizes == q)
         flat = by_piece[(np.cumsum(sizes) - sizes)[mine][:, None] + np.arange(q)]
         kinds, col = flat[:, 0] // cols, flat % cols
@@ -747,9 +758,12 @@ def _singular_values(rows: int, cols: int, at: np.ndarray, values: np.ndarray) -
     singular values are the components' together.  A block of one component
     is filled densely from its sums and takes one SVD; otherwise each
     component's sums are scattered into a zero sub-block, its rows and
-    columns in ascending order, and components of one shape take one batched
-    SVD.  The values that a component's non-square shape or an empty row or
-    column leaves out are exact zeros.
+    columns in ascending order, and the bitwise-distinct sub-blocks of one
+    shape (``_distinct_rows``; the first of each, in order) take one
+    batched SVD, whose values serve every copy: the congruent grid lines of
+    a block share one SVD, and every value is the one an SVD of each copy
+    gives.  The values that a component's non-square shape or an empty row
+    or column leaves out are exact zeros.
     """
     if min(rows, cols) < _SPLIT_MIN:
         block = _scatter(at, values, rows * cols).reshape(rows, cols)
@@ -771,16 +785,27 @@ def _singular_values(rows: int, cols: int, at: np.ndarray, values: np.ndarray) -
     for index, side, size in zip(local, sides, shape.T):
         start = np.repeat(np.cumsum(size) - size, size)
         index[np.argsort(side, kind="stable")] = np.arange(len(side)) - start
-    part = piece[r]
+    # One key per shape, ascending as (rows, cols) pairs are: the components
+    # of each shape lie together in ``by_shape`` and their entries together
+    # in ``by_entry``, both in their own ascending order.
+    key = shape[:, 0] * (cols + 1) + shape[:, 1]
+    by_shape = np.flatnonzero(full)[np.argsort(key[full], kind="stable")]
+    starts = np.flatnonzero(np.diff(key[by_shape], prepend=-1))
+    same = np.diff(np.append(starts, len(by_shape)))
     slot = np.empty(len(heads), dtype=np.intp)
+    slot[by_shape] = np.arange(len(by_shape)) - np.repeat(starts, same)
+    part_key = key[piece[r]]
+    by_entry = np.argsort(part_key, kind="stable")
+    ends = np.searchsorted(part_key[by_entry], key[by_shape[starts]], side="right")
     sigmas = [np.zeros(min(rows, cols) - int(shape.min(axis=1).sum()))]
-    for nr, nc in np.unique(shape[full], axis=0):
-        same = np.flatnonzero((shape == (nr, nc)).all(axis=1))
-        slot[same] = np.arange(len(same))
-        mine = (shape[part] == (nr, nc)).all(axis=1)
-        sub_blocks = np.zeros((len(same), nr, nc), dtype=sums.dtype)
-        sub_blocks[slot[part[mine]], local[0][r[mine]], local[1][c[mine]]] = sums[mine]
-        sigmas.append(np.linalg.svd(sub_blocks, compute_uv=False).ravel())
+    for k, count, mine in zip(by_shape[starts], same, np.split(by_entry, ends[:-1])):
+        sub_blocks = np.zeros((count, *shape[k]), dtype=sums.dtype)
+        sub_blocks[slot[piece[r[mine]]], local[0][r[mine]], local[1][c[mine]]] = sums[mine]
+        # The first of each set of copies, in their own order, take the SVD.
+        first, copy = _distinct_rows(sub_blocks)
+        order = np.argsort(first)
+        sv = np.linalg.svd(sub_blocks[first[order]], compute_uv=False)
+        sigmas.append(sv[np.argsort(order)[copy]].ravel())
     return np.sort(np.concatenate(sigmas))[::-1]
 
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -180,6 +182,22 @@ class TestVerifyCommand:
         assert doc["kind"] == "verification"
         assert doc["passed"] is True
         assert doc["counts"]["self_stresses"] == 1
+
+    def test_verify_leaves_numpy_ma_unimported(self, entry_file):
+        # np.unique with no index, inverse or counts output imports numpy.ma,
+        # about 10 ms and 1 MB on the first call in a process.
+        if "numpy.ma" in _imports("-c", "import numpy"):
+            pytest.skip("import numpy alone loads numpy.ma")
+        assert "numpy.ma" not in _imports("-m", "symstress", "verify", str(entry_file("fig3")), "--format", "json")
+        grid = "from symstress import catalog, verify; verify(catalog._pinned_quad_grid(34, 33))"
+        assert "numpy.ma" not in _imports("-c", grid)
+
+
+def _imports(*args):
+    """The modules a fresh ``python -X importtime *args`` process imports."""
+    res = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines() if line.startswith("import time:")}
 
 
 class TestRender:

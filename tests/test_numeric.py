@@ -1622,20 +1622,28 @@ class TestComponentSplit:
         _assert_split_matches_unsplit(fw, spec)
 
     @pytest.mark.parametrize(
-        "cols, rows, group, paths", [(34, 33, "C2v", 134), (21, 21, "C4v", 53)], ids=["C2v", "C4v"]
+        "cols, rows, group, paths, distinct",
+        [(34, 33, "C2v", 134, 10), (21, 21, "C4v", 53, 53)],
+        ids=["C2v", "C4v"],
     )
-    def test_grid_takes_one_svd_per_grid_line(self, cols, rows, group, paths):
+    def test_grid_takes_one_svd_per_grid_line(self, cols, rows, group, paths, distinct):
         # Horizontal bars move only x-velocities and vertical bars only
         # y-velocities, so each block splits into one path per orbit of grid
         # lines that the irrep meets: 2 x 67 lines in all at 34x33 (C2v), and
-        # 53 at 21x21 (C4v), whose 42 lines fall into 11 orbits.  Merging
-        # components takes fewer SVDs, splitting a path more.
+        # 53 at 21x21 (C4v), whose 42 lines fall into 11 orbits.  Paths of
+        # one block with bitwise-equal sub-blocks share one SVD: the dense
+        # split's 134 paths at 34x33 are 10 distinct sub-blocks, and none of
+        # the 53 at 21x21 repeats.  Merging components takes fewer SVDs,
+        # splitting a path or a copy more.
         fw = catalog._pinned_quad_grid(cols, rows)
         spy, matrices = _count_svd_matrices()
         with spy as svd:
             rep, sigmas = _verify_with(fw, None, {})
         assert rep.group_name == group
-        assert len(sigmas) < matrices(svd) <= paths
+        reference = [_dense_split(*triples) for triples in _grid_blocks(fw, None)]
+        assert sum(count for _, _, count in reference) == paths
+        assert sum(len(stack) for stacks, _, _ in reference for stack in stacks) == distinct
+        assert len(sigmas) < matrices(svd) == distinct
         _assert_split_matches_unsplit(fw, None, {})
 
     def test_turned_grid_stays_whole(self):
@@ -1716,19 +1724,23 @@ class TestComponentSplit:
 
 # ---------------------------------------------------------------------------
 # Triples against the dense split: each block scattered densely by one
-# bincount, its exact non-zeros labelled, and each component's sub-block
-# gathered from the dense block, rows and columns ascending.
+# bincount, its exact non-zeros labelled, each component's sub-block
+# gathered from the dense block, rows and columns ascending, and one SVD per
+# bitwise-distinct sub-block of each shape.
 # ---------------------------------------------------------------------------
 
 
 def _dense_split(rows, cols, at, values):
-    """(the matrices handed to ``np.linalg.svd``, the sorted singular values)
-    of the route that scatters each block densely and then splits it."""
+    """(the matrices handed to ``np.linalg.svd``, the sorted singular values,
+    the number of components with rows and columns) of the route that
+    scatters each block densely and then splits it: per component shape,
+    the first of each set of sub-blocks with the same bytes, in order, and
+    each sub-block's singular values from its first."""
     block = _densify(rows, cols, at, values)
     if not block.size:
-        return [], np.zeros(0)
+        return [], np.zeros(0), 0
     if min(rows, cols) < numeric._SPLIT_MIN:
-        return [block], np.linalg.svd(block, compute_uv=False)
+        return [block], np.linalg.svd(block, compute_uv=False), 1
     r, c = np.divmod(np.flatnonzero(block != 0), cols)
     heads, piece = np.unique(numeric._components(r, rows + c, rows + cols), return_inverse=True)
     sides = (piece[:rows], piece[rows:])
@@ -1736,16 +1748,21 @@ def _dense_split(rows, cols, at, values):
     shape = np.stack([np.bincount(side, minlength=len(heads)) for side in sides], axis=1)
     full = shape.min(axis=1) > 0
     if np.count_nonzero(full) == 1:
-        return [block], np.linalg.svd(block, compute_uv=False)
+        return [block], np.linalg.svd(block, compute_uv=False), 1
     starts = np.cumsum(shape, axis=0) - shape
     stacks, sigmas = [], [np.zeros(min(rows, cols) - int(shape.min(axis=1).sum()))]
     for nr, nc in np.unique(shape[full], axis=0):
         same = np.flatnonzero((shape == (nr, nc)).all(axis=1))
         sub_rows = members[0][starts[same, :1] + np.arange(nr)]
         sub_cols = members[1][starts[same, 1:] + np.arange(nc)]
-        stacks.append(block[sub_rows[:, :, None], sub_cols[:, None, :]])
-        sigmas.append(np.linalg.svd(stacks[-1], compute_uv=False).ravel())
-    return stacks, np.sort(np.concatenate(sigmas))[::-1]
+        sub_blocks = block[sub_rows[:, :, None], sub_cols[:, None, :]]
+        first = {}
+        for k, sub_block in enumerate(sub_blocks):
+            first.setdefault(sub_block.tobytes(), k)
+        stacks.append(sub_blocks[list(first.values())])
+        of_bytes = dict(zip(first, np.linalg.svd(stacks[-1], compute_uv=False)))
+        sigmas.extend(of_bytes[sub_block.tobytes()] for sub_block in sub_blocks)
+    return stacks, np.sort(np.concatenate(sigmas))[::-1], int(np.count_nonzero(full))
 
 
 def _assert_bitwise_equal(got, want):
@@ -1758,7 +1775,7 @@ def _assert_triples_match_dense_split(rows, cols, at, values):
     """``numeric._singular_values`` hands ``np.linalg.svd`` bitwise the
     dense split's matrices, in the same order, and returns bitwise its
     singular values."""
-    want_stacks, want = _dense_split(rows, cols, at, values)
+    want_stacks, want, _ = _dense_split(rows, cols, at, values)
     with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
         got = numeric._singular_values(rows, cols, at, values)
     stacks = [call.args[0] for call in svd.call_args_list]
@@ -1873,10 +1890,40 @@ class TestTriples:
         blocks = _grid_blocks(catalog._pinned_quad_grid(cols, rows), spec)
         for triples in blocks:
             stacks = _assert_triples_match_dense_split(*triples)
-            # Split along the grid lines: a stack of sub-blocks, no whole block.
+            # Split along the grid lines: stacks of sub-blocks, no whole
+            # block, for more than one path.
             assert all(stack.ndim == 3 for stack in stacks)
-            assert sum(len(stack) for stack in stacks) > 1
+            assert _dense_split(*triples)[2] > 1
         assert np.iscomplexobj(blocks[0][3]) == (spec is not None and spec.family == "Cn")
+
+    def test_only_bitwise_equal_components_share_an_svd(self):
+        # Two copies of a 5 x 4 component, a third with one entry 1 ulp up,
+        # and a 4 x 5 component with the same bytes as the copies: one SVD
+        # for the copies, and one for each of the others.
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((5, 4))
+        up = a.copy()
+        up[2, 1] = np.nextafter(up[2, 1], np.inf)
+        parts = [a, a, up, a.reshape(4, 5)]
+        block = np.zeros((19, 17))
+        r0 = c0 = 0
+        for part in parts:
+            block[r0:r0 + part.shape[0], c0:c0 + part.shape[1]] = part
+            r0, c0 = r0 + part.shape[0], c0 + part.shape[1]
+        with mock.patch.object(numeric, "_SPLIT_MIN", 1):
+            stacks = _assert_triples_match_dense_split(*_triples(block))
+        assert [stack.shape for stack in stacks] == [(1, 4, 5), (2, 5, 4)]
+
+    def test_distinct_rows_compare_bytes(self):
+        # A zero's sign or 1 ulp keeps two matrices apart; equal bytes do
+        # not.
+        a = np.array([[1.0, 0.0], [0.0, 2.0]])
+        signed, up = a.copy(), a.copy()
+        signed[0, 1] = -0.0
+        up[1, 1] = np.nextafter(2.0, 3.0)
+        first, copy = numeric._distinct_rows(np.stack([signed, a, up, a, signed]))
+        assert sorted(first.tolist()) == [0, 1, 2]
+        assert copy.shape == (5,) and first[copy].tolist() == [0, 1, 2, 1, 0]
 
     @pytest.mark.parametrize(
         "make, spec",
