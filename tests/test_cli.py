@@ -185,7 +185,7 @@ class TestVerifyCommand:
 
     def test_verify_leaves_numpy_ma_unimported(self, entry_file):
         # np.unique with no index, inverse or counts output imports numpy.ma,
-        # about 10 ms and 1 MB on the first call in a process.
+        # about 12 ms and 1 MB on the first call in a process.
         if "numpy.ma" in _imports("-c", "import numpy"):
             pytest.skip("import numpy alone loads numpy.ma")
         assert "numpy.ma" not in _imports("-m", "symstress", "verify", str(entry_file("fig3")), "--format", "json")
