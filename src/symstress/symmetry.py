@@ -20,27 +20,29 @@ Conventions
   fixed by a mirror either lies in the mirror line or is perpendicular to and
   centred on it; a bar fixed by the half-turn is centred on the centre point.
 * A :class:`SymmetryAction` is the one carrier of a group acting on a
-  framework: its group, centre, and every operation's joint and bar
-  permutation, stacked as (|G|, v) and (|G|, e) arrays with the operation
-  matrices and class indices, so each consumer (the census, the numeric
-  checks, the renderer) reads all operations in one array pass and takes
-  the group from the action.  It is built once.  Only the two
+  framework: its group, read-only centre, and every operation's joint and
+  bar permutation, stacked as (|G|, v) and (|G|, e) arrays with the
+  operation matrices and class indices, so each consumer (the census, the
+  numeric checks, the renderer) reads all operations in one array pass and
+  takes the group from the action.  It is built once.  Only the two
   generators, the rotation by 2 pi / n and the reference mirror, are
   matched joint by joint.  Every other joint permutation is composed from
   theirs, as arrays, and accepted when one vectorised check of the stacked
   rotations, and one of the stacked mirrors, finds each joint's image
-  within the tolerance of the joint it is sent to.  The composition is
-  trusted only when no two joints are within twice the tolerance of each
-  other (the crowding guard); otherwise, and wherever the check fails, an
-  operation is matched directly.  Bar permutations are composed the same
-  way, so only directly matched operations look their bars up.
+  within the tolerance of the joint it is sent to.  The check passes only
+  when no two joints are within twice the tolerance of each other (the
+  crowding guard), and an operation it rejects is matched directly, so
+  crowded joints take the same path with every operation matched.  Bar
+  permutations are composed the same way, so only directly matched
+  operations look their bars up.
 * ``resolve_action`` is the front end ``analyze``, ``verify`` and ``render``
   share: for an auto-detected group, the generators detection matched feed
-  the action, so each is matched once per call.  One joint index
+  the action, so each is matched once per call.  One matcher
+  (``_Generated``) is built per resolve.  It holds the joint index
   (``_JointIndex``: the joints sorted by projection, the absolute tolerance
-  and the matching window) is built per resolve and serves detection, the
-  action's check and every direct match.  Matching reads the framework's x
-  and y columns.
+  and the matching window), the bar lookup and the read-only centre, and
+  makes every direct match of detection and of the action.  Matching reads
+  the framework's x and y columns.
 """
 
 from __future__ import annotations
@@ -464,8 +466,8 @@ class SymmetryAction:
     e) the joint and bar permutations, ``matrices`` (|G|, 2, 2) the
     operation matrices and ``classes`` (|G|,) the class indices.  Row g is
     operation ``group.operations()[g]``: it sends joint i to joint
-    ``vperms[g, i]`` and bar b to bar ``eperms[g, b]``.  The stacks are
-    read-only.
+    ``vperms[g, i]`` and bar b to bar ``eperms[g, b]``.  The stacks and
+    the centre are read-only.
     """
 
     group: PointGroup
@@ -481,53 +483,53 @@ _Perms = tuple[np.ndarray, np.ndarray]
 
 
 class _Generated:
-    """Joint and bar permutations composed from those of two generators: the
-    rotation r by 2 pi / n and a reference mirror s.  ``powers(n)`` gives
-    the stacked pairs of r^0 .. r^(n-1) and ``reflections`` those of the
-    mirrors r^k s; the joint and bar permutations of a product ab are a's
-    indexed by b's.
+    """The one matcher of a resolve: it holds the joint index
+    (``_JointIndex``) of ``fw`` at ``tol``, the bar lookup (``_BarLookup``)
+    and a read-only copy of ``center``, and every direct match goes through
+    it.  Joint and bar permutations are composed from those of two
+    generators: the rotation r by 2 pi / n and a reference mirror s.
+    ``powers(n)`` gives the stacked pairs of r^0 .. r^(n-1) and
+    ``reflections`` those of the mirrors r^k s; the joint and bar
+    permutations of a product ab are a's indexed by b's.
 
     A composed pair is accepted for an operation only when every joint's
     image lies within the matching tolerance of the joint it is sent to, by
-    the float formula ``vertex_permutation`` uses, and when the joint
-    ``index`` is uncrowded: every gap between the sorted projections on
+    the float formula ``vertex_permutation`` uses, and when the joint index
+    is uncrowded: every gap between the sorted projections on
     ``_MATCH_DIRECTION`` exceeds twice the matching window.  Then no image
     has two joints within the tolerance, so an accepted joint permutation is
     the one ``vertex_permutation`` would return.  It is a bijection that
     keeps pins on pins, and its bar permutation is the one the bar lookup
     would find, because the generators' permutations are and do.
     ``accepted`` checks a stack of operations in one pass, with the x and
-    y coordinates in separate (operations, joints) arrays.  An operation
-    the check rejects is matched directly over the same ``index``, so one
-    resolve sorts the joints once.
+    y coordinates in separate (operations, joints) arrays; when the joints
+    are crowded it rejects every row.  An operation the check rejects is
+    matched directly (``matched``), over the same index and bar lookup, so
+    one resolve sorts the joints and the bar keys once.
 
     Detection seeds an instance with the generators it matched (``r`` and
     ``mirror``); ``_act`` checks each seed like any composed pair before it
     uses it.
     """
 
-    def __init__(self, index: _JointIndex, center: np.ndarray) -> None:
-        self.index, self.fw, self.center = index, index.fw, center
+    def __init__(self, fw: Framework, tol: float, center: np.ndarray | Sequence[float]) -> None:
+        self.fw = fw
+        self.index = _JointIndex(fw, tol)
+        self.bars = _BarLookup(fw)
+        self.center = np.array(center, dtype=float)
+        self.center.setflags(write=False)
         self.r: _Perms | None = None
         self.mirror: _Perms | None = None
 
     def powers(self, count: int) -> _Perms:
-        """The stacked pairs of r^0 .. r^(count-1), composed by doubling;
-        r's must be known when count > 1."""
-        v, e = self.fw.num_vertices, self.fw.num_edges
+        """The stacked pairs of r^0 .. r^(count-1), each r^m composed as
+        r^(m-1) r; r's must be known when count > 1."""
         stacks = []
-        for size, gen in ((v, 0), (e, 1)):
+        for size, gen in ((self.fw.num_vertices, 0), (self.fw.num_edges, 1)):
             stack = np.empty((count, size), dtype=np.intp)
             stack[0] = np.arange(size)
-            if count > 1:
-                stack[1] = self.r[gen]  # type: ignore[index]
-            m = 2
-            while m < count:
-                # r^(m+j) = r^j r^m, with r^m = r^(m-1) r.
-                step = stack[m - 1][stack[1]]
-                h = min(m, count - m)
-                stack[m : m + h] = stack[:h][:, step]
-                m += h
+            for m in range(1, count):
+                stack[m] = stack[m - 1][self.r[gen]]  # type: ignore[index]
             stacks.append(stack)
         return stacks[0], stacks[1]
 
@@ -546,63 +548,68 @@ class _Generated:
         dx, dy = x - px[vperms], y - py[vperms]
         return np.all(np.sqrt(dx**2 + dy**2) <= self.index.tol_abs, axis=1)
 
-    def checked(self, ops: Sequence[SymmetryOperation], mats: np.ndarray, perms: _Perms, bars: _BarLookup) -> _Perms:
+    def checked(self, ops: Sequence[SymmetryOperation], mats: np.ndarray, perms: _Perms, start: int) -> _Perms:
         """The stacked pairs ``perms`` composed for ``ops``, with each row
-        that ``accepted`` rejects replaced, in order, by direct matching."""
+        from ``start`` on that ``accepted`` rejects replaced, in order, by
+        direct matching; the rows before ``start`` are already verified."""
         vperms, eperms = perms
-        for g in np.flatnonzero(~self.accepted(mats, vperms)):
-            vperms[g], eperms[g] = self.matched(ops[g], None, bars)
+        for g in start + np.flatnonzero(~self.accepted(mats[start:], vperms[start:])):
+            vperms[g], eperms[g] = self.matched(ops[g])
         return vperms, eperms
 
-    def matched(self, op: SymmetryOperation, perms: _Perms | None, bars: _BarLookup) -> _Perms:
+    def matched(self, op: SymmetryOperation, perms: _Perms | None = None) -> _Perms:
         """``perms`` if accepted for ``op``; else ``vertex_permutation``'s
-        joint permutation and the bar permutation ``bars`` finds for it."""
+        joint permutation and the bar permutation the bar lookup finds for
+        it."""
         if perms is not None and self.accepted(op.matrix[None], perms[0][None])[0]:
             return perms
         vperm = vertex_permutation(self.fw, op, self.center, self.index.tol, index=self.index)
-        return vperm, bars.permutation(vperm)
+        return vperm, self.bars.permutation(vperm)
+
+    def tried(self, op: SymmetryOperation) -> _Perms | None:
+        """``matched(op)``, or None if ``op`` is not a symmetry."""
+        try:
+            return self.matched(op)
+        except NotSymmetric:
+            return None
 
 
-def _act(group: PointGroup, gen: _Generated, bars: _BarLookup) -> SymmetryAction:
+def _act(group: PointGroup, gen: _Generated) -> SymmetryAction:
     """``group``'s action about ``gen.center``: ``symmetry_action`` with the
     generators ``gen`` may already hold.
 
     In canonical order the identity and r come first, then the other
     rotations, then s and the other mirrors.  The identity is checked
     first; r and s are each taken from the seed when it passes the check
-    and matched directly otherwise.
-    Every rotation power is composed from r, and every mirror r^k s from r
-    and s, as arrays, and each of the two stacks is checked in one
-    ``gen.accepted`` pass; an operation it rejects is matched directly, in
-    canonical order, so the first operation that is not a symmetry raises
-    as direct matching of every operation would.  When the joints are
-    crowded every operation is matched directly, in canonical order.
+    and matched directly otherwise.  Every other rotation power is composed
+    from r, and every other mirror r^k s from r and s, as arrays, and each
+    of the two stacks is checked in one ``gen.accepted`` pass; an operation
+    it rejects is matched directly, in canonical order, so the first
+    operation that is not a symmetry raises as direct matching of every
+    operation would.  Crowded joints take the same path: the check rejects
+    every composed row, so each operation is matched directly, once.
     """
     n, ops = group.n, group.operations()
     mats = np.array([op.matrix for op in ops])
     classes = np.repeat(np.arange(len(group.classes)), group.class_sizes())
-    if gen.index.uncrowded:
-        # Canonical order: the rotations r^j first (the identity, then r),
-        # then the mirrors r^k s (s first).
-        turns = [round(op.angle * n / (2 * math.pi)) % n for op in ops[:n]]
-        if n > 1:
-            # The identity is checked before r is matched, so a framework it
-            # fails raises at the identity, as direct matching does.
-            if not gen.accepted(mats[:1], np.arange(gen.fw.num_vertices)[None])[0]:
-                gen.matched(ops[0], None, bars)
-            gen.r = gen.matched(ops[1], gen.r, bars)
-        rotations = gen.powers(n)
-        vperms, eperms = gen.checked(ops[:n], mats[:n], (rotations[0][turns], rotations[1][turns]), bars)
-        if len(ops) > n:
-            gen.mirror = gen.matched(ops[n], gen.mirror, bars)
-            steps = [round((op.angle - group.mirror_angle) % math.pi * n / math.pi) % n for op in ops[n:]]
-            mirrored = gen.reflections((rotations[0][steps], rotations[1][steps]))
-            mirror_v, mirror_e = gen.checked(ops[n:], mats[n:], mirrored, bars)
-            vperms, eperms = np.concatenate([vperms, mirror_v]), np.concatenate([eperms, mirror_e])
-    else:
-        pairs = [gen.matched(op, None, bars) for op in ops]
-        vperms = np.array([v for v, _ in pairs]).reshape(len(ops), gen.fw.num_vertices)
-        eperms = np.array([e for _, e in pairs]).reshape(len(ops), gen.fw.num_edges)
+    # The identity is checked before r is matched, so a framework it fails
+    # raises at the identity, as direct matching does.
+    if not gen.accepted(mats[:1], np.arange(gen.fw.num_vertices)[None])[0]:
+        gen.matched(ops[0])
+    if n > 1:
+        gen.r = gen.matched(ops[1], gen.r)
+    # Canonical order: the rotations r^j first (the identity, then r), then
+    # the mirrors r^k s (s first), so each stack starts with the rows that
+    # are already verified.
+    turns = [round(op.angle * n / (2 * math.pi)) % n for op in ops[:n]]
+    rotations = gen.powers(n)
+    vperms, eperms = gen.checked(ops[:n], mats[:n], (rotations[0][turns], rotations[1][turns]), 2)
+    if len(ops) > n:
+        gen.mirror = gen.matched(ops[n], gen.mirror)
+        steps = [round((op.angle - group.mirror_angle) % math.pi * n / math.pi) % n for op in ops[n:]]
+        mirrored = gen.reflections((rotations[0][steps], rotations[1][steps]))
+        mirror_v, mirror_e = gen.checked(ops[n:], mats[n:], mirrored, 1)
+        vperms, eperms = np.concatenate([vperms, mirror_v]), np.concatenate([eperms, mirror_e])
     for stack in (vperms, eperms, mats, classes):
         stack.setflags(write=False)
     return SymmetryAction(group, gen.center, vperms, eperms, mats, classes)
@@ -625,11 +632,12 @@ def symmetry_action(
     when the check fails, or when two joints are too close for it to
     decide, that operation is matched directly.  Raises NotSymmetric at the
     first operation, in canonical order, that is not a symmetry of the
-    framework, with the message direct matching gives.  ``resolve_action``
-    gives the same action for a group spec.
+    framework, with the message direct matching gives.  The action's centre
+    is a read-only copy of ``center`` (default the joint centroid).
+    ``resolve_action`` gives the same action for a group spec.
     """
-    ctr = fw.centroid() if center is None else np.asarray(center, dtype=float)
-    return _act(group, _Generated(_JointIndex(fw, tol), ctr), _BarLookup(fw))
+    ctr = fw.centroid() if center is None else center
+    return _act(group, _Generated(fw, tol, ctr))
 
 
 def _action_for(
@@ -865,18 +873,6 @@ def make_census(
 # ---------------------------------------------------------------------------
 
 
-def _matched(
-    index: _JointIndex, bars: _BarLookup, op: SymmetryOperation, center: np.ndarray
-) -> _Perms | None:
-    """The joint and bar permutations of ``op`` if it is a symmetry, else
-    None."""
-    try:
-        vperm = vertex_permutation(index.fw, op, center, index.tol, index=index)
-        return vperm, bars.permutation(vperm)
-    except NotSymmetric:
-        return None
-
-
 def _divisors_desc(n: int) -> list[int]:
     return [d for d in range(n, 1, -1) if n % d == 0]
 
@@ -897,32 +893,29 @@ def _radius_shells(radii: np.ndarray, joints: np.ndarray, tol_abs: float) -> tup
 _GroupKey = tuple[str, int, float]
 
 
-def _detect(fw: Framework, tol: float) -> tuple[list[_GroupKey], _Generated, _BarLookup]:
+def _detect(fw: Framework, tol: float) -> tuple[list[_GroupKey], _Generated]:
     """``detect_groups`` without building the groups: the sorted keys of the
-    listed groups, a ``_Generated`` about the centroid, and the bar lookup.
+    listed groups and the ``_Generated`` about the centroid that made every
+    match.
 
-    Every match goes through one joint index, which the ``_Generated``
-    holds.  The ``_Generated`` holds the generators detection matched when
-    they are those of the first group, the rotation by 2 pi / n and its
-    reference mirror (for C_nv); otherwise it has no generators.
+    The ``_Generated`` is seeded with the generators detection matched, the
+    largest rotation and the first mirror found; ``_act`` checks them
+    against the group it acts with before it uses them.
     """
-    center = fw.centroid()
-    index = _JointIndex(fw, tol)
-    tol_abs = index.tol_abs
-    bars = _BarLookup(fw)
-    gen = _Generated(index, center)
+    gen = _Generated(fw, tol, fw.centroid())
+    center, tol_abs = gen.center, gen.index.tol_abs
 
     ox, oy = fw.x - center[0], fw.y - center[1]
     radii = np.hypot(ox, oy)
     off_center = np.where(radii > tol_abs)[0]
     if off_center.size == 0:
-        return [("Cn", 1, 0.0)], gen, bars
+        return [("Cn", 1, 0.0)], gen
 
     # Maximal rotation order divides every shell size.
     g, shell = _radius_shells(radii, off_center, tol_abs)
     rot_order = 1
     for cand in _divisors_desc(g):
-        perms = _matched(index, bars, rotation_op(2 * math.pi / cand), center)
+        perms = gen.tried(rotation_op(2 * math.pi / cand))
         if perms is not None:
             rot_order = cand
             gen.r = perms
@@ -948,7 +941,7 @@ def _detect(fw: Framework, tol: float) -> tuple[list[_GroupKey], _Generated, _Ba
     # rejects, are matched directly in ascending order.
     mirrors: list[float] = []
     for first, a in enumerate(dedup):
-        perms = _matched(index, bars, mirror_op(a), center)
+        perms = gen.tried(mirror_op(a))
         if perms is not None:
             gen.mirror = perms
             mirrors.append(a)
@@ -959,14 +952,14 @@ def _detect(fw: Framework, tol: float) -> tuple[list[_GroupKey], _Generated, _Ba
         turns = [round((a - mirrors[0]) / step) for a in later]
         near = [i for i, (a, k) in enumerate(zip(later, turns)) if abs(a - mirrors[0] - k * step) <= ang_tol]
         accepted = np.zeros(len(later), dtype=bool)
-        if near and index.uncrowded:
+        if near:
             rotations = gen.powers(rot_order)
             steps = [turns[i] % rot_order for i in near]
             composed = gen.reflections((rotations[0][steps], rotations[1][steps]))
             mats = np.array([mirror_op(later[i]).matrix for i in near])
             accepted[near] = gen.accepted(mats, composed[0])
         for a, good in zip(later, accepted):
-            if good or _matched(index, bars, mirror_op(a), center) is not None:
+            if good or gen.tried(mirror_op(a)) is not None:
                 mirrors.append(a)
 
     # Enumerate subgroups from the verified generators.  With rotation order
@@ -997,10 +990,7 @@ def _detect(fw: Framework, tol: float) -> tuple[list[_GroupKey], _Generated, _Ba
         if name not in seen:
             seen.add(name)
             keys.append((family, n, ref))
-    family, n, ref = keys[0]
-    if n != rot_order or (family == "Cnv" and ref != mirrors[0]):
-        gen = _Generated(index, center)
-    return keys, gen, bars
+    return keys, gen
 
 
 def detect_groups(
@@ -1010,10 +1000,10 @@ def detect_groups(
 
     Returns candidate (group, centre) pairs sorted maximal-first: descending
     group order, C_nv before C_n at equal order, then ascending reference
-    mirror angle.  The trivial group C_1 is always last.  Only the centroid
-    is tried as a centre; a framework symmetric about a different point only
-    (possible when extra massless joints shift the centroid) must be given
-    its group explicitly.
+    mirror angle.  The trivial group C_1 is always last.  Every pair holds
+    the same read-only centre.  Only the centroid is tried as a centre; a
+    framework symmetric about a different point only (possible when extra
+    massless joints shift the centroid) must be given its group explicitly.
 
     Rotation orders are tested by direct matching, largest first.  So is
     each candidate mirror axis up to the first that holds, m0.  A later
@@ -1021,11 +1011,13 @@ def detect_groups(
     rotation order N found, first tries the permutation composed from the
     rotation's and m0's, accepted by the displacement check and crowding
     guard of ``symmetry_action``; any other candidate, or one whose composed
-    permutation fails the check, is matched directly.  The list is the one
-    direct matching of every candidate gives.  Every listed group is built;
-    ``resolve_group`` and ``resolve_action`` build only the first.
+    permutation fails the check (every one, when the joints are crowded),
+    is matched directly, through the one ``_Generated`` of the call.  The
+    list is the one direct matching of every candidate gives.  Every listed
+    group is built; ``resolve_group`` and ``resolve_action`` build only the
+    first.
     """
-    keys, gen, _ = _detect(fw, tol)
+    keys, gen = _detect(fw, tol)
     return [(group_elements(*key), gen.center) for key in keys]
 
 
@@ -1152,7 +1144,7 @@ def resolve_group(
     if spec.is_auto:
         if fw is None:
             raise ValueError("group 'auto' needs a framework to detect from")
-        keys, gen, _ = _detect(fw, tol)
+        keys, gen = _detect(fw, tol)
         return group_elements(*keys[0]), gen.center
     if spec.center is not None:
         center = np.asarray(spec.center, dtype=float)
@@ -1178,28 +1170,28 @@ def resolve_action(spec: GroupSpec, fw: Framework, tol: float = SYM_TOL) -> Symm
     """The action on ``fw`` of the group ``spec`` names: equal, operation by
     operation, to ``symmetry_action(fw, *resolve_group(spec, fw, tol), tol)``.
 
-    For "auto" the generators detection matched, the rotation by 2 pi / n
-    and the reference mirror, and its bar lookup feed the action, so each
-    generator is matched once per call; only the first detected group is
-    built.  A declared group is resolved and acted on as those two calls do.
+    For "auto" the ``_Generated`` detection matched with feeds the action:
+    its joint index, bar lookup and centre, and its generators, the
+    rotation by 2 pi / n and the reference mirror, so each generator is
+    matched once per call; only the first detected group is built.  A
+    declared group is resolved and acted on as those two calls do.
     """
     if not spec.is_auto:
         return symmetry_action(fw, *resolve_group(spec, fw, tol), tol)
-    keys, gen, bars = _detect(fw, tol)
-    return _act(group_elements(*keys[0]), gen, bars)
+    keys, gen = _detect(fw, tol)
+    return _act(group_elements(*keys[0]), gen)
 
 
 def _require_few_rotations(fw: Framework, n: int, center: np.ndarray, tol: float) -> None:
     """Raise NotSymmetric for C_n or C_nv with n > v joints.
 
     The rotation by 2 pi / n is the first operation ``symmetry_action``
-    tests after the identity, so when it fails it fails with the same
-    message.  When the tolerance swallows it, the group is rejected all the
+    tests after the identity, and it is matched here as there, through a
+    ``_Generated``, so when it fails it fails with the same message.  When the tolerance swallows it, the group is rejected all the
     same, before its n classes are built: an off-centre joint would have
     n > v images, and a lone joint at the centre is held to the same rule.
     """
-    vperm = vertex_permutation(fw, rotation_op(2 * math.pi / n), center, tol)
-    _BarLookup(fw).permutation(vperm)
+    _Generated(fw, tol, center).matched(rotation_op(2 * math.pi / n))
     v = fw.num_vertices
     if v > 1:
         raise NotSymmetric(

@@ -548,6 +548,14 @@ def _workloads():
     return workloads
 
 
+def _ring_web(order, count, seed=1):
+    """``perfbench/workloads.py``'s spider web with ``RING_ORDER`` = order and
+    ``RING_COUNT`` = count; the file itself is left as it is."""
+    workloads = _workloads()
+    with mock.patch.multiple(workloads, RING_ORDER=order, RING_COUNT=count):
+        return workloads.ring_cnv(seed)
+
+
 def _ring_cnv(seed):
     """The benchmark's C16v spider web."""
     return _workloads().ring_cnv(seed)
@@ -624,6 +632,14 @@ def _generator_cases():
         yield f"crowded-square-{spacing:g}", _crowded_square(spacing), 1e-9, [
             (group_elements("Cnv", 4), np.zeros(2))
         ]
+    # High orders: the rotation powers and the mirrors r^k s composed from
+    # the generators, declared as well as detected.
+    for order, count in ((64, 5), (128, 4)):
+        fw = _ring_web(order, count)
+        center = fw.centroid()
+        groups = (("Cnv", order), ("Cn", order), ("Cnv", 2 * order))
+        declared = [(group_elements(family, n), center) for family, n in groups]
+        yield f"web-C{order}v", fw, 1e-9, declared
 
 
 def _count_matchings(monkeypatch):
@@ -679,10 +695,14 @@ class TestGeneratorMatching:
         symmetry_action(fw, group, center)
         assert calls == ["rotation", "mirror"]
 
-    @pytest.mark.parametrize("spacing", [0.5, 6.0])
-    def test_crowded_joints_are_all_matched(self, spacing, monkeypatch):
+    @pytest.mark.parametrize("spacing, detected", [(0.5, 6), (6.0, 5)], ids=["0.5", "6.0"])
+    def test_crowded_joints_are_all_matched(self, spacing, detected, monkeypatch):
+        fw = _crowded_square(spacing)
         calls = _count_matchings(monkeypatch)
-        symmetry_action(_crowded_square(spacing), group_elements("Cnv", 4), np.zeros(2))
+        detect_groups(fw)
+        assert len(calls) == detected
+        calls.clear()
+        symmetry_action(fw, group_elements("Cnv", 4), np.zeros(2))
         assert len(calls) == 8
 
 
@@ -1173,14 +1193,6 @@ class TestBasesByOrbitType:
 # components.  The higher-order webs are the benchmark's spider web with more
 # rotations and fewer rings.
 # ---------------------------------------------------------------------------
-
-
-def _ring_web(order, count, seed=1):
-    """``perfbench/workloads.py``'s spider web with ``RING_ORDER`` = order and
-    ``RING_COUNT`` = count; the file itself is left as it is."""
-    workloads = _workloads()
-    with mock.patch.multiple(workloads, RING_ORDER=order, RING_COUNT=count):
-        return workloads.ring_cnv(seed)
 
 
 def _block_spectra(fw, velocity, bar):

@@ -583,6 +583,21 @@ class TestResolveAction:
             assert built == 1 and len(indexes) > 8, fn.__name__
             assert len(set(map(id, indexes))) == 1 and None not in indexes
 
+    def test_centres_are_read_only_copies(self):
+        # Every detected pair shares one centre, which no caller can move.
+        fw = catalog.generate("fig9a").framework
+        detected = detect_groups(fw)
+        assert not any(center.flags.writeable for _, center in detected)
+        assert not resolve_group(GroupSpec("auto"), fw)[1].flags.writeable
+        assert not resolve_action(GroupSpec("auto"), fw).center.flags.writeable
+        assert not resolve_action(GroupSpec("Cnv", 4, center=(0.0, 0.0)), fw).center.flags.writeable
+        # A caller's centre is copied, neither frozen nor aliased.
+        center = fw.centroid()
+        action = symmetry_action(fw, detected[0][0], center)
+        assert center.flags.writeable and not action.center.flags.writeable
+        assert not np.shares_memory(center, action.center)
+        assert np.array_equal(center, action.center)
+
     def test_only_the_used_group_is_built(self):
         fw = _ring_cnv(1)
         assert _count_calls("group_elements", detect_groups, fw) == 36
@@ -638,7 +653,7 @@ def _seeded(fw, group, center, r_power, mirror_index):
     action, ops, n = symmetry_action(fw, group, center), group.operations(), group.n
     rotation = next(g for g, op in enumerate(ops) if op.kind == "rotation" and round(op.angle * n / (2 * math.pi)) == r_power)
     mirror = [g for g, op in enumerate(ops) if op.kind == "mirror"][mirror_index]
-    gen = symmetry._Generated(symmetry._JointIndex(fw, SYM_TOL), center)
+    gen = symmetry._Generated(fw, SYM_TOL, center)
     gen.r = (action.vperms[rotation], action.eperms[rotation])
     gen.mirror = (action.vperms[mirror], action.eperms[mirror])
     return gen
@@ -649,7 +664,7 @@ class TestSeeds:
 
     def _act(self, gen, group, monkeypatch):
         calls = _count_matchings(monkeypatch)
-        action = symmetry._act(group, gen, symmetry._BarLookup(gen.fw))
+        action = symmetry._act(group, gen)
         return action, calls
 
     def _assert_same(self, got, fw, group, center):
