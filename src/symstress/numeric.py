@@ -591,9 +591,10 @@ def _isotypic(
     commutes with rho(sigma), so P_i (1 +- rho(sigma)) / 2 projects onto a
     half, with coefficient row (c_i(g) +- c_i(g sigma)) / 2, and each half
     holds one of the two partners of every copy of the irrep: dim V_i / 2.
-    A 1-D irrep's whole component is its even half, and its odd half is
-    empty.  The two halves' parts together are a basis of the whole
-    component.
+    The product g sigma is index arithmetic on the group's powers
+    (``_times_sigma``).  A 1-D irrep's whole component is its even half,
+    and its odd half is empty.  The two halves' parts together are a basis
+    of the whole component.
     """
     mats = action.matrices
     dims = np.array([ir.dim for ir in table.irreps])
@@ -603,10 +604,7 @@ def _isotypic(
         coeff = coeff.real
     split = dims == 2
     if split.any():
-        sigma = mats[action.group.n]
-        # The operation g sigma is the one whose matrix is mats[g] @ sigma.
-        times_sigma = np.abs(mats[:, None] - mats @ sigma).sum(axis=(2, 3)).argmin(axis=0)
-        coeff[split] = (coeff[split] + parity * coeff[split][:, times_sigma]) / 2
+        coeff[split] = (coeff[split] + parity * coeff[split][:, _times_sigma(action.group)]) / 2
     built = np.flatnonzero(split | (parity > 0))
     bases: list[_Parts] = [[] for _ in table.irreps]
     if not built.size:
@@ -618,6 +616,17 @@ def _isotypic(
     for i, parts in zip(built, _isotypic_bases(perms, fibre, coeff[built], bool(split.any()))):
         bases[i] = parts
     return bases
+
+
+def _times_sigma(group: PointGroup) -> np.ndarray:
+    """Per operation g of the C_nv ``group``, in canonical order, the index
+    of g sigma, sigma the reference mirror.  Operation g is r^t or r^t
+    sigma, t its power (``PointGroup.powers``), so g sigma is r^t sigma or
+    r^t, since sigma sigma is the identity."""
+    n = group.n
+    # Key t for r^t and n + t for r^t sigma; g sigma has key (key + n) mod 2n.
+    key = np.arange(2 * n) // n * n + group.powers
+    return np.argsort(key)[(key + n) % (2 * n)]
 
 
 def _whole(

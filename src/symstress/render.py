@@ -91,7 +91,7 @@ def _mirror_overlays(group: PointGroup, center: np.ndarray, canvas: _Canvas, rea
 
 
 def _center_overlay(group: PointGroup, center: np.ndarray, canvas: _Canvas) -> list[str]:
-    if group.order <= 1 or all(op.kind != "rotation" for op in group.operations()):
+    if group.n == 1:  # C1 and Cs have no rotation to mark
         return []
     cx, cy = canvas.point(center)
     arm = 5.0

@@ -25,16 +25,19 @@ Conventions
   operation matrices and class indices, so each consumer (the census, the
   numeric checks, the renderer) reads all operations in one array pass and
   takes the group from the action.  It is built once.  Only the two
-  generators, the rotation by 2 pi / n and the reference mirror, are
-  matched joint by joint.  Every other joint permutation is composed from
-  theirs, as arrays, and accepted when one vectorised check of the stacked
-  rotations, and one of the stacked mirrors, finds each joint's image
-  within the tolerance of the joint it is sent to.  The check passes only
-  when no two joints are within twice the tolerance of each other (the
-  crowding guard), and an operation it rejects is matched directly, so
-  crowded joints take the same path with every operation matched.  Bar
-  permutations are composed the same way, so only directly matched
-  operations look their bars up.
+  generators, the rotation r by 2 pi / n and the reference mirror s, are
+  matched joint by joint, and the identity is not matched at all.  Every
+  other operation is r^t or r^t s, t its power (``PointGroup.powers``, set
+  by ``group_elements``, the one place that knows the canonical order).
+  Its joint permutation is composed from the generators', as arrays, and
+  accepted when one vectorised check of the stacked rotations, and one of
+  the stacked mirrors, finds each joint's image within the tolerance of
+  the joint it is sent to.  The check passes only when no two joints are
+  within twice the tolerance of each other (the crowding guard), and an
+  operation it rejects is matched directly, so crowded joints take the
+  same path with every non-identity operation matched.  Bar permutations
+  are composed the same way, so only directly matched operations look
+  their bars up.
 * ``resolve_action`` is the front end ``analyze``, ``verify`` and ``render``
   share: for an auto-detected group, the generators detection matched feed
   the action, so each is matched once per call.  One matcher
@@ -190,12 +193,25 @@ def _rotation_class_label(n: int, j: int) -> str:
 
 @dataclass(frozen=True)
 class PointGroup:
-    """A planar point group C_n or C_nv with its conjugacy classes."""
+    """A planar point group C_n or C_nv with its conjugacy classes.
+
+    ``powers`` is read-only and holds, per operation in canonical order, the
+    power t that ``group_elements`` built it as.  The first n operations are
+    the rotations r^t by 2 pi t / n, the identity and then r (for n > 1)
+    first.  The others are the mirrors r^t s, the reference mirror s first:
+    r^t s is the mirror whose axis lies pi t / n beyond the reference axis.
+    """
 
     family: str  # "Cn" | "Cnv"
     n: int
     mirror_angle: float = 0.0  # reference mirror axis (radians), Cnv only
     classes: tuple[ConjugacyClass, ...] = field(default=(), compare=False)
+    powers: np.ndarray = field(default=(), compare=False)
+
+    def __post_init__(self) -> None:
+        powers = np.array(self.powers, dtype=np.intp)
+        powers.setflags(write=False)
+        object.__setattr__(self, "powers", powers)
 
     @property
     def name(self) -> str:
@@ -235,13 +251,15 @@ def group_elements(family: str, n: int, mirror_angle: float = 0.0) -> PointGroup
     classes: list[ConjugacyClass] = [
         ConjugacyClass("E", "identity", (identity_op(),))
     ]
+    powers = [0]
     if family == "Cn":
         for j in range(1, n):
             op = rotation_op(2 * math.pi * j / n)
             classes.append(
                 ConjugacyClass(_rotation_class_label(n, j), "rotation", (op,), step=j)
             )
-        return PointGroup("Cn", n, 0.0, tuple(classes))
+            powers.append(j)
+        return PointGroup("Cn", n, 0.0, tuple(classes), powers)
 
     # Cnv: paired rotation classes {j, n-j}, then the half turn, then mirrors.
     for j in range(1, (n + 1) // 2):
@@ -249,18 +267,23 @@ def group_elements(family: str, n: int, mirror_angle: float = 0.0) -> PointGroup
         classes.append(
             ConjugacyClass(_rotation_class_label(n, j), "rotation", ops, step=j)
         )
+        powers += [j, n - j]
     if n % 2 == 0:
         classes.append(
             ConjugacyClass("C2", "rotation", (rotation_op(math.pi),), step=n // 2)
         )
+        powers.append(n // 2)
+    # Mirror k, at pi k / n beyond the reference axis, is r^k s.
     mirrors = [mirror_op(mirror_angle + k * math.pi / n) for k in range(n)]
     if n % 2 == 1:
         classes.append(ConjugacyClass("sigma", "mirror", tuple(mirrors)))
+        powers += range(n)
     else:
         ref_label, alt_label = ("sigma_h", "sigma_v") if n == 2 else ("sigma_v", "sigma_d")
         classes.append(ConjugacyClass(ref_label, "mirror", tuple(mirrors[0::2])))
         classes.append(ConjugacyClass(alt_label, "mirror", tuple(mirrors[1::2])))
-    return PointGroup("Cnv", n, mirror_angle % math.pi, tuple(classes))
+        powers += [*range(0, n, 2), *range(1, n, 2)]
+    return PointGroup("Cnv", n, mirror_angle % math.pi, tuple(classes), powers)
 
 
 def _images(
@@ -488,7 +511,7 @@ class _Generated:
     and a read-only copy of ``center``, and every direct match goes through
     it.  Joint and bar permutations are composed from those of two
     generators: the rotation r by 2 pi / n and a reference mirror s.
-    ``powers(n)`` gives the stacked pairs of r^0 .. r^(n-1) and
+    ``rotations(n)`` gives the stacked pairs of r^0 .. r^(n-1) and
     ``reflections`` those of the mirrors r^k s; the joint and bar
     permutations of a product ab are a's indexed by b's.
 
@@ -505,7 +528,9 @@ class _Generated:
     y coordinates in separate (operations, joints) arrays; when the joints
     are crowded it rejects every row.  An operation the check rejects is
     matched directly (``matched``), over the same index and bar lookup, so
-    one resolve sorts the joints and the bar keys once.
+    one resolve sorts the joints and the bar keys once.  Which power of r,
+    and which mirror r^k s, an operation is comes from the group
+    (``PointGroup.powers``), never from its angle or matrix.
 
     Detection seeds an instance with the generators it matched (``r`` and
     ``mirror``); ``_act`` checks each seed like any composed pair before it
@@ -521,7 +546,7 @@ class _Generated:
         self.r: _Perms | None = None
         self.mirror: _Perms | None = None
 
-    def powers(self, count: int) -> _Perms:
+    def rotations(self, count: int) -> _Perms:
         """The stacked pairs of r^0 .. r^(count-1), each r^m composed as
         r^(m-1) r; r's must be known when count > 1."""
         stacks = []
@@ -579,34 +604,35 @@ def _act(group: PointGroup, gen: _Generated) -> SymmetryAction:
     generators ``gen`` may already hold.
 
     In canonical order the identity and r come first, then the other
-    rotations, then s and the other mirrors.  The identity is checked
-    first; r and s are each taken from the seed when it passes the check
-    and matched directly otherwise.  Every other rotation power is composed
-    from r, and every other mirror r^k s from r and s, as arrays, and each
-    of the two stacks is checked in one ``gen.accepted`` pass; an operation
-    it rejects is matched directly, in canonical order, so the first
-    operation that is not a symmetry raises as direct matching of every
-    operation would.  Crowded joints take the same path: the check rejects
-    every composed row, so each operation is matched directly, once.
+    rotations, then s and the other mirrors.  The identity is not matched:
+    its permutations are ``arange``, and only coincident joints, which no
+    matching tells apart, raise there (ValueError).  r and s are each taken
+    from the seed when it passes the check and matched directly otherwise.
+    Every other rotation r^t is composed from r, and every other mirror
+    r^t s from r and s, with t read from ``group.powers``, as arrays, and
+    each of the two stacks is checked in one ``gen.accepted`` pass; an
+    operation it rejects is matched directly, in canonical order, so the
+    first operation that is not a symmetry raises as direct matching of
+    every non-identity operation would.  Crowded joints take the same
+    path: the check rejects every composed row, so each non-identity
+    operation is matched directly, once.
     """
-    n, ops = group.n, group.operations()
+    n, ops, powers = group.n, group.operations(), group.powers
     mats = np.array([op.matrix for op in ops])
     classes = np.repeat(np.arange(len(group.classes)), group.class_sizes())
-    # The identity is checked before r is matched, so a framework it fails
-    # raises at the identity, as direct matching does.
-    if not gen.accepted(mats[:1], np.arange(gen.fw.num_vertices)[None])[0]:
-        gen.matched(ops[0])
+    # Coincident joints raise before r is matched; uncrowded joints are distinct.
+    if not gen.index.uncrowded:
+        require_distinct_joints(gen.fw.positions)
     if n > 1:
         gen.r = gen.matched(ops[1], gen.r)
-    # Canonical order: the rotations r^j first (the identity, then r), then
-    # the mirrors r^k s (s first), so each stack starts with the rows that
-    # are already verified.
-    turns = [round(op.angle * n / (2 * math.pi)) % n for op in ops[:n]]
-    rotations = gen.powers(n)
+    # Each stack starts with the rows that are already verified: r^0 and r
+    # among the rotations, s among the mirrors.
+    rotations = gen.rotations(n)
+    turns = powers[:n]
     vperms, eperms = gen.checked(ops[:n], mats[:n], (rotations[0][turns], rotations[1][turns]), 2)
     if len(ops) > n:
         gen.mirror = gen.matched(ops[n], gen.mirror)
-        steps = [round((op.angle - group.mirror_angle) % math.pi * n / math.pi) % n for op in ops[n:]]
+        steps = powers[n:]
         mirrored = gen.reflections((rotations[0][steps], rotations[1][steps]))
         mirror_v, mirror_e = gen.checked(ops[n:], mats[n:], mirrored, 1)
         vperms, eperms = np.concatenate([vperms, mirror_v]), np.concatenate([eperms, mirror_e])
@@ -626,14 +652,18 @@ def symmetry_action(
     Only the generators are matched joint by joint (``vertex_permutation``)
     and have their bars looked up: the rotation by 2 pi / n and the
     reference mirror, the first rotation and the first mirror in canonical
-    class order.  Every other operation's joint and bar permutations are
-    composed from theirs, and accepted by one vectorised displacement check
-    per stack of rotations or mirrors (see ``_Generated`` and ``_act``);
-    when the check fails, or when two joints are too close for it to
-    decide, that operation is matched directly.  Raises NotSymmetric at the
-    first operation, in canonical order, that is not a symmetry of the
-    framework, with the message direct matching gives.  The action's centre
-    is a read-only copy of ``center`` (default the joint centroid).
+    class order.  The identity is not matched, so it holds at any
+    tolerance, even 0, where its image (p - c) + c can miss p by one
+    rounding.  Every other operation's joint and bar permutations
+    are composed from the generators', and accepted by one vectorised
+    displacement check per stack of rotations or mirrors (see
+    ``_Generated`` and ``_act``); when the check fails, or when two joints
+    are too close for it to decide, that operation is matched directly.
+    Raises NotSymmetric at the first non-identity operation, in canonical
+    order, that is not a symmetry of the framework, with the message direct
+    matching gives, and ValueError, before any matching, when two joints
+    coincide.  The action's centre is a read-only copy of ``center``
+    (default the joint centroid).
     ``resolve_action`` gives the same action for a group spec.
     """
     ctr = fw.centroid() if center is None else center
@@ -953,7 +983,7 @@ def _detect(fw: Framework, tol: float) -> tuple[list[_GroupKey], _Generated]:
         near = [i for i, (a, k) in enumerate(zip(later, turns)) if abs(a - mirrors[0] - k * step) <= ang_tol]
         accepted = np.zeros(len(later), dtype=bool)
         if near:
-            rotations = gen.powers(rot_order)
+            rotations = gen.rotations(rot_order)
             steps = [turns[i] % rot_order for i in near]
             composed = gen.reflections((rotations[0][steps], rotations[1][steps]))
             mats = np.array([mirror_op(later[i]).matrix for i in near])
@@ -1186,10 +1216,11 @@ def _require_few_rotations(fw: Framework, n: int, center: np.ndarray, tol: float
     """Raise NotSymmetric for C_n or C_nv with n > v joints.
 
     The rotation by 2 pi / n is the first operation ``symmetry_action``
-    tests after the identity, and it is matched here as there, through a
-    ``_Generated``, so when it fails it fails with the same message.  When the tolerance swallows it, the group is rejected all the
-    same, before its n classes are built: an off-centre joint would have
-    n > v images, and a lone joint at the centre is held to the same rule.
+    matches, and it is matched here as there, through a ``_Generated``, so
+    when it fails it fails with the same message.  When the tolerance
+    swallows it, the group is rejected all the same, before its n classes
+    are built: an off-centre joint would have n > v images, and a lone
+    joint at the centre is held to the same rule.
     """
     _Generated(fw, tol, center).matched(rotation_op(2 * math.pi / n))
     v = fw.num_vertices

@@ -8,8 +8,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from symstress import catalog, framework_to_json, group_spec_to_json
+
+# Property tests run derandomized: each test's 60 examples follow from its
+# source, so every run draws the same ones.  ``--hypothesis-profile sweep``
+# with ``--hypothesis-seed N`` draws 400 fresh examples a test from seed N.
+_PROPERTY = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+settings.register_profile("derandomized", derandomize=True, max_examples=60, **_PROPERTY)
+settings.register_profile("sweep", derandomize=False, max_examples=400, database=None, **_PROPERTY)
+settings.load_profile("derandomized")
 
 
 def run_cli(*args: str, cwd: str | Path | None = None) -> subprocess.CompletedProcess:

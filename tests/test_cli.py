@@ -169,6 +169,13 @@ class TestAnalyze:
             counts.append(json.loads(res.stdout)["planarity_violations"])
         assert counts == [0, 0]
 
+    def test_trivial_group_holds_at_zero_tolerance(self, tmp_path):
+        # The identity's image (p - c) + c of joint 0 misses p by one
+        # rounding; the identity is not matched, so C1 holds at any tolerance.
+        path = tmp_path / "scalene.json"
+        path.write_text(framework_to_json(Framework([(0.1, 0.2), (1.3, -0.7), (2.9, 0.4)], [(0, 1), (1, 2)])))
+        assert main(["analyze", str(path), "--group", "C1", "--tol-sym", "0"]) == 0
+
 
 class TestVerifyCommand:
     def test_text_output(self, entry_file):

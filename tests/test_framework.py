@@ -29,7 +29,7 @@ from symstress import (
 )
 import symstress.framework as framework
 from symstress.framework import GEOM_TOL, _range_pairs, _strip_candidates
-from test_numeric import GENERATED, _crowded_square, _ring_cnv
+from test_numeric import _crowded_square, _ring_cnv
 
 TRIANGLE = Framework([(0.0, 0.0), (2.0, 0.0), (1.0, 1.5)], [(0, 1), (1, 2), (2, 0)])
 SQUARE = Framework(
@@ -835,7 +835,6 @@ class TestColumnPlanarity:
         for tol in (GEOM_TOL, 1e-3, 0.0):
             assert check_planarity(fw, tol) == _planarity_2d(fw, tol)
 
-    @GENERATED
     @given(_lattice_frameworks())
     def test_lattice_frameworks(self, fw):
         for tol in (GEOM_TOL, 1e-3, 0.0):

@@ -26,7 +26,7 @@ from symstress import (
     verify,
 )
 from symstress.catalog import _pinned_quad_grid
-from test_numeric import GENERATED, _ring_cnv, _symmetric_frameworks
+from test_numeric import _ring_cnv, _symmetric_frameworks
 
 ORDERS = list(range(1, 65)) + [128, 256, 512]
 ALL_GROUPS = [("Cn", n) for n in ORDERS] + [("Cnv", n) for n in ORDERS]
@@ -477,7 +477,6 @@ class TestBranchingRule:
         _assert_detected_counts_restrict(_lattice(case))
 
 
-@GENERATED
 @given(_symmetric_frameworks())
 def test_branching_rule_on_generated_frameworks(case):
     # C_n and C_nv with n <= 8, odd n and n = 6 among them: there a C_dv

@@ -37,10 +37,11 @@ from symstress import (
     vertex_permutation,
 )
 from symstress.framework import _range_pairs
-from symstress.symmetry import SymmetryAction, apply_op, symmetry_action
+from symstress.symmetry import SymmetryAction, apply_op, identity_op, symmetry_action
 from test_framework import _front_end_cases, _lattice_frameworks
 from test_numeric import (
-    GENERATED,
+    GROUP_ORDERS,
+    MIRROR_ANGLES,
     _chiral_ring,
     _count_matchings,
     _crowded_square,
@@ -94,6 +95,26 @@ class TestGroups:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             group_elements("Dn", 3)
+
+    @pytest.mark.parametrize("family", ["Cn", "Cnv"])
+    @pytest.mark.parametrize("n", GROUP_ORDERS)
+    def test_powers_match_the_angles(self, family, n):
+        for angle in MIRROR_ANGLES:
+            g = group_elements(family, n, angle)
+            ops = g.operations()
+            assert [op.kind == "mirror" for op in ops] == [k >= n for k in range(len(ops))]
+            assert g.powers.tolist() == _powers_from_angles(g)
+            assert not g.powers.flags.writeable
+
+
+def _powers_from_angles(group):
+    """Reference for ``PointGroup.powers``: each rotation's power t rounded
+    from its angle 2 pi t / n, and each mirror's from its axis, pi t / n
+    beyond the reference axis."""
+    n, ops = group.n, group.operations()
+    turns = [round(op.angle * n / (2 * math.pi)) % n for op in ops[:n]]
+    steps = [round((op.angle - group.mirror_angle) % math.pi * n / math.pi) % n for op in ops[n:]]
+    return turns + steps
 
 
 class TestPermutations:
@@ -542,7 +563,6 @@ class TestResolveAction:
         _, fw, spec = case
         _assert_stacks_hold_the_ops(resolve_action(spec, fw))
 
-    @GENERATED
     @given(_symmetric_frameworks())
     def test_generated_frameworks(self, case):
         fw, spec = case
@@ -691,21 +711,48 @@ class TestSeeds:
     def test_crowded_seeds_are_never_accepted(self, spacing, monkeypatch):
         fw, group, center = _crowded_square(spacing), group_elements("Cnv", 4), np.zeros(2)
         action, calls = self._act(_seeded(fw, group, center, 1, 0), group, monkeypatch)
-        assert len(calls) == 8
+        # Every operation but the identity is matched directly.
+        assert len(calls) == 7
         self._assert_same(action, fw, group, center)
 
     def test_identity_raises_first_at_zero_tolerance(self):
         # At tol = 0 the identity's image (p - c) + c of joint 1 misses p by
-        # one rounding, and r's image of joint 3 misses too.  The identity
-        # comes first in canonical order, so it is the operation named.
+        # one rounding, and r's image of joint 3 misses too.  Matched
+        # directly, the identity raises; the action takes the identity's
+        # permutations as they are, so r is the operation named.
         c, p = np.array([0.7, -0.9]), np.array([[1.4, -1.9], [2.2, 0.2]])
         fw = Framework([tuple(x) for x in np.vstack([p, 2 * c - p])], [(0, 1), (2, 3), (0, 2)])
         group = group_elements("Cn", 2)
-        message = r"joint 1 has no image match under identity \(nearest joint is 5\.55e-17 away, tolerance 0\)"
-        with pytest.raises(NotSymmetric, match=message):
+        message = r"joint {} has no image match under {} \(nearest joint is 5\.55e-17 away, tolerance 0\)"
+        with pytest.raises(NotSymmetric, match=message.format(1, "identity")):
             vertex_permutation(fw, group.operations()[0], c, tol=0.0)
-        with pytest.raises(NotSymmetric, match=message):
+        with pytest.raises(NotSymmetric, match=message.format(3, "rotation")):
             symmetry_action(fw, group, c, tol=0.0)
+
+    def test_identity_is_not_matched(self, monkeypatch):
+        # At tol = 0, matching the identity directly fails on most of these
+        # frameworks; C1 holds on all of them.
+        rng = np.random.default_rng(0)
+        calls = _count_matchings(monkeypatch)
+        missed = 0
+        for _ in range(50):
+            fw = Framework(rng.normal(size=(7, 2)), [(k, k + 1) for k in range(6)])
+            try:
+                vertex_permutation(fw, identity_op(), fw.centroid(), tol=0.0)
+            except NotSymmetric:
+                missed += 1
+            action = symmetry_action(fw, group_elements("Cn", 1), tol=0.0)
+            assert np.array_equal(action.vperms, [np.arange(7)])
+            assert np.array_equal(action.eperms, [np.arange(6)])
+        assert missed > 25
+        assert calls == []
+
+    def test_coincident_joints_raise_at_the_identity(self, monkeypatch):
+        fw = Framework([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1), (2, 3)])
+        calls = _count_matchings(monkeypatch)
+        with pytest.raises(ValueError, match="joints 1 and 2 coincide"):
+            symmetry_action(fw, group_elements("Cn", 2))
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +817,6 @@ class TestColumnMatching:
         for tol in (SYM_TOL, 1e-2):
             _assert_same_nearest(fw, ops, fw.centroid(), tol)
 
-    @GENERATED
     @given(_lattice_frameworks(), st.data())
     def test_lattice_frameworks(self, fw, data):
         # A centre on a joint or midway between two, so lattice images
