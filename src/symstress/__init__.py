@@ -6,7 +6,14 @@ tables, closed-form and general per-irrep counts of detectable
 self-stresses and mechanisms — with a numeric engine that computes actual
 self-stress and mechanism spaces from the rigidity matrix and classifies
 them by symmetry type, so each side can verify the other.
+
+``errors``, ``framework``, ``symmetry``, ``reptheory`` and ``counting`` load
+with the package.  ``numeric``, ``catalog`` and ``render``, and the names
+they export here, load on first access (PEP 562), so that a program that
+only counts, such as ``symstress analyze``, never compiles them.
 """
+
+import importlib
 
 from .errors import (
     ClassMismatch,
@@ -80,22 +87,6 @@ from .counting import (
     closed_form,
     cross_check,
 )
-from .numeric import (
-    CLASSIFY_THRESHOLD,
-    RANK_TOL,
-    RESIDUAL_TOL,
-    CheckResult,
-    VerificationReport,
-    classify_by_irrep,
-    intertwining_residual,
-    mechanism_basis,
-    numeric_rank,
-    self_stress_basis,
-    trivial_motion_basis,
-    verify,
-)
-from .catalog import CatalogEntry, SubgroupExpectation, all_entries, generate, names
-from .render import render_svg
 
 __version__ = "0.1.0"
 
@@ -125,13 +116,32 @@ __all__ = [
     # counting
     "AnalysisReport", "IrrepRow", "analyze", "analyze_census", "closed_form",
     "cross_check",
-    # numeric
-    "numeric_rank", "trivial_motion_basis", "self_stress_basis",
-    "mechanism_basis", "classify_by_irrep", "intertwining_residual",
-    "CheckResult", "VerificationReport", "verify", "RANK_TOL",
-    "RESIDUAL_TOL", "CLASSIFY_THRESHOLD",
-    # catalog
-    "CatalogEntry", "SubgroupExpectation", "names", "generate", "all_entries",
-    # render
-    "render_svg",
 ]
+
+# The public names of the modules that load on first access, by module.
+_LAZY = {
+    "numeric": (
+        "numeric_rank", "trivial_motion_basis", "self_stress_basis",
+        "mechanism_basis", "classify_by_irrep", "intertwining_residual",
+        "CheckResult", "VerificationReport", "verify", "RANK_TOL",
+        "RESIDUAL_TOL", "CLASSIFY_THRESHOLD",
+    ),
+    "catalog": ("CatalogEntry", "SubgroupExpectation", "names", "generate", "all_entries"),
+    "render": ("render_svg",),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+__all__ += list(_HOME)
+
+
+def __getattr__(name: str):
+    # Not stored in the package: each access reads the defining module, so a
+    # name patched there (as a tracer patches functions) reads the same here.
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_LAZY})

@@ -13,12 +13,17 @@ point, unknown names, bad arguments, planarity violations under
 ``--strict-planar``); 3 the declared symmetry does not hold; 4 the symbolic
 cross-check failed; 5 numeric verification failed.  With multiple inputs
 the worst (highest) code wins.
+
+Each command loads only the modules it runs: ``analyze`` never imports
+``numeric``, ``catalog`` or ``render``; ``verify`` imports ``numeric``;
+``gen`` imports ``catalog``; ``render`` imports ``render``, and ``numeric``
+only for ``--stress`` or ``--mechanism``.  ``concurrent.futures`` loads only
+when ``--jobs`` runs several files in parallel.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 from itertools import repeat
@@ -33,8 +38,7 @@ from .errors import (
     SymstressError,
     UnknownEntry,
 )
-from .catalog import generate
-from .counting import _check_tolerance, analyze
+from .counting import RANK_TOL, _check_tolerance, analyze
 from .framework import (
     Framework,
     check_planarity,
@@ -42,8 +46,6 @@ from .framework import (
     maxwell_count,
     parse_framework_json,
 )
-from .numeric import RANK_TOL, mechanism_basis, self_stress_basis, verify
-from .render import render_svg
 from .symmetry import (
     SYM_TOL,
     GroupSpec,
@@ -192,6 +194,8 @@ def _run_report(path: str, args: argparse.Namespace) -> tuple[int, object, str]:
         if args.command == "analyze":
             report = analyze(fw, spec, tol=args.tol_sym)
         else:
+            from .numeric import verify
+
             report = verify(fw, spec, tol=args.tol_sym, rel_tol=args.tol_rank)
         if args.strict_planar:
             if args.command == "analyze":
@@ -222,7 +226,11 @@ def _emit(text: str, output: str | None) -> None:
 
 def _cmd_analyze_verify(args: argparse.Namespace) -> int:
     if args.jobs > 1 and len(args.inputs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        import concurrent.futures
+
+        # The pool starts all its workers at once, so start no more than files.
+        workers = min(args.jobs, len(args.inputs))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_report, args.inputs, repeat(args)))
     else:
         results = list(map(_run_report, args.inputs, repeat(args)))
@@ -264,7 +272,7 @@ def _parse_param(text: str) -> tuple[str, object]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    from .catalog import names
+    from .catalog import generate, names
 
     if args.list:
         _emit("\n".join(names()) + "\n", args.output)
@@ -289,13 +297,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _overlay_row(
-    basis_of, fw: Framework, index: int | None, name: str, plural: str, rel_tol: float
-):
-    """Row ``index`` of ``basis_of(fw)`` for ``render --stress``/``--mechanism``,
-    or None without an index; ValueError when the row does not exist."""
+def _overlay_row(fw: Framework, index: int | None, name: str, rel_tol: float):
+    """Row ``index`` of the self-stress (``name`` "stress") or mechanism basis
+    of ``fw`` for ``render --stress``/``--mechanism``, or None without an
+    index; ValueError when the row does not exist."""
     if index is None:
         return None
+    from .numeric import mechanism_basis, self_stress_basis
+
+    basis_of, plural = (
+        (self_stress_basis, "self-stresses") if name == "stress" else (mechanism_basis, "mechanisms")
+    )
     basis = basis_of(fw, rel_tol=rel_tol)
     if not 0 <= index < basis.shape[0]:
         raise ValueError(
@@ -305,18 +317,16 @@ def _overlay_row(
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .render import render_svg
+
     try:
         fw, spec = _load(args.input, args.group)
         maxwell_count(fw)  # rejects a single unpinned joint, as analyze and verify do
         action = resolve_action(spec, fw, tol=args.tol_sym)
         svg = render_svg(
             fw,
-            stress=_overlay_row(
-                self_stress_basis, fw, args.stress, "stress", "self-stresses", args.tol_rank
-            ),
-            mechanism=_overlay_row(
-                mechanism_basis, fw, args.mechanism, "mechanism", "mechanisms", args.tol_rank
-            ),
+            stress=_overlay_row(fw, args.stress, "stress", args.tol_rank),
+            mechanism=_overlay_row(fw, args.mechanism, "mechanism", args.tol_rank),
             highlight_fixed=not args.no_highlight,
             title=args.title,
             action=action,

@@ -436,6 +436,12 @@ def analyze_census(
     )
 
 
+# Relative singular-value cutoff for numeric rank decisions.  ``numeric``
+# uses it; it lives here, beside the check of every tolerance, so that the
+# CLI can show it as ``--tol-rank``'s default without loading ``numeric``.
+RANK_TOL = 1e-10
+
+
 def _check_tolerance(name: str, value: float) -> float:
     """``value`` if it is a finite number >= 0, else ValueError."""
     if not (math.isfinite(value) and value >= 0):

@@ -105,7 +105,7 @@ import numpy as np
 
 from .errors import ClassMismatch, DegenerateSpan, DimensionMismatch
 from .framework import Framework, rigidity_matrix_pinned, rigidity_rows
-from .counting import AnalysisReport, _analysis, _check_tolerance
+from .counting import RANK_TOL, AnalysisReport, _analysis, _check_tolerance
 from .reptheory import CharacterTable, IrrepDecomposition, character_table
 from .symmetry import SYM_TOL, GroupSpec, PointGroup, SymmetryAction, _action_for
 from .symmetry import vertex_permutation  # noqa: F401  unused; perfbench's tracer looks it up here
@@ -122,8 +122,6 @@ __all__ = [
     "VerificationReport",
 ]
 
-# Relative singular-value cutoff for rank decisions.
-RANK_TOL = 1e-10
 # Singular values of projected orthonormal bases are 0 or 1 in exact
 # arithmetic; anything above this counts as 1.
 CLASSIFY_THRESHOLD = 0.5

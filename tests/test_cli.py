@@ -132,6 +132,34 @@ class TestAnalyze:
         )
         assert serial.stdout == parallel.stdout
 
+    def test_jobs_starts_no_more_workers_than_files(self, entry_file, monkeypatch, capsys):
+        # The pool starts all max_workers processes at once, so --jobs 64 on
+        # two files must ask for two.  The stand-in maps in this process.
+        import concurrent.futures
+
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        argv = ["analyze", str(entry_file("fig2a")), str(entry_file("fig2b", "other.json")), "--format", "json"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main([*argv, "--jobs", "64"]) == 0
+        assert asked == [2]
+        assert capsys.readouterr().out == serial
+
     def test_output_file(self, entry_file, tmp_path):
         path = entry_file("fig3")
         out = tmp_path / "report.json"
@@ -205,6 +233,108 @@ def _imports(*args):
     res = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     return {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines() if line.startswith("import time:")}
+
+
+_NUMERIC, _CATALOG, _RENDER = "symstress.numeric", "symstress.catalog", "symstress.render"
+_POOL = "concurrent.futures"
+
+
+class TestLoadsOnlyWhatItRuns:
+    """Each command imports only the modules it runs; compiling the others
+    costs a fresh process tens of ms under PYTHONDONTWRITEBYTECODE."""
+
+    @pytest.mark.parametrize(
+        "argv, loaded, unloaded",
+        [
+            (("analyze", "FILE", "--format", "json"), (), (_NUMERIC, _CATALOG, _RENDER, _POOL)),
+            (("verify", "FILE"), (_NUMERIC,), (_CATALOG, _RENDER)),
+            (("render", "FILE"), (_RENDER,), (_NUMERIC, _CATALOG)),
+            (("render", "FILE", "--stress", "0"), (_RENDER, _NUMERIC), (_CATALOG,)),
+            (("gen", "--list"), (_CATALOG,), (_NUMERIC, _RENDER)),
+        ],
+    )
+    def test_command(self, entry_file, tmp_path, argv, loaded, unloaded):
+        path = str(entry_file("fig2b"))  # one self-stress
+        argv = [path if a == "FILE" else a for a in argv]
+        modules = _imports("-m", "symstress", *argv, "-o", str(tmp_path / "out"))
+        assert set(loaded) <= modules
+        assert not modules & set(unloaded)
+
+    def test_package_alone(self):
+        modules = _imports("-c", "import symstress")
+        assert "symstress.counting" in modules
+        assert not modules & {_NUMERIC, _CATALOG, _RENDER, _POOL}
+
+
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter; it fails by raising."""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+_SUBMODULES = ("errors", "framework", "symmetry", "reptheory", "counting", "numeric", "catalog", "render")
+
+
+class TestPackageNames:
+    """The package's names read as they did when it imported every module
+    eagerly.  Each check starts from a fresh ``import symstress``."""
+
+    def test_each_name_is_its_defining_modules_object(self):
+        _run_fresh(f"""
+import importlib, symstress
+got = {{name: getattr(symstress, name) for name in symstress.__all__ if name != "__version__"}}
+modules = [importlib.import_module("symstress." + m) for m in {_SUBMODULES!r}]
+for name, value in got.items():
+    home = getattr(value, "__module__", None)
+    homes = [importlib.import_module(home)] if home else modules
+    assert any(vars(m).get(name) is value for m in homes), name
+""")
+
+    def test_dir_covers_all(self):
+        _run_fresh("import symstress; assert set(symstress.__all__) <= set(dir(symstress))")
+
+    def test_star_import_binds_all(self):
+        _run_fresh("""
+import symstress
+ns = {}
+exec("from symstress import *", ns)
+assert set(symstress.__all__) <= set(ns), set(symstress.__all__) - set(ns)
+""")
+
+    def test_submodules_after_import(self):
+        _run_fresh("""
+import sys, symstress
+assert symstress.numeric is sys.modules["symstress.numeric"]
+assert "fig3" in symstress.catalog.names()
+assert symstress.render.render_svg is symstress.render_svg
+""")
+
+    def test_unknown_name(self):
+        _run_fresh("""
+import symstress
+for name in ("OperationAction", "_full_counts"):
+    assert not hasattr(symstress, name), name
+try:
+    symstress.OperationAction
+except AttributeError as exc:
+    assert str(exc) == "module 'symstress' has no attribute 'OperationAction'", exc
+else:
+    raise AssertionError("no AttributeError")
+""")
+
+    def test_rank_tol_is_one_object(self):
+        _run_fresh("""
+import symstress, symstress.counting
+assert symstress.RANK_TOL is symstress.numeric.RANK_TOL is symstress.counting.RANK_TOL == 1e-10
+""")
+
+    @pytest.mark.parametrize("command", ["analyze", "verify", "render"])
+    def test_tol_rank_help(self, command):
+        res = run_cli(command, "--help")
+        assert res.returncode == 0
+        assert " ".join(res.stdout.split()).count(
+            "--tol-rank TOL_RANK relative singular-value cutoff for numeric ranks (default 1e-10)"
+        ) == 1
 
 
 class TestRender:
