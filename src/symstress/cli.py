@@ -38,21 +38,14 @@ from .errors import (
     SymstressError,
     UnknownEntry,
 )
-from .counting import RANK_TOL, _check_tolerance, analyze
-from .framework import (
-    Framework,
-    check_planarity,
-    framework_to_json,
-    maxwell_count,
-    parse_framework_json,
-)
+from .counting import RANK_TOL, _check_tolerance, _resolve, analyze
+from .framework import Framework, check_planarity, framework_to_json, parse_framework_json
 from .symmetry import (
     SYM_TOL,
     GroupSpec,
     group_spec_from_json,
     group_spec_to_json,
     parse_group_arg,
-    resolve_action,
 )
 
 EXIT_OK = 0
@@ -321,8 +314,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
     try:
         fw, spec = _load(args.input, args.group)
-        maxwell_count(fw)  # rejects a single unpinned joint, as analyze and verify do
-        action = resolve_action(spec, fw, tol=args.tol_sym)
+        action = _resolve(fw, spec, args.tol_sym)
         svg = render_svg(
             fw,
             stress=_overlay_row(fw, args.stress, "stress", args.tol_rank),

@@ -12,7 +12,7 @@ back to the general reduction, which needs no case analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -290,17 +290,7 @@ class AnalysisReport:
                 "cross_check": (
                     "agree" if self.closed_form_used else "closed-form-unavailable"
                 ),
-                "irreps": [
-                    {
-                        "label": row.label,
-                        "dim": row.dim,
-                        "gamma": row.gamma,
-                        "s_detected": row.s_detected,
-                        "m_detected": row.m_detected,
-                        "notes": list(row.notes),
-                    }
-                    for row in self.irreps
-                ],
+                "irreps": [{**asdict(row), "notes": list(row.notes)} for row in self.irreps],
                 "detected_counts": {
                     "s": self.s_detected,
                     "m": self.m_detected,
@@ -373,16 +363,12 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-_FULLY_SYMMETRIC = {"A", "A'", "A0", "A1"}
-
-
 def analyze_census(
     cen: SymmetryCensus, detected: bool = False, num_pinned: int | None = None
 ) -> AnalysisReport:
     """Build an analysis report from a census alone (no coordinates needed),
     centred where the census is."""
     group = cen.group
-    ch = reducible_character(cen)
     notices: list[str] = []
     reduced, closed = cross_check(cen)
     if closed is None:
@@ -397,20 +383,14 @@ def analyze_census(
             gamma=gamma,
             s_detected=dim * max(0, -gamma),
             m_detected=dim * max(0, gamma),
-            notes=("fully-symmetric",) if label in _FULLY_SYMMETRIC else (),
+            # Every character table lists the trivial irrep first.
+            notes=("fully-symmetric",) if i == 0 else (),
         )
-        for label, dim, gamma in reduced.terms
+        for i, (label, dim, gamma) in enumerate(reduced.terms)
     )
-    census_rows = tuple(
-        {
-            "label": cls.label,
-            "size": cls.size,
-            "fixed_vertices": cen.fixed_vertices[i],
-            "fixed_edges": cen.fixed_edges[i],
-            "character": float(ch[i]),
-        }
-        for i, cls in enumerate(group.classes)
-    )
+    census_rows = cen.to_dict()["classes"]
+    for row, value in zip(census_rows, reducible_character(cen).tolist()):
+        row["character"] = value
     mirror_deg = (
         float(np.degrees(group.mirror_angle)) if group.family == "Cnv" else 0.0
     )
@@ -428,7 +408,7 @@ def analyze_census(
         num_pinned=num_pinned,
         e=cen.e,
         k=cen.freedom_number,
-        census_rows=census_rows,
+        census_rows=tuple(census_rows),
         decomposition=reduced,
         closed_form_used=closed is not None,
         irreps=rows,
@@ -449,16 +429,25 @@ def _check_tolerance(name: str, value: float) -> float:
     return value
 
 
+def _resolve(fw: Framework, spec: GroupSpec, tol: float) -> SymmetryAction:
+    """The front end ``analyze``, ``verify`` and ``render`` share: the action
+    of the group ``spec`` names on ``fw``, computed once.  ValueError, in
+    this order, for a ``tol`` that is not a finite number >= 0 and for a
+    single unpinned joint (``maxwell_count``); then ``resolve_action``'s
+    errors."""
+    _check_tolerance("tol", tol)
+    maxwell_count(fw)
+    return resolve_action(spec, fw, tol)
+
+
 def _analysis(
     fw: Framework, group: GroupSpec | None, tol: float
 ) -> tuple[AnalysisReport, SymmetryAction]:
-    """The front end ``analyze`` and ``verify`` share: resolve the group,
-    compute its action on ``fw`` once, and report the census's counts.
-    ValueError for a ``tol`` that is not a finite number >= 0."""
-    _check_tolerance("tol", tol)
-    maxwell_count(fw)
+    """``analyze``'s and ``verify``'s front end: resolve the group's action
+    (``_resolve``, auto-detection when ``group`` is None) and report the
+    census's counts."""
     spec = group if group is not None else GroupSpec("auto")
-    action = resolve_action(spec, fw, tol)
+    action = _resolve(fw, spec, tol)
     report = analyze_census(census(fw, action=action), detected=spec.is_auto, num_pinned=len(fw.pinned))
     return report, action
 

@@ -21,8 +21,9 @@ The blocks are exact only when R commutes with the group action, so
 move a block singular value across the rank cutoff, ``verify`` falls back
 to one SVD of the whole matrix with all singular vectors, and classifies
 the self-stress and mechanism bases by irrep in the whole components'
-bases, the even halves together with the odd halves.  The rigid-body motions are counted per irrep
-on both routes from their character, tr M_g + det M_g.  ``verify`` builds
+bases, the even halves together with the odd halves.  The rigid-body
+motions are counted per irrep on both routes by reducing their character,
+tr M_g + det M_g, which ``reptheory`` owns.  ``verify`` builds
 the even halves of V_i and E_i and R's sparse rows once, before it picks a
 route, and the fallback adds the odd halves only when it runs.
 
@@ -98,7 +99,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -106,8 +107,8 @@ import numpy as np
 from .errors import ClassMismatch, DegenerateSpan, DimensionMismatch
 from .framework import Framework, rigidity_matrix_pinned, rigidity_rows
 from .counting import RANK_TOL, AnalysisReport, _analysis, _check_tolerance
-from .reptheory import CharacterTable, IrrepDecomposition, character_table
-from .symmetry import SYM_TOL, GroupSpec, PointGroup, SymmetryAction, _action_for
+from .reptheory import CharacterTable, IrrepDecomposition, _motion_character, character_table, reduce
+from .symmetry import SYM_TOL, GroupSpec, PointGroup, SymmetryAction, _action_for, _times_sigma
 from .symmetry import vertex_permutation  # noqa: F401  unused; perfbench's tracer looks it up here
 
 __all__ = [
@@ -590,7 +591,7 @@ def _isotypic(
     half, with coefficient row (c_i(g) +- c_i(g sigma)) / 2, and each half
     holds one of the two partners of every copy of the irrep: dim V_i / 2.
     The product g sigma is index arithmetic on the group's powers
-    (``_times_sigma``).  A 1-D irrep's whole component is its even half,
+    (``symmetry._times_sigma``).  A 1-D irrep's whole component is its even half,
     and its odd half is empty.  The two halves' parts together are a basis
     of the whole component.
     """
@@ -614,17 +615,6 @@ def _isotypic(
     for i, parts in zip(built, _isotypic_bases(perms, fibre, coeff[built], bool(split.any()))):
         bases[i] = parts
     return bases
-
-
-def _times_sigma(group: PointGroup) -> np.ndarray:
-    """Per operation g of the C_nv ``group``, in canonical order, the index
-    of g sigma, sigma the reference mirror.  Operation g is r^t or r^t
-    sigma, t its power (``PointGroup.powers``), so g sigma is r^t sigma or
-    r^t, since sigma sigma is the identity."""
-    n = group.n
-    # Key t for r^t and n + t for r^t sigma; g sigma has key (key + n) mod 2n.
-    key = np.arange(2 * n) // n * n + group.powers
-    return np.argsort(key)[(key + n) % (2 * n)]
 
 
 def _whole(
@@ -661,16 +651,13 @@ def _classify(B: np.ndarray, table: CharacterTable, bases: list[_Parts]) -> dict
 
 def _rigid_motions(fw: Framework, table: CharacterTable) -> np.ndarray:
     """Per irrep, how often it occurs in the rigid-body motions: none when
-    pinned, else the reduction of their character tr M_g + det M_g, the
-    translations transforming as the vector representation and the rotation
-    as det M_g (Fowler & Guest 2000).  The motions span an invariant space,
-    so this is the count classifying ``trivial_motion_basis`` by irrep
-    gives, divided by the irrep's dimension."""
+    pinned, else the reduction of their character (reptheory's
+    ``_motion_character``).  The motions span an invariant space, so this
+    is the count classifying ``trivial_motion_basis`` by irrep gives,
+    divided by the irrep's dimension."""
     if fw.is_pinned:
         return np.zeros(len(table.irreps), dtype=int)
-    classes = table.group.classes
-    weights = np.array([cls.size * (cls.trace + cls.det) for cls in classes])
-    return np.rint((np.conj(table.as_matrix()) @ weights).real / table.order).astype(int)
+    return np.array([coeff for _, _, coeff in reduce(_motion_character(table.group), table).terms])
 
 
 def _max_entry(blocks: np.ndarray, d: np.ndarray, n: int) -> float:
@@ -927,13 +914,7 @@ class CheckResult:
     threshold: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "residual": self.residual,
-            "threshold": self.threshold,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -1113,13 +1094,12 @@ def verify(
             CheckResult("detected_lower_bound", False, "classification failed")
         )
     else:
+        # Both routes count every irrep, so s_by and m_by hold every label.
         mismatches = []
-        for label, dim, coeff in gamma.terms:
-            if m_by.get(label, 0) - s_by.get(label, 0) != dim * coeff:
-                mismatches.append(
-                    f"{label}: m-s = {m_by.get(label, 0) - s_by.get(label, 0)}, "
-                    f"dim*gamma = {dim * coeff}"
-                )
+        for row in analysis.irreps:
+            diff = m_by[row.label] - s_by[row.label]
+            if diff != row.dim * row.gamma:
+                mismatches.append(f"{row.label}: m-s = {diff}, dim*gamma = {row.dim * row.gamma}")
         checks.append(
             CheckResult(
                 "per_irrep_identity",
@@ -1128,11 +1108,11 @@ def verify(
             )
         )
         shortfalls = []
-        for label, dim, coeff in gamma.terms:
-            if s_by.get(label, 0) < dim * max(0, -coeff):
-                shortfalls.append(f"{label}: s_i = {s_by[label]} < {dim * max(0, -coeff)}")
-            if m_by.get(label, 0) < dim * max(0, coeff):
-                shortfalls.append(f"{label}: m_i = {m_by[label]} < {dim * max(0, coeff)}")
+        for row in analysis.irreps:
+            if s_by[row.label] < row.s_detected:
+                shortfalls.append(f"{row.label}: s_i = {s_by[row.label]} < {row.s_detected}")
+            if m_by[row.label] < row.m_detected:
+                shortfalls.append(f"{row.label}: m_i = {m_by[row.label]} < {row.m_detected}")
         checks.append(
             CheckResult(
                 "detected_lower_bound",

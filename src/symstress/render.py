@@ -121,10 +121,11 @@ def render_svg(
     """Render a framework as deterministic SVG 1.1 text.
 
     ``stress`` is a coefficient per bar; ``mechanism`` a velocity per joint
-    (shape (v, 2) or flat length 2v; for pinned frameworks, per internal
-    joint).  When ``group`` or ``action`` is given, mirror lines and the
-    rotation centre are drawn and (with ``highlight_fixed``) the bars the
-    action leaves unshifted are emphasised.
+    (shape (v, 2) or (2v,); for pinned frameworks, per internal joint),
+    else DimensionMismatch.  ``title``'s &, < and > are escaped.  When
+    ``group`` or ``action`` is given, mirror lines and the rotation centre
+    are drawn and (with ``highlight_fixed``) the bars the action leaves
+    unshifted are emphasised.
 
     Raises NotSymmetric when ``group`` does not hold, with or without
     ``highlight_fixed``: its action is built whenever a group is given.  A
@@ -148,7 +149,13 @@ def render_svg(
     moving = np.flatnonzero(fw.velocity_blocks >= 0)
     velocity: np.ndarray | None = None
     if mechanism is not None:
-        velocity = np.asarray(mechanism, dtype=float).reshape(len(moving), 2)
+        velocity = np.asarray(mechanism, dtype=float)
+        if velocity.shape not in ((len(moving), 2), (2 * len(moving),)):
+            raise DimensionMismatch(
+                f"mechanism has shape {velocity.shape} for {len(moving)} moving joints; "
+                f"expected ({len(moving)}, 2) or ({2 * len(moving)},)"
+            )
+        velocity = velocity.reshape(len(moving), 2)
         if not np.all(np.isfinite(velocity)):
             raise ValueError("mechanism velocities must be finite")
 
@@ -165,7 +172,8 @@ def render_svg(
         f'viewBox="0 0 {width} {height}">',
     ]
     if title:
-        parts.append(f"<title>{title}</title>")
+        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(f"<title>{text}</title>")
 
     if action is not None:
         reach = 0.75 * bbox_diagonal(positions)

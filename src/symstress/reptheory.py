@@ -1,6 +1,7 @@
 """Character tables and character reduction for planar point groups.
 
-Irrep label conventions (ASCII):
+Irrep label conventions (ASCII).  Every table lists the trivial
+(fully-symmetric) irrep first:
 
 * C_1: "A".  C_2 (cyclic): "A", "B".  C_n for n >= 3: "A0".."A{n-1}" with
   characters chi_t(C_n^j) = exp(2*pi*i*t*j/n); conjugate pairs t and n-t
@@ -143,6 +144,13 @@ def character_table(group: PointGroup) -> CharacterTable:
     return CharacterTable(group, tuple(Irrep(label, dim, tuple(row)) for label, dim, row in irreps))
 
 
+def _motion_character(group: PointGroup) -> np.ndarray:
+    """The character of the rigid-body motions, tr M_g + det M_g per
+    conjugacy class: the translations transform as the vector
+    representation and the rotation as det M_g (Fowler & Guest 2000)."""
+    return np.array([cls.trace + cls.det for cls in group.classes])
+
+
 def reducible_character(census: SymmetryCensus) -> np.ndarray:
     """The character of Gamma(m) - Gamma(s) from a symmetry census.
 
@@ -154,16 +162,13 @@ def reducible_character(census: SymmetryCensus) -> np.ndarray:
         pinned:    fixed_vertices * tr - fixed_edges
 
     which on the identity reduces to 2v - e - 3 (or 2v - e when pinned).
+    The rigid-body motions' tr + det is ``_motion_character``'s.
     """
-    values = []
-    for idx, cls in enumerate(census.group.classes):
-        tr = cls.trace
-        det = cls.det
-        val = census.fixed_vertices[idx] * tr - census.fixed_edges[idx]
-        if not census.pinned:
-            val -= tr + det
-        values.append(val)
-    return np.array(values, dtype=float)
+    trace = np.array([cls.trace for cls in census.group.classes])
+    values = np.array(census.fixed_vertices) * trace - np.array(census.fixed_edges)
+    if not census.pinned:
+        values -= _motion_character(census.group)
+    return values
 
 
 @dataclass(frozen=True)

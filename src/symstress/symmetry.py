@@ -38,9 +38,10 @@ Conventions
   same path with every non-identity operation matched.  Bar permutations
   are composed the same way, so only directly matched operations look
   their bars up.
-* ``resolve_action`` is the front end ``analyze``, ``verify`` and ``render``
-  share: for an auto-detected group, the generators detection matched feed
-  the action, so each is matched once per call.  One matcher
+* ``resolve_action`` computes the action ``analyze``, ``verify`` and
+  ``render`` share (through ``counting._resolve``, their one front end): for
+  an auto-detected group, the generators detection matched feed the
+  action, so each is matched once per call.  One matcher
   (``_Generated``) is built per resolve.  It holds the joint index
   (``_JointIndex``: the joints sorted by projection, the absolute tolerance
   and the matching window), the bar lookup and the read-only centre, and
@@ -284,6 +285,18 @@ def group_elements(family: str, n: int, mirror_angle: float = 0.0) -> PointGroup
         classes.append(ConjugacyClass(alt_label, "mirror", tuple(mirrors[1::2])))
         powers += [*range(0, n, 2), *range(1, n, 2)]
     return PointGroup("Cnv", n, mirror_angle % math.pi, tuple(classes), powers)
+
+
+def _times_sigma(group: PointGroup) -> np.ndarray:
+    """Per operation g of the C_nv ``group``, in canonical order, the index
+    of g sigma, sigma the reference mirror.  In ``group_elements``' order
+    the first n operations are r^t and the others r^t sigma, t the power
+    (``PointGroup.powers``), so g sigma is r^t sigma or r^t, since sigma
+    sigma is the identity."""
+    n = group.n
+    # Key t for r^t and n + t for r^t sigma; g sigma has key (key + n) mod 2n.
+    key = np.arange(2 * n) // n * n + group.powers
+    return np.argsort(key)[(key + n) % (2 * n)]
 
 
 def _images(

@@ -478,6 +478,24 @@ class TestExitCodes:
             assert res.stderr == prefix + message, command
             assert res.stdout == ""
 
+    def test_single_unpinned_joint_is_rejected_before_the_group(self, tmp_path):
+        """The Maxwell check comes before the group is resolved, for a group
+        that holds (C5 about the joint) and one that does not (C5 about the
+        origin, which would exit 3 as not symmetric)."""
+        one = Framework([(0.5, 1.0)], [])
+        declared = tmp_path / "declared.json"
+        declared.write_text(framework_to_json(one, group={"family": "Cn", "n": 5, "center": [0.0, 0.0]}))
+        plain = tmp_path / "plain.json"
+        plain.write_text(framework_to_json(one))
+        message = "an unpinned framework needs at least two joints for the Maxwell count, got 1\n"
+        for path, args in ((plain, ("--group", "Cn:5")), (declared, ())):
+            for command in ("analyze", "verify", "render"):
+                res = run_cli(command, str(path), *args)
+                assert res.returncode == 2, (path.name, command)
+                prefix = "render: " if command == "render" else f"{path}: "
+                assert res.stderr == prefix + message, (path.name, command)
+                assert res.stdout == ""
+
     def test_single_pinned_joint_verifies(self, tmp_path):
         path = tmp_path / "onepinned.json"
         path.write_text(framework_to_json(Framework([(0.5, 1.0)], [], pinned=[0])))

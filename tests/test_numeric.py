@@ -1457,7 +1457,7 @@ MIRROR_ANGLES = (0.0, 0.3, 1.2, 2.9)
 
 
 def _times_sigma_by_matrices(group):
-    """Reference for ``numeric._times_sigma``: for each operation g, the
+    """Reference for ``symmetry._times_sigma``: for each operation g, the
     operation whose matrix is nearest mats[g] @ sigma, over all pairs."""
     mats = np.array([op.matrix for op in group.operations()])
     return np.abs(mats[:, None] - mats @ mats[group.n]).sum(axis=(2, 3)).argmin(axis=0)
@@ -1468,7 +1468,7 @@ class TestParityHalves:
     def test_times_sigma_matches_matrix_search(self, n):
         for angle in MIRROR_ANGLES:
             group = group_elements("Cnv", n, angle)
-            assert np.array_equal(numeric._times_sigma(group), _times_sigma_by_matrices(group))
+            assert np.array_equal(symmetry._times_sigma(group), _times_sigma_by_matrices(group))
 
     @pytest.mark.parametrize("case", list(_parity_cases()), ids=lambda c: c[0])
     def test_halves_match_whole_blocks(self, case):
@@ -2094,6 +2094,15 @@ def _rigid_motions(group):
     return reduce([c.trace + c.det for c in group.classes], character_table(group))
 
 
+def _rint_rigid_motions(table):
+    """The per-irrep rigid-motion counts as ``numeric._rigid_motions``
+    rounded them before it reduced ``reptheory._motion_character``, kept as
+    the reference."""
+    classes = table.group.classes
+    weights = np.array([cls.size * (cls.trace + cls.det) for cls in classes])
+    return np.rint((np.conj(table.as_matrix()) @ weights).real / table.order).astype(int)
+
+
 class TestClassifyAgainstClassSums:
     @pytest.mark.parametrize("case", list(_classify_cases()), ids=lambda c: c[0])
     def test_same_counts_or_errors(self, case):
@@ -2176,6 +2185,18 @@ class TestRigidMotionCounts:
     @pytest.mark.parametrize("family, n, want", [("Cnv", 16, "A2 + E1"), ("Cnv", 4, "A2 + E")])
     def test_rigid_motion_character(self, family, n, want):
         assert str(_rigid_motions(group_elements(family, n))) == want
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_reduction_equals_rounded_class_sum(self, n):
+        unpinned = Framework([(0.0, 0.0), (1.0, 0.0)], [(0, 1)])
+        pinned = Framework([(0.0, 0.0), (1.0, 0.0)], [(0, 1)], pinned=[0])
+        groups = [group_elements("Cn", n)] + [group_elements("Cnv", n, a) for a in MIRROR_ANGLES]
+        for group in groups:
+            table = character_table(group)
+            got = numeric._rigid_motions(unpinned, table)
+            assert got.dtype.kind == "i"
+            assert got.tolist() == _rint_rigid_motions(table).tolist()
+            assert numeric._rigid_motions(pinned, table).tolist() == [0] * len(table.irreps)
 
     @pytest.mark.parametrize("case", list(_motion_cases()), ids=lambda c: c[0])
     def test_character_matches_svd_route(self, case):

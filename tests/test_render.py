@@ -1,9 +1,12 @@
 """Deterministic SVG rendering of frameworks and overlays."""
 
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
 from symstress import (
+    DimensionMismatch,
     GroupSpec,
     NotSymmetric,
     catalog,
@@ -14,6 +17,12 @@ from symstress import (
     resolve_group,
     self_stress_basis,
 )
+
+
+from conftest import run_cli
+
+GEOMETRIC = [n for n in catalog.names() if catalog.generate(n).framework is not None]
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def _entry(name):
@@ -107,3 +116,47 @@ class TestRenderSvg:
         fw, _, _ = _entry("fig3")
         with pytest.raises(Exception):
             render_svg(fw, stress=np.ones(fw.num_edges + 1))
+
+    def test_wrong_mechanism_shape_rejected(self):
+        fw, group, center = _entry("fig3")
+        M = mechanism_basis(fw)[0]
+        assert fw.num_vertices == 6 and M.shape == (12,)
+        want = render_svg(fw, group, center, mechanism=M)
+        assert render_svg(fw, group, center, mechanism=M.reshape(6, 2)) == want
+        for bad in (M[:5], M.reshape(2, 6), M.reshape(3, 4), M.reshape(6, 2, 1)):
+            with pytest.raises(DimensionMismatch, match="6 moving joints"):
+                render_svg(fw, group, center, mechanism=bad)
+
+    def test_title_is_escaped(self):
+        fw, _, _ = _entry("fig3")
+        svg = render_svg(fw, title="A & B <x>")
+        assert "<title>A &amp; B &lt;x&gt;</title>" in svg
+        assert ET.fromstring(svg.encode()).find(SVG + "title").text == "A & B <x>"
+        assert "<title>fig3 plain title</title>" in render_svg(fw, title="fig3 plain title")
+
+    def test_cli_title_is_well_formed(self, tmp_path):
+        path = tmp_path / "fig3.json"
+        assert run_cli("gen", "fig3", "-o", str(path)).returncode == 0
+        res = run_cli("render", str(path), "--title", "A & B <x>")
+        assert res.returncode == 0
+        assert ET.fromstring(res.stdout.encode()).find(SVG + "title").text == "A & B <x>"
+
+
+class TestWellFormed:
+    """Every SVG the renderer writes parses as XML."""
+
+    @pytest.mark.parametrize("name", GEOMETRIC)
+    def test_catalog_entry_with_and_without_group(self, name):
+        fw, group, center = _entry(name)
+        for svg in (render_svg(fw), render_svg(fw, group, center)):
+            assert ET.fromstring(svg.encode()).tag == SVG + "svg"
+
+    def test_fig3_overlays(self):
+        fw, group, center = _entry("fig3")
+        svgs = [
+            render_svg(fw, group, center, stress=self_stress_basis(fw)[0]),
+            render_svg(fw, group, center, mechanism=mechanism_basis(fw)[0]),
+        ]
+        for svg, overlay in zip(svgs, ("bars", "mechanism")):
+            root = ET.fromstring(svg.encode())
+            assert root.find(f"{SVG}g[@id='{overlay}']") is not None

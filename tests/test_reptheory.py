@@ -2,6 +2,7 @@
 branching rule over the subgroup lattice."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -249,6 +250,52 @@ class TestReduce:
         pinned = make_census("Cnv", 1, v=5, e=7, pinned=True, v_sigma=1, e_sigma=3)
         assert reducible_character(unpinned)[1] == -3 + 1
         assert reducible_character(pinned)[1] == -3
+
+
+def _reference_reducible_character(census):
+    """The per-class loop ``reducible_character`` was before it took the
+    rigid-body term from ``_motion_character``, kept as the reference."""
+    values = []
+    for idx, cls in enumerate(census.group.classes):
+        tr = cls.trace
+        det = cls.det
+        val = census.fixed_vertices[idx] * tr - census.fixed_edges[idx]
+        if not census.pinned:
+            val -= tr + det
+        values.append(val)
+    return np.array(values, dtype=float)
+
+
+def _census_samples(family, n):
+    """Pinned and unpinned ``make_census`` samples of C_n or C_nv, with
+    mirrors at angles whose operation matrices are not all exact."""
+    mirror_pair = family == "Cnv" and n % 2 == 0
+    for pinned, v, e, v_c, e_2, v_s, e_s, angle in itertools.product(
+        (False, True), (2, 7), (0, 3, 14), (0, 1), (0, 1), (0, 2), (0, 1), (0.0, 17.0, 90.0)
+    ):
+        if family == "Cn" and (v_s or e_s or angle):
+            continue
+        sigma = ((v_s, v_s + 1), (e_s, 2 * e_s)) if mirror_pair else (v_s, e_s)
+        yield make_census(
+            family, n, v=v, e=e, pinned=pinned, v_c=v_c, e_2=e_2,
+            v_sigma=sigma[0], e_sigma=sigma[1], mirror_angle_deg=angle,
+        )
+
+
+class TestReducibleCharacter:
+    @pytest.mark.parametrize("family, n", [(f, n) for f in ("Cn", "Cnv") for n in range(1, 9)])
+    def test_bitwise_equal_to_per_class_loop(self, family, n):
+        samples = list(_census_samples(family, n))
+        assert {cen.pinned for cen in samples} == {False, True}
+        for cen in samples:
+            got, want = reducible_character(cen), _reference_reducible_character(cen)
+            assert got.dtype == want.dtype == np.float64
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+    @pytest.mark.parametrize("family, n", ALL_GROUPS)
+    def test_trivial_irrep_is_listed_first(self, family, n):
+        first = _table(family, n).irreps[0]
+        assert first.dim == 1 and all(c == 1 for c in first.characters)
 
 
 class TestDecomposition:
