@@ -10,9 +10,10 @@ Subcommands:
 
 Exit codes: 0 success; 2 invalid input (parse errors, two joints at one
 point, unknown names, bad arguments, planarity violations under
-``--strict-planar``); 3 the declared symmetry does not hold; 4 the symbolic
-cross-check failed; 5 numeric verification failed.  With multiple inputs
-the worst (highest) code wins.
+``--strict-planar``, a ``render`` title XML 1.0 cannot hold); 3 the
+declared symmetry does not hold; 4 the symbolic cross-check failed; 5
+numeric verification failed.  With multiple inputs the worst (highest)
+code wins.
 
 Each command loads only the modules it runs: ``analyze`` never imports
 ``numeric``, ``catalog`` or ``render``; ``verify`` imports ``numeric``;
@@ -38,8 +39,8 @@ from .errors import (
     SymstressError,
     UnknownEntry,
 )
-from .counting import RANK_TOL, _check_tolerance, _resolve, analyze
-from .framework import Framework, check_planarity, framework_to_json, parse_framework_json
+from .counting import RANK_TOL, _resolve, analyze
+from .framework import Framework, _check_tolerance, check_planarity, framework_to_json, parse_framework_json
 from .symmetry import (
     SYM_TOL,
     GroupSpec,
@@ -211,8 +212,14 @@ def _run_report(path: str, args: argparse.Namespace) -> tuple[int, object, str]:
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write ``text`` to the file ``output`` in UTF-8, else to stdout.  A
+    file name given as bytes that do not decode is held as surrogate
+    escapes; ``surrogateescape`` writes those bytes back as given."""
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        Path(output).write_text(text, encoding="utf-8", errors="surrogateescape")
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode(sys.stdout.encoding, "surrogateescape"))
     else:
         sys.stdout.write(text)
 

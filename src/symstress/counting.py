@@ -11,7 +11,6 @@ back to the general reduction, which needs no case analysis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
@@ -32,6 +31,7 @@ from .reptheory import (
     reducible_character,
 )
 from .symmetry import (
+    _FAMILIES,
     SYM_TOL,
     GroupSpec,
     SymmetryAction,
@@ -63,77 +63,45 @@ def closed_form(cen: SymmetryCensus) -> IrrepDecomposition:
     """Closed-form irrep decomposition of Gamma(m) - Gamma(s) from a census.
 
     Supported case tables: C_1, C_s, C_2, C_n (n >= 3), C_2v, C_3v, C_4v for
-    unpinned frameworks, and C_1, C_s, C_2, C_2v for pinned ones.  Everything
-    else (C_nv with n >= 5, pinned C_n / C_nv with n >= 3, and census
-    combinations outside the tables, e.g. a centre joint together with a
-    centred bar) raises UnsupportedGroup.
+    unpinned frameworks, and C_1, C_s, C_2, C_2v for pinned ones.  Each
+    precondition is checked once, in this order, and raises
+    UnsupportedGroup: C_2 and C_2v need (v_c, e_2) in the half-turn shift
+    table; then a pinned census with n >= 3, then C_nv with n >= 5, have no
+    table; then C_n (n >= 3), C_3v and C_4v need v_c in {0, 1} and e_2 = 0.
     """
     group = cen.group
     table = character_table(group)
     k = cen.freedom_number
     n = group.n
-    fam = group.family
+    mirrors = group.family == "Cnv"
     pinned = cen.pinned
 
-    if n == 1 and fam == "Cn":  # C1
+    if n == 1 and not mirrors:  # C1
         return decomposition_from_counts(table, {"A": k})
 
-    if fam == "Cnv" and n == 1:  # Cs
+    if n == 1:  # Cs
         e_s = cen.e_sigma()
-        if pinned:
-            a1 = _exact_div(k - e_s, 2, ParityViolation, "gamma(A')")
-            a2 = _exact_div(k + e_s, 2, ParityViolation, "gamma(A'')")
-        else:
-            a1 = _exact_div(k - e_s + 1, 2, ParityViolation, "gamma(A')")
-            a2 = _exact_div(k + e_s - 1, 2, ParityViolation, "gamma(A'')")
+        shift = 0 if pinned else 1
+        a1 = _exact_div(k - e_s + shift, 2, ParityViolation, "gamma(A')")
+        a2 = _exact_div(k + e_s - shift, 2, ParityViolation, "gamma(A'')")
         return decomposition_from_counts(table, {"A'": a1, "A''": a2})
 
     v_c, e_2 = cen.v_c, cen.e_2
 
-    if fam == "Cn" and n == 2:  # cyclic C2
-        if (v_c, e_2) not in ((0, 0), (0, 1), (1, 0)):
-            raise UnsupportedGroup(
-                f"no C2 case table for v_c={v_c}, e_2={e_2}"
-            )
-        shift = {(0, 0): 1, (0, 1): 0, (1, 0): -1}[(v_c, e_2)]
-        if pinned:
-            shift -= 1
-        a = _exact_div(k + shift, 2, ParityViolation, "gamma(A)")
-        b = _exact_div(k - shift, 2, ParityViolation, "gamma(B)")
-        return decomposition_from_counts(table, {"A": a, "B": b})
-
-    if fam == "Cn":  # cyclic C_n, n >= 3
-        if pinned:
-            raise UnsupportedGroup(
-                f"no pinned closed form for {group.name}; use the reduction"
-            )
-        if v_c not in (0, 1) or e_2 != 0:
+    if n == 2:  # C2 and C2v
+        c2 = {(0, 0): 1, (0, 1): 0, (1, 0): -1}.get((v_c, e_2))
+        if c2 is None:
             raise UnsupportedGroup(
                 f"no {group.name} case table for v_c={v_c}, e_2={e_2}"
             )
-        if v_c == 0:
-            base = _exact_div(k + 3, n, DivisibilityViolation, "(k+3)/n")
-            shifted = {"A0", "A1", f"A{n - 1}"}
-        else:
-            base = _exact_div(k + 1, n, DivisibilityViolation, "(k+1)/n")
-            shifted = {"A0"}
-        counts = {
-            ir.label: base - (1 if ir.label in shifted else 0)
-            for ir in table.irreps
-        }
-        return decomposition_from_counts(table, counts)
-
-    # Cnv, n >= 2
-    if n == 2:  # C2v
-        e_h = cen.e_sigma("sigma_h")
-        e_v = cen.e_sigma("sigma_v")
-        if (v_c, e_2) not in ((0, 0), (0, 1), (1, 0)):
-            raise UnsupportedGroup(
-                f"no C2v case table for v_c={v_c}, e_2={e_2}"
-            )
-        c2 = {(0, 0): 1, (0, 1): 0, (1, 0): -1}[(v_c, e_2)]
         if pinned:
             c2 -= 1
+        if not mirrors:
+            a = _exact_div(k + c2, 2, ParityViolation, "gamma(A)")
+            b = _exact_div(k - c2, 2, ParityViolation, "gamma(B)")
+            return decomposition_from_counts(table, {"A": a, "B": b})
+        e_h = cen.e_sigma("sigma_h")
+        e_v = cen.e_sigma("sigma_v")
         a1 = _exact_div(k + c2 - e_h - e_v + (0 if pinned else 2), 4,
                         ParityViolation, "gamma(A1)")
         a2 = _exact_div(k + c2 + e_h + e_v - (0 if pinned else 2), 4,
@@ -148,11 +116,30 @@ def closed_form(cen: SymmetryCensus) -> IrrepDecomposition:
         raise UnsupportedGroup(
             f"no pinned closed form for {group.name}; use the reduction"
         )
+    if mirrors and n >= 5:
+        raise UnsupportedGroup(
+            f"no closed-form case table for {group.name}; use the reduction"
+        )
+    if v_c not in (0, 1) or e_2 != 0:
+        raise UnsupportedGroup(
+            f"no {group.name} case table for v_c={v_c}, e_2={e_2}"
+        )
+
+    if not mirrors:  # cyclic C_n, n >= 3
+        if v_c == 0:
+            base = _exact_div(k + 3, n, DivisibilityViolation, "(k+3)/n")
+            shifted = {"A0", "A1", f"A{n - 1}"}
+        else:
+            base = _exact_div(k + 1, n, DivisibilityViolation, "(k+1)/n")
+            shifted = {"A0"}
+        counts = {
+            ir.label: base - (1 if ir.label in shifted else 0)
+            for ir in table.irreps
+        }
+        return decomposition_from_counts(table, counts)
 
     if n == 3:  # C3v
         e_s = cen.e_sigma()
-        if v_c not in (0, 1) or e_2 != 0:
-            raise UnsupportedGroup(f"no C3v case table for v_c={v_c}, e_2={e_2}")
         if v_c == 0:
             e_coeff = _exact_div(k, 3, DivisibilityViolation, "gamma(E)")
             a1 = _exact_div(k - 3 * e_s + 3, 6, ParityViolation, "gamma(A1)")
@@ -165,31 +152,25 @@ def closed_form(cen: SymmetryCensus) -> IrrepDecomposition:
             table, {"A1": a1, "A2": a2, "E": e_coeff}
         )
 
-    if n == 4:  # C4v
-        e_v = cen.e_sigma("sigma_v")
-        e_d = cen.e_sigma("sigma_d")
-        if v_c not in (0, 1) or e_2 != 0:
-            raise UnsupportedGroup(f"no C4v case table for v_c={v_c}, e_2={e_2}")
-        if v_c == 0:
-            e_coeff = _exact_div(k - 1, 4, DivisibilityViolation, "gamma(E)")
-            shift = 3
-        else:
-            e_coeff = _exact_div(k + 1, 4, DivisibilityViolation, "gamma(E)")
-            shift = 1
-        a1 = _exact_div(k - 2 * e_v - 2 * e_d + shift, 8, ParityViolation,
-                        "gamma(A1)")
-        a2 = _exact_div(k + 2 * e_v + 2 * e_d + shift - 8, 8, ParityViolation,
-                        "gamma(A2)")
-        b1 = _exact_div(k - 2 * e_v + 2 * e_d + shift, 8, ParityViolation,
-                        "gamma(B1)")
-        b2 = _exact_div(k + 2 * e_v - 2 * e_d + shift, 8, ParityViolation,
-                        "gamma(B2)")
-        return decomposition_from_counts(
-            table, {"A1": a1, "A2": a2, "B1": b1, "B2": b2, "E": e_coeff}
-        )
-
-    raise UnsupportedGroup(
-        f"no closed-form case table for {group.name}; use the reduction"
+    # C4v
+    e_v = cen.e_sigma("sigma_v")
+    e_d = cen.e_sigma("sigma_d")
+    if v_c == 0:
+        e_coeff = _exact_div(k - 1, 4, DivisibilityViolation, "gamma(E)")
+        shift = 3
+    else:
+        e_coeff = _exact_div(k + 1, 4, DivisibilityViolation, "gamma(E)")
+        shift = 1
+    a1 = _exact_div(k - 2 * e_v - 2 * e_d + shift, 8, ParityViolation,
+                    "gamma(A1)")
+    a2 = _exact_div(k + 2 * e_v + 2 * e_d + shift - 8, 8, ParityViolation,
+                    "gamma(A2)")
+    b1 = _exact_div(k - 2 * e_v + 2 * e_d + shift, 8, ParityViolation,
+                    "gamma(B1)")
+    b2 = _exact_div(k + 2 * e_v - 2 * e_d + shift, 8, ParityViolation,
+                    "gamma(B2)")
+    return decomposition_from_counts(
+        table, {"A1": a1, "A2": a2, "B1": b1, "B2": b2, "E": e_coeff}
     )
 
 
@@ -312,7 +293,7 @@ class AnalysisReport:
         loc = ""
         if self.center is not None:
             loc = f"  center = ({self.center[0]:g}, {self.center[1]:g})"
-        if self.family in ("Cs", "Cnv"):
+        if _FAMILIES[self.family][2]:  # the family takes a mirror angle
             loc += f"  mirror angle = {self.mirror_angle_deg:g} deg"
         tag = "  [detected]" if self.detected else ""
         lines.append(f"group: {self.group_name}{loc}{tag}")
@@ -394,11 +375,12 @@ def analyze_census(
     mirror_deg = (
         float(np.degrees(group.mirror_angle)) if group.family == "Cnv" else 0.0
     )
-    family = {"Cn": "C1" if group.n == 1 else "Cn",
-              "Cnv": "Cs" if group.n == 1 else "Cnv"}[group.family]
     return AnalysisReport(
         group_name=group.name,
-        family=family,
+        family=next(
+            name for name, (built, takes_n, _) in _FAMILIES.items()
+            if built == group.family and takes_n == (group.n > 1)
+        ),
         n=group.n,
         center=cen.center,
         mirror_angle_deg=mirror_deg,
@@ -417,25 +399,17 @@ def analyze_census(
 
 
 # Relative singular-value cutoff for numeric rank decisions.  ``numeric``
-# uses it; it lives here, beside the check of every tolerance, so that the
-# CLI can show it as ``--tol-rank``'s default without loading ``numeric``.
+# uses it; it lives here so that the CLI can show it as ``--tol-rank``'s
+# default without loading ``numeric``.
 RANK_TOL = 1e-10
-
-
-def _check_tolerance(name: str, value: float) -> float:
-    """``value`` if it is a finite number >= 0, else ValueError."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-    return value
 
 
 def _resolve(fw: Framework, spec: GroupSpec, tol: float) -> SymmetryAction:
     """The front end ``analyze``, ``verify`` and ``render`` share: the action
-    of the group ``spec`` names on ``fw``, computed once.  ValueError, in
-    this order, for a ``tol`` that is not a finite number >= 0 and for a
-    single unpinned joint (``maxwell_count``); then ``resolve_action``'s
-    errors."""
-    _check_tolerance("tol", tol)
+    of the group ``spec`` names on ``fw``, computed once.  ValueError for
+    a single unpinned joint (``maxwell_count``); then ``resolve_action``'s
+    errors, among them ValueError for a ``tol`` that is not a finite
+    number >= 0."""
     maxwell_count(fw)
     return resolve_action(spec, fw, tol)
 

@@ -51,6 +51,14 @@ __all__ = [
 GEOM_TOL = 1e-9
 
 
+def _check_tolerance(name: str, value: float) -> float:
+    """``value`` if it is a finite number >= 0, else ValueError.  Every
+    public ``tol`` and ``rel_tol`` passes here where it is used."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Framework:
     """A planar bar-joint framework.
@@ -249,8 +257,10 @@ def affine_span_dim(positions: np.ndarray, tol: float = GEOM_TOL) -> int:
     """Dimension of the affine span of the points: 0, 1, or 2.
 
     Computed as the numerical rank of the centred coordinate matrix with a
-    relative singular-value cutoff.
+    relative singular-value cutoff.  ValueError for a ``tol`` that is not
+    a finite number >= 0.
     """
+    _check_tolerance("tol", tol)
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise DimensionMismatch(f"positions must have shape (v, 2), got {pos.shape}")
@@ -398,8 +408,9 @@ def check_planarity(
 
     Boxes and predicates read the framework's x and y columns, one 1-D
     array per coordinate; each predicate is the scan's float formula,
-    term by term.
+    term by term.  ValueError for a ``tol`` that is not a finite number >= 0.
     """
+    _check_tolerance("tol", tol)
     e = fw.num_edges
     if e == 0:
         return []

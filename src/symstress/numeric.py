@@ -105,8 +105,8 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from .errors import ClassMismatch, DegenerateSpan, DimensionMismatch
-from .framework import Framework, rigidity_matrix_pinned, rigidity_rows
-from .counting import RANK_TOL, AnalysisReport, _analysis, _check_tolerance
+from .framework import Framework, _check_tolerance, rigidity_matrix_pinned, rigidity_rows
+from .counting import RANK_TOL, AnalysisReport, _analysis
 from .reptheory import CharacterTable, IrrepDecomposition, _motion_character, character_table, reduce
 from .symmetry import SYM_TOL, GroupSpec, PointGroup, SymmetryAction, _action_for, _times_sigma
 from .symmetry import vertex_permutation  # noqa: F401  unused; perfbench's tracer looks it up here
@@ -253,10 +253,9 @@ def classify_by_irrep(
     basis size, else ClassMismatch is raised (the span was not invariant
     under the group).  A precomputed ``action`` on ``fw`` replaces
     ``group``, ``center`` and ``tol``; a ``group`` given with it must be its
-    group.  ValueError for that mismatch, or for a ``tol`` or ``rel_tol``
-    that is not a finite number >= 0.
+    group.  ValueError for that mismatch, or for a ``tol`` (when used) or
+    ``rel_tol`` that is not a finite number >= 0.
     """
-    _check_tolerance("tol", tol)
     _check_tolerance("rel_tol", rel_tol)
     if basis is None:
         raise TypeError("classify_by_irrep needs a basis")

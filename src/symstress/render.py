@@ -18,6 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -37,6 +38,15 @@ _PIN_COLOR = "#9fc2e8"
 _OVERLAY_COLOR = "#44aa44"
 _ARROW_COLOR = "#8822aa"
 
+# The viewport, in SVG user units, and the margin kept free around the drawing.
+_WIDTH = 640
+_HEIGHT = 480
+_MARGIN = 40.0
+
+# Characters XML 1.0 cannot hold: the C0 controls other than tab, LF and CR,
+# the surrogates, and U+FFFE and U+FFFF.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
 
 def _fmt(x: float) -> str:
     """Fixed-precision, locale-free float formatting ('-0' normalised)."""
@@ -47,23 +57,21 @@ def _fmt(x: float) -> str:
 
 
 class _Canvas:
-    """Maps model coordinates into a fixed SVG viewport (y flipped)."""
+    """Maps model coordinates into the fixed SVG viewport (y flipped)."""
 
-    def __init__(self, positions: np.ndarray, width: int, height: int, margin: float):
-        self.width = width
-        self.height = height
+    def __init__(self, positions: np.ndarray):
         x, y = positions[:, 0], positions[:, 1]
         lo = np.array([x.min(), y.min()])
         hi = np.array([x.max(), y.max()])
         span = np.maximum(hi - lo, 1e-12)
-        scale = min((width - 2 * margin) / span[0], (height - 2 * margin) / span[1])
+        scale = min((_WIDTH - 2 * _MARGIN) / span[0], (_HEIGHT - 2 * _MARGIN) / span[1])
         mid = (lo + hi) / 2.0
         self.scale = scale
         self.mid = mid
 
     def point(self, p: np.ndarray) -> tuple[float, float]:
-        x = self.width / 2.0 + (p[0] - self.mid[0]) * self.scale
-        y = self.height / 2.0 - (p[1] - self.mid[1]) * self.scale
+        x = _WIDTH / 2.0 + (p[0] - self.mid[0]) * self.scale
+        y = _HEIGHT / 2.0 - (p[1] - self.mid[1]) * self.scale
         return x, y
 
 
@@ -110,19 +118,18 @@ def render_svg(
     stress: np.ndarray | None = None,
     mechanism: np.ndarray | None = None,
     highlight_fixed: bool = True,
-    width: int = 640,
-    height: int = 480,
-    margin: float = 40.0,
     title: str | None = None,
     tol: float = SYM_TOL,
     *,
     action: SymmetryAction | None = None,
 ) -> str:
-    """Render a framework as deterministic SVG 1.1 text.
+    """Render a framework as deterministic SVG 1.1 text, 640 by 480 units.
 
     ``stress`` is a coefficient per bar; ``mechanism`` a velocity per joint
     (shape (v, 2) or (2v,); for pinned frameworks, per internal joint),
-    else DimensionMismatch.  ``title``'s &, < and > are escaped.  When
+    else DimensionMismatch.  ``title``'s &, < and > are escaped; a title
+    holding a character XML 1.0 cannot hold (a C0 control other than tab,
+    LF and CR, a lone surrogate, U+FFFE or U+FFFF) raises ValueError.  When
     ``group`` or ``action`` is given, mirror lines and the rotation centre
     are drawn and (with ``highlight_fixed``) the bars the action leaves
     unshifted are emphasised.
@@ -133,8 +140,13 @@ def render_svg(
     ``tol``; a ``group`` given with it must be its group (ValueError
     otherwise).
     """
+    bad = _NOT_XML.search(title or "")
+    if bad:
+        raise ValueError(
+            f"title character {bad.group()!r} at index {bad.start()} cannot be written in XML 1.0"
+        )
     positions = fw.positions
-    canvas = _Canvas(positions, width, height, margin)
+    canvas = _Canvas(positions)
 
     stress_vec: np.ndarray | None = None
     if stress is not None:
@@ -168,8 +180,8 @@ def render_svg(
     parts: list[str] = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
+        f'width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
     ]
     if title:
         text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

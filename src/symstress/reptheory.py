@@ -34,6 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonIntegerMultiplicity
+from .framework import _check_tolerance
 from .symmetry import PointGroup, SymmetryCensus
 
 __all__ = [
@@ -100,12 +101,6 @@ class CharacterTable:
     @property
     def order(self) -> int:
         return self.group.order
-
-    def irrep(self, label: str) -> Irrep:
-        for ir in self.irreps:
-            if ir.label == label:
-                return ir
-        raise KeyError(f"no irrep labelled {label!r} in {self.group.name}")
 
     def as_matrix(self) -> np.ndarray:
         """Irreps x classes character matrix (complex)."""
@@ -192,10 +187,6 @@ class IrrepDecomposition:
         return {lab: coeff for lab, _, coeff in self.terms}
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _, _ in self.terms)
-
-    @property
     def total(self) -> int:
         """sum_i dim_i * gamma_i, which must equal the freedom number k."""
         return sum(dim * coeff for _, dim, coeff in self.terms)
@@ -244,8 +235,10 @@ def reduce(
 
     gamma_i = (1/|G|) * sum_classes size * value * conj(chi_i).  Raises
     NonIntegerMultiplicity when any multiplicity is farther than ``tol``
-    from an integer (the input was not a character of the group).
+    from an integer (the input was not a character of the group), and
+    ValueError for a ``tol`` that is not a finite number >= 0.
     """
+    _check_tolerance("tol", tol)
     sizes = np.array(table.class_sizes, dtype=float)
     ch = np.asarray(character, dtype=complex)
     if ch.shape != sizes.shape:

@@ -60,6 +60,7 @@ import numpy as np
 from .errors import ClassMismatch, DimensionMismatch, NotSymmetric
 from .framework import (
     Framework,
+    _check_tolerance,
     _is_number,
     _range_pairs,
     bbox_diagonal,
@@ -332,11 +333,12 @@ class _JointIndex:
     ``uncrowded`` is true when every gap between sorted projections exceeds
     twice the window, so no image has two joints within the tolerance.
     A projection is one sum of two products, so every BLAS gives the same
-    floats.
+    floats.  Every match is made through one, so it validates ``tol``:
+    ValueError unless it is a finite number >= 0.
     """
 
     def __init__(self, fw: Framework, tol: float) -> None:
-        self.fw, self.tol = fw, tol
+        self.fw, self.tol = fw, _check_tolerance("tol", tol)
         scale = bbox_diagonal(fw.positions)
         self.tol_abs = tol * (scale if scale > 0 else 1.0)
         proj = _project(fw.x, fw.y)
@@ -1088,41 +1090,41 @@ class GroupSpec:
         return self.family == "auto"
 
 
-def _angle(text: str) -> float:
-    """A finite mirror angle in degrees; ValueError otherwise."""
-    ang = float(text)
-    if not math.isfinite(ang):
-        raise ValueError
-    return ang
+# Each declared family: the group family it builds (``group_elements``),
+# whether it takes an index n, and whether it takes a mirror angle.
+_FAMILIES = {
+    "C1": ("Cn", False, False),
+    "Cs": ("Cnv", False, True),
+    "Cn": ("Cn", True, False),
+    "Cnv": ("Cnv", True, True),
+}
+
+
+def _family(name: Any) -> tuple[str, bool, bool]:
+    """The ``_FAMILIES`` row of declared family ``name``; ValueError for any
+    other value.  The membership test compares and never hashes, so an
+    unhashable value (a JSON list or object) is rejected the same way."""
+    if name not in tuple(_FAMILIES):
+        raise ValueError(f'group "family" must be C1, Cs, Cn, or Cnv, got {name!r}')
+    return _FAMILIES[name]
 
 
 def parse_group_arg(text: str) -> GroupSpec:
     """Parse a CLI group argument.
 
-    Grammar: ``auto | C1 | Cs[:angle_deg] | Cn:<n> | Cnv:<n>[:angle_deg]``.
+    Grammar: ``auto | C1 | Cs[:angle_deg] | Cn:<n> | Cnv:<n>[:angle_deg]``,
+    with n >= 1 and a finite angle, as ``_FAMILIES`` says each family takes.
     """
-    parts = text.split(":")
-    head = parts[0]
+    head, *args = text.split(":")
     try:
-        if head == "auto" and len(parts) == 1:
+        if text == "auto":
             return GroupSpec("auto")
-        if head == "C1" and len(parts) == 1:
-            return GroupSpec("C1")
-        if head == "Cs" and len(parts) in (1, 2):
-            ang = _angle(parts[1]) if len(parts) == 2 else 0.0
-            return GroupSpec("Cs", mirror_angle_deg=ang)
-        if head == "Cn" and len(parts) == 2:
-            n = int(parts[1])
-            if n < 1:
-                raise ValueError
-            return GroupSpec("Cn", n=n)
-        if head == "Cnv" and len(parts) in (2, 3):
-            n = int(parts[1])
-            if n < 1:
-                raise ValueError
-            ang = _angle(parts[2]) if len(parts) == 3 else 0.0
-            return GroupSpec("Cnv", n=n, mirror_angle_deg=ang)
-    except ValueError:
+        _, takes_n, takes_angle = _FAMILIES[head]
+        n = int(args.pop(0)) if takes_n else 1
+        ang = float(args.pop()) if takes_angle and args else 0.0
+        if n >= 1 and math.isfinite(ang) and not args:
+            return GroupSpec(head, n=n, mirror_angle_deg=ang)
+    except (KeyError, IndexError, ValueError):
         pass
     raise ValueError(
         f"cannot parse group {text!r}; expected "
@@ -1131,19 +1133,17 @@ def parse_group_arg(text: str) -> GroupSpec:
 
 
 def group_spec_from_json(obj: Any) -> GroupSpec:
-    """Parse the "group" field of a framework document."""
+    """Parse the "group" field of a framework document.  ``n`` must be a
+    positive integer; a family that takes none (``_FAMILIES``) gets 1."""
     if obj == "auto":
         return GroupSpec("auto")
     if not isinstance(obj, dict):
         raise ValueError('"group" must be an object or the string "auto"')
     family = obj.get("family")
-    if family not in ("C1", "Cs", "Cn", "Cnv"):
-        raise ValueError(f'group "family" must be C1, Cs, Cn, or Cnv, got {family!r}')
+    _, takes_n, _ = _family(family)
     n = obj.get("n", 1)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f'group "n" must be a positive integer, got {n!r}')
-    if family in ("C1", "Cs"):
-        n = 1
     center = obj.get("center")
     if center is not None:
         if (
@@ -1156,19 +1156,22 @@ def group_spec_from_json(obj: Any) -> GroupSpec:
     ang = obj.get("mirror_angle_deg", 0.0)
     if not _is_number(ang):
         raise ValueError('group "mirror_angle_deg" must be a finite number')
-    return GroupSpec(family, n=n, center=center, mirror_angle_deg=float(ang))
+    return GroupSpec(family, n=n if takes_n else 1, center=center, mirror_angle_deg=float(ang))
 
 
 def group_spec_to_json(spec: GroupSpec) -> Any:
-    """Canonical JSON form of a group spec."""
+    """Canonical JSON form of a group spec: ``n`` and ``mirror_angle_deg``
+    only for a family that takes them (``_FAMILIES``).  ValueError for a
+    family that is not declared there."""
     if spec.is_auto:
         return "auto"
+    _, takes_n, takes_angle = _family(spec.family)
     doc: dict[str, Any] = {"family": spec.family}
-    if spec.family in ("Cn", "Cnv"):
+    if takes_n:
         doc["n"] = spec.n
     if spec.center is not None:
         doc["center"] = [spec.center[0], spec.center[1]]
-    if spec.family in ("Cs", "Cnv"):
+    if takes_angle:
         doc["mirror_angle_deg"] = spec.mirror_angle_deg
     return doc
 
@@ -1180,7 +1183,9 @@ def resolve_group(
 
     "auto" requires a framework and returns the maximal detected group,
     the first of ``detect_groups``' list, and builds no other.  A declared
-    C_n or C_nv with more rotations than the framework has joints raises
+    family builds the group ``_FAMILIES`` names, with n = 1 when it takes no
+    index; ValueError for a family not declared there.  A declared C_n or
+    C_nv with more rotations than the framework has joints raises
     NotSymmetric before its n classes are built (see
     ``_require_few_rotations``).
     """
@@ -1189,24 +1194,17 @@ def resolve_group(
             raise ValueError("group 'auto' needs a framework to detect from")
         keys, gen = _detect(fw, tol)
         return group_elements(*keys[0]), gen.center
+    built, takes_n, _ = _family(spec.family)
+    n = spec.n if takes_n else 1
     if spec.center is not None:
         center = np.asarray(spec.center, dtype=float)
     elif fw is not None:
         center = fw.centroid()
     else:
         center = np.zeros(2)
-    if fw is not None and spec.family in ("Cn", "Cnv") and spec.n > fw.num_vertices:
-        _require_few_rotations(fw, spec.n, center, tol)
-    ang = math.radians(spec.mirror_angle_deg)
-    if spec.family == "C1":
-        group = group_elements("Cn", 1)
-    elif spec.family == "Cs":
-        group = group_elements("Cnv", 1, ang)
-    elif spec.family == "Cn":
-        group = group_elements("Cn", spec.n)
-    else:
-        group = group_elements("Cnv", spec.n, ang)
-    return group, center
+    if fw is not None and takes_n and n > fw.num_vertices:
+        _require_few_rotations(fw, n, center, tol)
+    return group_elements(built, n, math.radians(spec.mirror_angle_deg)), center
 
 
 def resolve_action(spec: GroupSpec, fw: Framework, tol: float = SYM_TOL) -> SymmetryAction:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from unittest import mock
@@ -357,6 +358,121 @@ class TestRender:
         path = entry_file("fig2a")  # rigid and stress-free
         res = run_cli("render", str(path), "--stress", "0", "-o", str(tmp_path / "x.svg"))
         assert res.returncode == 2
+
+
+def _set(path, value):
+    """A mutation of fig3's document: the value at key path ``path`` set to
+    ``value``, or deleted when ``value`` is ``_DELETE``."""
+
+    def mutate(doc):
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value is _DELETE:
+            del node[last]
+        else:
+            node[last] = value
+        return doc
+
+    return mutate
+
+
+_DELETE = object()
+_ALL = ("analyze", "verify", "render")
+
+
+def _scaled_triangle(factor):
+    return framework_to_json(Framework([(0.0, 0.0), (factor, 0.0), (0.0, factor)], [(0, 1), (1, 2), (2, 0)]))
+
+
+_WARNS = pytest.mark.xfail(raises=RuntimeWarning, strict=True, reason="numpy warns at extreme scales")
+
+# Malformed or extreme input, each with the exit code every command listed
+# gives: (file content, a fig3 mutation or text or bytes; file name; argv
+# after the command, FILE the file and OUT an output path; {command: code}).
+_MALFORMED = [
+    pytest.param(_set(["edges"], {"0": 1}), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="edges-not-a-list"),
+    pytest.param(_set(["edges", 0], 5), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="edge-not-a-list"),
+    pytest.param(_set(["edges", 0], [0.0, 1]), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="float-edge-id"),
+    pytest.param(_set(["edges", 0], ["0", 1]), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="string-edge-id"),
+    pytest.param(_set(["edges", 0], [False, 1]), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="boolean-edge-id"),
+    pytest.param(_set(["edges", 0], [10**30, 1]), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="huge-edge-id"),
+    pytest.param(_set(["edges", 0], [0, 99]), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="edge-to-no-joint"),
+    pytest.param(_set(["edges", 0], [0, 0]), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="self-loop"),
+    pytest.param(_set(["vertices", 0, "id"], 0.0), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="float-joint-id"),
+    pytest.param(_set(["vertices", 0, "id"], "0"), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="string-joint-id"),
+    pytest.param(_set(["vertices", 0, "id"], False), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="boolean-joint-id"),
+    pytest.param(_set(["vertices", 0, "id"], 10**30), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="huge-joint-id"),
+    pytest.param(_set(["vertices", 0, "x"], _DELETE), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="missing-x"),
+    pytest.param(_set(["vertices", 0, "x"], "1"), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="string-coordinate"),
+    pytest.param(_set(["vertices", 0, "x"], 10**400), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="coordinate-1e400"),
+    pytest.param(_set(["vertices", 0, "pinned"], 1), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="pinned-not-boolean"),
+    pytest.param(_set(["vertices"], []), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="no-joints"),
+    pytest.param(_set(["vertices"], {}), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="joints-not-a-list"),
+    pytest.param("[]", "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="top-level-array"),
+    pytest.param("nonsense", "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="not-json"),
+    pytest.param(b"\xff{}", "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="not-utf-8"),
+    pytest.param(_set(["group", "n"], 0), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="n-zero"),
+    pytest.param(_set(["group", "n"], -3), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="n-negative"),
+    pytest.param(_set(["group"], {"family": "Cn", "n": 10**12}), "case.json", ["FILE"], dict.fromkeys(_ALL, 3), id="n-huge"),
+    pytest.param(_set(["group", "center"], [0, 0, 0]), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="three-element-centre"),
+    pytest.param(_set(["group", "family"], "D4"), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="unknown-family"),
+    pytest.param(_set(["group", "family"], []), "case.json", ["FILE"], dict.fromkeys(_ALL, 2), id="unhashable-family"),
+    pytest.param(_scaled_triangle(1e150), "case.json", ["FILE"], dict.fromkeys(_ALL, 0), id="triangle-1e150"),
+    # At extreme scales the exit codes hold, but numpy warns on stderr:
+    # check_planarity's foot-point division is 0/0 for bars shorter than
+    # about 1e-154 and overflows for coordinates past about 1e154, and the
+    # joint matcher's squared distances overflow at 1e308.
+    pytest.param(_scaled_triangle(1e-300), "case.json", ["FILE"], dict.fromkeys(_ALL, 0), id="triangle-1e-300", marks=_WARNS),
+    pytest.param(_scaled_triangle(1e200), "case.json", ["FILE"], dict.fromkeys(_ALL, 0), id="triangle-1e200", marks=_WARNS),
+    pytest.param(_set(["vertices", 0, "x"], 1e308), "case.json", ["FILE"], dict.fromkeys(_ALL, 3), id="coordinate-1e308", marks=_WARNS),
+    pytest.param(None, "case.json", ["FILE", "--group", "Cnv:0"], dict.fromkeys(_ALL, 2), id="group-n-zero"),
+    # Text output that names a file whose name is not UTF-8 (it used to end
+    # in a UnicodeEncodeError traceback); the bytes come back as given.
+    pytest.param(None, "f\udcff.json", ["FILE", "FILE", "-o", "OUT"], {"analyze": 0, "verify": 0}, id="non-utf-8-name"),
+    # Titles XML 1.0 cannot hold: a control character used to exit 0 with
+    # SVG that is not XML, a lone surrogate to end in a traceback.
+    pytest.param(None, "case.json", ["FILE", "--title", "a\x01b"], {"render": 2}, id="control-character-title"),
+    pytest.param(None, "case.json", ["FILE", "--title", "a\udcffb", "-o", "OUT"], {"render": 2}, id="surrogate-title"),
+]
+
+
+class TestMalformedInput:
+    """Every malformed or extreme input gets its documented exit code, with
+    a message and no traceback."""
+
+    @pytest.mark.parametrize("content, name, argv, codes", _MALFORMED)
+    def test_documented_exit_code(self, entry_file, tmp_path, capsys, content, name, argv, codes):
+        path = entry_file("fig3", filename=name)
+        if callable(content):
+            path.write_text(json.dumps(content(json.loads(path.read_text()))))
+        elif isinstance(content, str):
+            path.write_text(content)
+        elif content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "out"
+        args = [str(path) if a == "FILE" else str(out) if a == "OUT" else a for a in argv]
+        for command, code in codes.items():
+            assert main([command, *args]) == code, command
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert bool(err) == (code != 0), command
+        if name != "case.json":
+            header = b"# " + os.fsencode(str(path)) + b"\n"
+            assert out.read_bytes().count(header) == 2
+
+    @pytest.mark.parametrize("output", [False, True])
+    def test_non_utf_8_file_name_under_strict_stdout(self, entry_file, tmp_path, output):
+        # Both ended in UnicodeEncodeError with exit 1.
+        name = os.fsencode(str(entry_file("fig3", filename="f\udcff.json")))
+        argv = [sys.executable, "-m", "symstress", "analyze", name, name]
+        if output:
+            argv += ["-o", str(tmp_path / "out.txt")]
+        res = subprocess.run(argv, capture_output=True, env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"})
+        assert (res.returncode, res.stderr) == (0, b"")
+        text = (tmp_path / "out.txt").read_bytes() if output else res.stdout
+        assert text.count(b"# " + name + b"\n") == 2
 
 
 class TestExitCodes:

@@ -131,6 +131,176 @@ class TestClosedForm:
             closed_form(cen)
 
 
+# ---------------------------------------------------------------------------
+# The closed form as it was written before its preconditions were stated
+# once each, kept verbatim as the reference: every census must give the same
+# decomposition, or the same exception type and message.
+# ---------------------------------------------------------------------------
+
+
+def _reference_closed_form(cen):
+    _exact_div = counting._exact_div
+    group = cen.group
+    table = reptheory.character_table(group)
+    k = cen.freedom_number
+    n = group.n
+    fam = group.family
+    pinned = cen.pinned
+
+    if n == 1 and fam == "Cn":  # C1
+        return reptheory.decomposition_from_counts(table, {"A": k})
+
+    if fam == "Cnv" and n == 1:  # Cs
+        e_s = cen.e_sigma()
+        if pinned:
+            a1 = _exact_div(k - e_s, 2, ParityViolation, "gamma(A')")
+            a2 = _exact_div(k + e_s, 2, ParityViolation, "gamma(A'')")
+        else:
+            a1 = _exact_div(k - e_s + 1, 2, ParityViolation, "gamma(A')")
+            a2 = _exact_div(k + e_s - 1, 2, ParityViolation, "gamma(A'')")
+        return reptheory.decomposition_from_counts(table, {"A'": a1, "A''": a2})
+
+    v_c, e_2 = cen.v_c, cen.e_2
+
+    if fam == "Cn" and n == 2:  # cyclic C2
+        if (v_c, e_2) not in ((0, 0), (0, 1), (1, 0)):
+            raise UnsupportedGroup(f"no C2 case table for v_c={v_c}, e_2={e_2}")
+        shift = {(0, 0): 1, (0, 1): 0, (1, 0): -1}[(v_c, e_2)]
+        if pinned:
+            shift -= 1
+        a = _exact_div(k + shift, 2, ParityViolation, "gamma(A)")
+        b = _exact_div(k - shift, 2, ParityViolation, "gamma(B)")
+        return reptheory.decomposition_from_counts(table, {"A": a, "B": b})
+
+    if fam == "Cn":  # cyclic C_n, n >= 3
+        if pinned:
+            raise UnsupportedGroup(f"no pinned closed form for {group.name}; use the reduction")
+        if v_c not in (0, 1) or e_2 != 0:
+            raise UnsupportedGroup(f"no {group.name} case table for v_c={v_c}, e_2={e_2}")
+        if v_c == 0:
+            base = _exact_div(k + 3, n, DivisibilityViolation, "(k+3)/n")
+            shifted = {"A0", "A1", f"A{n - 1}"}
+        else:
+            base = _exact_div(k + 1, n, DivisibilityViolation, "(k+1)/n")
+            shifted = {"A0"}
+        counts = {ir.label: base - (1 if ir.label in shifted else 0) for ir in table.irreps}
+        return reptheory.decomposition_from_counts(table, counts)
+
+    # Cnv, n >= 2
+    if n == 2:  # C2v
+        e_h = cen.e_sigma("sigma_h")
+        e_v = cen.e_sigma("sigma_v")
+        if (v_c, e_2) not in ((0, 0), (0, 1), (1, 0)):
+            raise UnsupportedGroup(f"no C2v case table for v_c={v_c}, e_2={e_2}")
+        c2 = {(0, 0): 1, (0, 1): 0, (1, 0): -1}[(v_c, e_2)]
+        if pinned:
+            c2 -= 1
+        a1 = _exact_div(k + c2 - e_h - e_v + (0 if pinned else 2), 4, ParityViolation, "gamma(A1)")
+        a2 = _exact_div(k + c2 + e_h + e_v - (0 if pinned else 2), 4, ParityViolation, "gamma(A2)")
+        b1 = _exact_div(k - c2 - e_h + e_v, 4, ParityViolation, "gamma(B1)")
+        b2 = _exact_div(k - c2 + e_h - e_v, 4, ParityViolation, "gamma(B2)")
+        return reptheory.decomposition_from_counts(table, {"A1": a1, "A2": a2, "B1": b1, "B2": b2})
+
+    if pinned:
+        raise UnsupportedGroup(f"no pinned closed form for {group.name}; use the reduction")
+
+    if n == 3:  # C3v
+        e_s = cen.e_sigma()
+        if v_c not in (0, 1) or e_2 != 0:
+            raise UnsupportedGroup(f"no C3v case table for v_c={v_c}, e_2={e_2}")
+        if v_c == 0:
+            e_coeff = _exact_div(k, 3, DivisibilityViolation, "gamma(E)")
+            a1 = _exact_div(k - 3 * e_s + 3, 6, ParityViolation, "gamma(A1)")
+            a2 = _exact_div(k + 3 * e_s - 3, 6, ParityViolation, "gamma(A2)")
+        else:
+            e_coeff = _exact_div(k + 1, 3, DivisibilityViolation, "gamma(E)")
+            a1 = _exact_div(k - 3 * e_s + 1, 6, ParityViolation, "gamma(A1)")
+            a2 = _exact_div(k + 3 * e_s - 5, 6, ParityViolation, "gamma(A2)")
+        return reptheory.decomposition_from_counts(table, {"A1": a1, "A2": a2, "E": e_coeff})
+
+    if n == 4:  # C4v
+        e_v = cen.e_sigma("sigma_v")
+        e_d = cen.e_sigma("sigma_d")
+        if v_c not in (0, 1) or e_2 != 0:
+            raise UnsupportedGroup(f"no C4v case table for v_c={v_c}, e_2={e_2}")
+        if v_c == 0:
+            e_coeff = _exact_div(k - 1, 4, DivisibilityViolation, "gamma(E)")
+            shift = 3
+        else:
+            e_coeff = _exact_div(k + 1, 4, DivisibilityViolation, "gamma(E)")
+            shift = 1
+        a1 = _exact_div(k - 2 * e_v - 2 * e_d + shift, 8, ParityViolation, "gamma(A1)")
+        a2 = _exact_div(k + 2 * e_v + 2 * e_d + shift - 8, 8, ParityViolation, "gamma(A2)")
+        b1 = _exact_div(k - 2 * e_v + 2 * e_d + shift, 8, ParityViolation, "gamma(B1)")
+        b2 = _exact_div(k + 2 * e_v - 2 * e_d + shift, 8, ParityViolation, "gamma(B2)")
+        return reptheory.decomposition_from_counts(
+            table, {"A1": a1, "A2": a2, "B1": b1, "B2": b2, "E": e_coeff}
+        )
+
+    raise UnsupportedGroup(f"no closed-form case table for {group.name}; use the reduction")
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001  every outcome is compared
+        return type(exc), str(exc)
+
+
+# (family, n) of every group with a case table, and C5v, C6v and the
+# C_n without one; pinned and unpinned.
+_CASE_GROUPS = [("Cn", n) for n in (1, 2, 3, 4, 6)] + [("Cnv", n) for n in range(1, 7)]
+
+
+def _grid_censuses():
+    """About 20k censuses: every (v_c, e_2) in {0, 1, 2}^2, 24 bar counts
+    (so k runs over every residue the tables divide by), and the mirror
+    counts the tables read, 0-3 per class (0-2 per class for two classes)."""
+    for family, n in _CASE_GROUPS:
+        if family == "Cn":
+            mirror_counts = [0]
+        elif n % 2:
+            mirror_counts = range(4)
+        else:
+            mirror_counts = [(a, b) for a in range(3) for b in range(3)]
+        for pinned in (False, True):
+            for v_c in range(3):
+                for e_2 in range(3):
+                    for e in range(2, 26):
+                        for e_sigma in mirror_counts:
+                            v_sigma = (0, 0) if isinstance(e_sigma, tuple) else 0
+                            yield make_census(
+                                family, n, v=7, e=e, pinned=pinned, v_c=v_c, e_2=e_2,
+                                v_sigma=v_sigma, e_sigma=e_sigma,
+                            )
+
+
+class TestClosedFormReference:
+    def test_same_outcome_on_the_census_grid(self):
+        seen = set()
+        count = 0
+        for cen in _grid_censuses():
+            got, want = _outcome(closed_form, cen), _outcome(_reference_closed_form, cen)
+            if isinstance(want, tuple):
+                assert got == want, (cen, want)
+            else:
+                assert (got.group_name, got.terms) == (want.group_name, want.terms), cen
+            seen.add(want[0].__name__ if isinstance(want, tuple) else "decomposition")
+            count += 1
+        assert count == 19_008
+        assert seen == {
+            "decomposition", "ParityViolation", "DivisibilityViolation", "UnsupportedGroup"
+        }
+
+    @pytest.mark.parametrize("family, n", _CASE_GROUPS)
+    def test_report_family(self, family, n):
+        pair = family == "Cnv" and n % 2 == 0
+        cen = make_census(family, n, v=0, e=0, pinned=True, v_sigma=(0, 0) if pair else 0, e_sigma=(0, 0) if pair else 0)
+        want = {"Cn": "C1" if n == 1 else "Cn", "Cnv": "Cs" if n == 1 else "Cnv"}[family]
+        assert analyze_census(cen).family == want
+
+
 class TestCrossCheck:
     def test_agreement_on_catalog_censuses(self):
         for name in catalog.names():

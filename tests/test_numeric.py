@@ -21,10 +21,12 @@ import symstress.symmetry as symmetry
 from symstress import (
     Framework,
     GroupSpec,
+    affine_span_dim,
     analyze,
     catalog,
     census,
     character_table,
+    check_planarity,
     classify_by_irrep,
     detect_groups,
     edge_permutation,
@@ -37,6 +39,9 @@ from symstress import (
     mirror_op,
     numeric_rank,
     reduce,
+    reducible_character,
+    render_svg,
+    resolve_action,
     resolve_group,
     rigidity_matrix,
     rigidity_matrix_pinned,
@@ -293,6 +298,39 @@ class TestVerify:
                 call()
         with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
             classify_by_irrep(fw, group, self_stress_basis(fw), center, "edge", tol=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_is_rejected_by_every_public_function(self, value):
+        # Unchecked, on fig3 (Cs): tol=-1 raised numpy's "repeats may not
+        # contain negative values" from the matchers and from
+        # check_planarity, and reduce called A' a multiplicity of 1+0j;
+        # tol=nan reported two joints mapped onto one, or C1 from detection;
+        # tol=inf detected only C1; check_planarity at nan found nothing.
+        entry = catalog.generate("fig3")
+        fw = entry.framework
+        group, center = resolve_group(entry.group, fw)
+        auto = GroupSpec("auto")
+        character = reducible_character(census(fw, group, center=center))
+        calls = [
+            lambda: census(fw, group, center=center, tol=value),
+            lambda: symmetry_action(fw, group, center, value),
+            lambda: detect_groups(fw, value),
+            lambda: resolve_group(auto, fw, value),
+            lambda: resolve_action(auto, fw, value),
+            lambda: resolve_action(entry.group, fw, value),
+            lambda: vertex_permutation(fw, group.operations()[1], center, value),
+            lambda: intertwining_residual(fw, group, center, value),
+            lambda: classify_by_irrep(fw, group, self_stress_basis(fw), center, "edge", tol=value),
+            lambda: render_svg(fw, group, center, tol=value),
+            lambda: check_planarity(fw, value),
+            lambda: affine_span_dim(fw.positions, value),
+            lambda: reduce(character, character_table(group), value),
+            lambda: analyze(fw, tol=value),
+            lambda: verify(fw, entry.group, tol=value),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^tol must be a finite number >= 0"):
+                call()
 
     def test_single_pinned_joint_verifies(self):
         rep = verify(Framework([(0.5, 1.0)], [], pinned=[0]))

@@ -1,5 +1,8 @@
 """Deterministic SVG rendering of frameworks and overlays."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -160,3 +163,35 @@ class TestWellFormed:
         for svg, overlay in zip(svgs, ("bars", "mechanism")):
             root = ET.fromstring(svg.encode())
             assert root.find(f"{SVG}g[@id='{overlay}']") is not None
+
+    # XML 1.0 holds tab, LF, CR and everything from U+0020 but the
+    # surrogates, U+FFFE and U+FFFF.
+    @pytest.mark.parametrize("title", ["a\tb\nc", "\x7f\x80\u00e9", "\ufffd", "\U0001f600"])
+    def test_title_xml_can_hold(self, title):
+        fw, _, _ = _entry("fig3")
+        root = ET.fromstring(render_svg(fw, title=title).encode())
+        assert root.find(SVG + "title") is not None
+
+    @pytest.mark.parametrize("title", ["a\x01b", "\x00", "a\x1fb", "a\udcffb", "\ud800", "\ufffe", "x\uffff"])
+    def test_title_xml_cannot_hold_is_rejected(self, title):
+        # "a\x01b" used to give SVG that ElementTree rejects.
+        fw, _, _ = _entry("fig3")
+        with pytest.raises(ValueError, match="cannot be written in XML 1.0"):
+            render_svg(fw, title=title)
+
+    @pytest.mark.parametrize("title", [b"a\x01b", b"a\xffb"])
+    def test_cli_title_xml_cannot_hold_is_invalid_input(self, tmp_path, title):
+        # b"a\x01b" exited 0 with SVG that is not XML; b"a\xffb" (held as
+        # the lone surrogate U+DCFF) ended in a UnicodeEncodeError traceback.
+        path = tmp_path / "fig3.json"
+        assert run_cli("gen", "fig3", "-o", str(path)).returncode == 0
+        res = subprocess.run(
+            [sys.executable, "-m", "symstress", "render", str(path), b"--title", title, "-o", str(tmp_path / "x.svg")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+        )
+        assert res.returncode == 2
+        assert res.stderr.startswith("render: title character ")
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "x.svg").exists()

@@ -24,6 +24,7 @@ from symstress import (
     edge_permutation,
     group_elements,
     group_spec_from_json,
+    group_spec_to_json,
     intertwining_residual,
     make_census,
     mirror_op,
@@ -416,6 +417,216 @@ class TestGroupSpec:
         group, center = resolve_group(GroupSpec("Cnv", 4), RECTANGLE)
         with pytest.raises(NotSymmetric):
             census(RECTANGLE, group, center=center)
+
+
+# ---------------------------------------------------------------------------
+# The four group-spec functions as they were written before one table stated
+# which declared family takes n or a mirror angle, kept verbatim as the
+# references: every input must give the same value, or the same exception
+# type and message.
+# ---------------------------------------------------------------------------
+
+
+def _reference_angle(text):
+    ang = float(text)
+    if not math.isfinite(ang):
+        raise ValueError
+    return ang
+
+
+def _reference_parse_group_arg(text):
+    parts = text.split(":")
+    head = parts[0]
+    try:
+        if head == "auto" and len(parts) == 1:
+            return GroupSpec("auto")
+        if head == "C1" and len(parts) == 1:
+            return GroupSpec("C1")
+        if head == "Cs" and len(parts) in (1, 2):
+            ang = _reference_angle(parts[1]) if len(parts) == 2 else 0.0
+            return GroupSpec("Cs", mirror_angle_deg=ang)
+        if head == "Cn" and len(parts) == 2:
+            n = int(parts[1])
+            if n < 1:
+                raise ValueError
+            return GroupSpec("Cn", n=n)
+        if head == "Cnv" and len(parts) in (2, 3):
+            n = int(parts[1])
+            if n < 1:
+                raise ValueError
+            ang = _reference_angle(parts[2]) if len(parts) == 3 else 0.0
+            return GroupSpec("Cnv", n=n, mirror_angle_deg=ang)
+    except ValueError:
+        pass
+    raise ValueError(
+        f"cannot parse group {text!r}; expected "
+        "auto | C1 | Cs[:angle_deg] | Cn:<n> | Cnv:<n>[:angle_deg]"
+    )
+
+
+def _reference_group_spec_from_json(obj):
+    if obj == "auto":
+        return GroupSpec("auto")
+    if not isinstance(obj, dict):
+        raise ValueError('"group" must be an object or the string "auto"')
+    family = obj.get("family")
+    if family not in ("C1", "Cs", "Cn", "Cnv"):
+        raise ValueError(f'group "family" must be C1, Cs, Cn, or Cnv, got {family!r}')
+    n = obj.get("n", 1)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f'group "n" must be a positive integer, got {n!r}')
+    if family in ("C1", "Cs"):
+        n = 1
+    center = obj.get("center")
+    if center is not None:
+        if not isinstance(center, list) or len(center) != 2 or not all(symmetry._is_number(t) for t in center):
+            raise ValueError('group "center" must be a pair of finite numbers')
+        center = (float(center[0]), float(center[1]))
+    ang = obj.get("mirror_angle_deg", 0.0)
+    if not symmetry._is_number(ang):
+        raise ValueError('group "mirror_angle_deg" must be a finite number')
+    return GroupSpec(family, n=n, center=center, mirror_angle_deg=float(ang))
+
+
+def _reference_group_spec_to_json(spec):
+    if spec.is_auto:
+        return "auto"
+    doc = {"family": spec.family}
+    if spec.family in ("Cn", "Cnv"):
+        doc["n"] = spec.n
+    if spec.center is not None:
+        doc["center"] = [spec.center[0], spec.center[1]]
+    if spec.family in ("Cs", "Cnv"):
+        doc["mirror_angle_deg"] = spec.mirror_angle_deg
+    return doc
+
+
+def _reference_resolve_group(spec, fw=None, tol=SYM_TOL):
+    if spec.is_auto:
+        if fw is None:
+            raise ValueError("group 'auto' needs a framework to detect from")
+        keys, gen = symmetry._detect(fw, tol)
+        return group_elements(*keys[0]), gen.center
+    if spec.center is not None:
+        center = np.asarray(spec.center, dtype=float)
+    elif fw is not None:
+        center = fw.centroid()
+    else:
+        center = np.zeros(2)
+    if fw is not None and spec.family in ("Cn", "Cnv") and spec.n > fw.num_vertices:
+        symmetry._require_few_rotations(fw, spec.n, center, tol)
+    ang = math.radians(spec.mirror_angle_deg)
+    if spec.family == "C1":
+        group = group_elements("Cn", 1)
+    elif spec.family == "Cs":
+        group = group_elements("Cnv", 1, ang)
+    elif spec.family == "Cn":
+        group = group_elements("Cn", spec.n)
+    else:
+        group = group_elements("Cnv", spec.n, ang)
+    return group, center
+
+
+def _spec_outcome(fn, *args):
+    """``fn(*args)`` in a comparable form (a resolved group as its fields,
+    class labels and centre), or the type and message of its exception."""
+    try:
+        got = fn(*args)
+    except Exception as exc:  # noqa: BLE001  every outcome is compared
+        return type(exc), str(exc)
+    if isinstance(got, tuple):
+        group, center = got
+        return group, group.class_labels(), center.tolist()
+    return got
+
+
+_NUMBER_TOKENS = ["", "0", "1", "2", "4", "5", "-2", "90", "1e999", "nan", "inf", "-inf", "x", " 4", "4.0", "+3", "1_0", "-0"]
+
+
+def _group_strings():
+    """Every head with up to two arguments from ``_NUMBER_TOKENS``, three for
+    the families that take an angle, and a few odd separators."""
+    heads = ["auto", "C1", "Cs", "Cn", "Cnv", "D4", "", "cs", "C1 ", "CN"]
+    for head in heads:
+        yield head
+        for a in _NUMBER_TOKENS:
+            yield f"{head}:{a}"
+            for b in _NUMBER_TOKENS:
+                yield f"{head}:{a}:{b}"
+    for head in ("Cs", "Cnv"):
+        for a in ("4", "90", "x", ""):
+            for b in ("4", "90", "x", ""):
+                for c in ("4", "90", "x", ""):
+                    yield f"{head}:{a}:{b}:{c}"
+    yield from ("auto:", ":", "::", "Cnv:4:45:", "Cs:90:1", "C1:", "Cn:4:")
+
+
+_ABSENT = object()
+
+
+def _group_objects():
+    """Group fields as a JSON document may hold them: each family value
+    (unhashable ones too) with each n, centre and mirror angle, present or
+    absent, valid or not; and values that are not objects."""
+    families = ["C1", "Cs", "Cn", "Cnv", "auto", "D4", None, 1, True, [], {}, ["Cs"]]
+    ns = [_ABSENT, 1, 0, 3, -1, True, 2.0, "3", None, 10**12]
+    centers = [_ABSENT, None, [0, 0], [1, 2.5], [True, 0], [float("nan"), 0], [0], "x"]
+    angles = [_ABSENT, 0, 30.5, True, float("nan"), "x", None]
+    for family in families:
+        for n in ns:
+            for center in centers:
+                for angle in angles:
+                    fields = {"family": family, "n": n, "center": center, "mirror_angle_deg": angle}
+                    yield {key: value for key, value in fields.items() if value is not _ABSENT}
+    yield from ("auto", "Auto", None, [], 3, {}, {"n": 2})
+
+
+# Frameworks to resolve specs on: none, 4 joints, one pinned joint at the
+# centre, fig3 (6 joints).
+_RESOLVE_ON = [None, SQUARE, Framework([(0.5, 1.0)], [], pinned=[0]), catalog.generate("fig3").framework]
+
+
+class TestGroupSpecReference:
+    def _assert_same_after_parsing(self, spec):
+        assert group_spec_to_json(spec) == _reference_group_spec_to_json(spec)
+        for fw in _RESOLVE_ON:
+            if fw is None and spec.n > 100:
+                continue  # no framework to reject it: both would build every class
+            assert _spec_outcome(resolve_group, spec, fw) == _spec_outcome(_reference_resolve_group, spec, fw), (spec, fw)
+
+    def test_group_strings(self):
+        texts = list(_group_strings())
+        assert len(texts) == 3_565
+        parsed = 0
+        for text in texts:
+            got = _spec_outcome(parse_group_arg, text)
+            assert got == _spec_outcome(_reference_parse_group_arg, text), text
+            if isinstance(got, GroupSpec):
+                self._assert_same_after_parsing(got)
+                parsed += 1
+        assert parsed == 127
+
+    def test_group_objects(self):
+        objects = list(_group_objects())
+        parsed = 0
+        for obj in objects:
+            got = _spec_outcome(group_spec_from_json, obj)
+            assert got == _spec_outcome(_reference_group_spec_from_json, obj), obj
+            if isinstance(got, GroupSpec):
+                self._assert_same_after_parsing(got)
+                parsed += 1
+        # The valid fields: 4 families, 4 n, 4 centres, 3 angles; and "auto".
+        assert (len(objects), parsed) == (6_727, 4 * 4 * 4 * 3 + 1)
+
+    @pytest.mark.parametrize("family", ["D4", "auto ", "", None, [], {}])
+    def test_unknown_family_in_a_spec_is_rejected(self, family):
+        # The old resolve_group built C_nv for any family it did not name.
+        spec = GroupSpec(family, 4)
+        message = f'group "family" must be C1, Cs, Cn, or Cnv, got {family!r}'
+        for call in (lambda: resolve_group(spec, SQUARE), lambda: resolve_group(spec), lambda: group_spec_to_json(spec)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
 
 
 class TestMoreRotationsThanJoints:
